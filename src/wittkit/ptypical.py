@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NotInvertible, NotPrime, SetMismatch
+from .errors import BudgetExceeded, NotInvertible, NotPrime, SetMismatch, WittkitError
 from .rings import ModularRing, Ring
 from .truncation import TruncationSet, is_prime, p_typical, truncation_set
 from .witt import (
@@ -36,7 +36,7 @@ def _invertible(k: int, ring: Ring) -> bool:
     try:
         ring.exact_div(ring.one, k)
         return True
-    except Exception:
+    except WittkitError:
         return False
 
 
@@ -61,7 +61,7 @@ def ring_exact_div_coordinates(x: WittVector, k: int) -> tuple:
     wr = WittRing(x.ring, x.tset)
     try:
         return wr.exact_div(x.coords, k)
-    except Exception as exc:
+    except WittkitError as exc:
         raise NotInvertible(f"{k} is not invertible in W({x.tset},{x.ring}): {exc}") from exc
 
 

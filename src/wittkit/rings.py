@@ -25,6 +25,7 @@ Internal algorithms work on payloads directly through the ring methods.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from typing import Any
 
@@ -157,6 +158,9 @@ class IntegerRing(Ring):
     def of_int(self, k):
         return k
 
+    def is_zero(self, x):
+        return x == 0
+
     def scalar_mul(self, k, x):
         return k * x
 
@@ -195,6 +199,9 @@ class RationalRing(Ring):
 
     def of_int(self, k):
         return Fraction(k)
+
+    def is_zero(self, x):
+        return x == 0
 
     def exact_div(self, x, n):
         if n == 0:
@@ -237,6 +244,9 @@ class ModularRing(Ring):
     def of_int(self, k):
         return k % self.m
 
+    def is_zero(self, x):
+        return x == 0
+
     def scalar_mul(self, k, x):
         return (k * x) % self.m
 
@@ -270,6 +280,63 @@ class ModularRing(Ring):
 
     def __str__(self):
         return f"Z/{self.m}"
+
+
+# Opcodes of an EvalProgram; an instruction is `argument << 2 | opcode`.
+_PUSH, _MUL, _MULADD = 0, 1, 2
+
+
+class EvalProgram:
+    """A polynomial compiled for one target ring into a straight-line program.
+
+    `code` is a flat array of instructions run on a small stack:
+
+        _PUSH k     push consts[k]
+        _MUL s      multiply the top by power slot s
+        _MULADD s   pop t, then add t times power slot s to the new top
+
+    Power slots hold x^1 .. x^top for each (name, top) of `rows` in turn.
+    `names` lists every variable of the polynomial, including those that
+    occur only in terms vanishing in the target: each needs a value.
+    """
+
+    __slots__ = ("target", "code", "consts", "rows", "names")
+
+    def __init__(self, target: Ring, code: array, consts: list, rows: tuple, names: tuple):
+        self.target = target
+        self.code = code
+        self.consts = consts
+        self.rows = rows
+        self.names = names
+
+    def run(self, values: dict):
+        missing = [name for name in self.names if name not in values]
+        if missing:
+            raise MissingVariable(f"no value for {missing}")
+        target = self.target
+        if not self.code:
+            return target.zero
+        mul, add = target.mul, target.add
+        powers = []
+        for name, top in self.rows:
+            x = p = values[name]
+            powers.append(x)
+            for _ in range(top - 1):
+                p = mul(p, x)
+                powers.append(p)
+        consts = self.consts
+        stack: list = []
+        push, pop = stack.append, stack.pop
+        for ins in self.code:
+            op = ins & 3
+            if op == _PUSH:
+                push(consts[ins >> 2])
+            elif op == _MUL:
+                stack[-1] = mul(stack[-1], powers[ins >> 2])
+            else:
+                t = pop()
+                stack[-1] = add(stack[-1], mul(t, powers[ins >> 2]))
+        return stack[0]
 
 
 class PolynomialRing(Ring):
@@ -388,35 +455,89 @@ class PolynomialRing(Ring):
             out[new] = c
         return out
 
-    def evaluate(self, payload: dict, values: dict, target: Ring):
-        """Evaluate in `target` with `values` mapping variable names to payloads."""
-        max_exp: dict[int, int] = {}
-        for mono in payload:
-            for v, e in mono:
-                if e > max_exp.get(v, 0):
-                    max_exp[v] = e
-        missing = sorted(
-            self.variables[v] for v in max_exp if self.variables[v] not in values
-        )
-        if missing:
-            raise MissingVariable(f"no value for {missing}")
-        mul, add, of_int = target.mul, target.add, target.of_int
-        powers: dict[int, list] = {}
-        for v, top in max_exp.items():
-            x = values[self.variables[v]]
-            row = [target.one, x]
-            for _ in range(top - 1):
-                row.append(mul(row[-1], x))
-            powers[v] = row
-        acc = target.zero
+    def compile(self, payload: dict, target: Ring) -> EvalProgram:
+        """Compile an integer-coefficient payload for evaluation in `target`.
+
+        Monomials are walked in sorted order, so those sharing a prefix of
+        (variable, exponent) factors are adjacent; each shared prefix is
+        factored out once (a Horner trie) and emitted as postfix code
+        without building the trie itself.
+        """
+        variables = self.variables
+        top: dict[int, int] = {}  # per variable of a surviving term
+        names = set()
+        const_of: dict[int, int] = {}  # integer coefficient -> const index, -1 if it vanishes
+        consts: list = []
+        by_image: dict = {}
         for mono, c in payload.items():
             if not isinstance(c, int):
                 raise SpecMismatch("evaluation requires integer coefficients")
-            term = of_int(c)
+            k = const_of.get(c)
+            if k is None:
+                image = target.of_int(c)
+                if target.is_zero(image):
+                    k = -1
+                else:
+                    try:
+                        k = by_image.setdefault(image, len(consts))
+                    except TypeError:  # unhashable payload, e.g. a polynomial
+                        k = len(consts)
+                    if k == len(consts):
+                        consts.append(image)
+                const_of[c] = k
             for v, e in mono:
-                term = mul(term, powers[v][e])
-            acc = add(acc, term)
-        return acc
+                names.add(variables[v])
+                if k >= 0 and e > top.get(v, 0):
+                    top[v] = e
+        offset, rows, slots = {}, [], 0
+        for v in sorted(top):
+            offset[v] = slots
+            slots += top[v]
+            rows.append((variables[v], top[v]))
+
+        code = array("i")
+        emit = code.append
+        path: list[int] = []  # power slot of each edge from the root to the current node
+        live = [False]  # live[d]: the node at depth d has its value on the stack
+
+        def close(depth):
+            while len(path) > depth:
+                slot = path.pop()
+                live.pop()
+                emit(slot << 2 | (_MULADD if live[-1] else _MUL))
+                live[-1] = True
+
+        prev: tuple = ()
+        for mono in sorted(payload):
+            k = const_of[payload[mono]]
+            if k < 0:
+                continue
+            shared = 0
+            for a, b in zip(prev, mono):
+                if a != b:
+                    break
+                shared += 1
+            close(shared)
+            for v, e in mono[shared:]:
+                path.append(offset[v] + e - 1)
+                live.append(False)
+            emit(k << 2 | _PUSH)
+            live[-1] = True
+            prev = mono
+        close(0)
+        return EvalProgram(target, code, consts, tuple(rows), tuple(sorted(names)))
+
+    def evaluate(
+        self, payload: dict, values: dict, target: Ring, program: EvalProgram | None = None
+    ):
+        """Evaluate in `target` with `values` mapping variable names to payloads.
+
+        `program`, when given, is `self.compile(payload, target)` kept from
+        an earlier call.
+        """
+        if program is None:
+            program = self.compile(payload, target)
+        return program.run(values)
 
     def lift_ring(self):
         cover = self.base.lift_ring()
@@ -563,14 +684,16 @@ class SeriesRing(Ring):
 
     def mul(self, x, y):
         base = self.base
-        out = [base.zero] * self.precision
+        is_zero, add, mul = base.is_zero, base.add, base.mul
+        n = self.precision
+        out = [base.zero] * n
         for i, a in enumerate(x):
-            if base.is_zero(a):
+            if is_zero(a):
                 continue
-            for j in range(self.precision - i):
+            for j in range(n - i):
                 b = y[j]
-                if not base.is_zero(b):
-                    out[i + j] = base.add(out[i + j], base.mul(a, b))
+                if not is_zero(b):
+                    out[i + j] = add(out[i + j], mul(a, b))
         return tuple(out)
 
     def of_int(self, k):
@@ -625,9 +748,10 @@ def series_inverse_payload(ring: SeriesRing, f: tuple) -> tuple:
     base = ring.base
     if f[0] != base.one:
         raise NotAUnit("series inverse requires constant term 1")
-    out = [base.one] + [base.zero] * (ring.precision - 1)
+    zero = base.zero
+    out = [base.one] + [zero] * (ring.precision - 1)
     for k in range(1, ring.precision):
-        acc = base.zero
+        acc = zero
         for i in range(1, k + 1):
             if not base.is_zero(f[i]):
                 acc = base.add(acc, base.mul(f[i], out[k - i]))

@@ -17,7 +17,8 @@ and means this module has a bug.
 
 Results are memoized in memory and, when a cache path is configured, in
 a versioned text file with one canonically-rendered polynomial per line
-(bit-exact across platforms).
+(bit-exact across platforms).  PolySource.evaluate compiles a polynomial
+once per target ring and keeps the program for later evaluations.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import CacheCorrupt, CeilingExceeded, IntegralityViolation, WittkitError
-from .rings import PolynomialRing, RingElement, Z
+from .rings import EvalProgram, PolynomialRing, Ring, RingElement, Z
 
 DEFAULT_CEILING = 64
 HARD_MAX_CEILING = 128
@@ -148,9 +149,9 @@ def poly_from_text(text: str, ring: PolynomialRing) -> RingElement:
 class PolySource:
     """Computes and memoizes universal polynomials up to a weight ceiling.
 
-    Thread-safe: a lock guards the memo table; disk writes are atomic
-    whole-file replacements, so concurrent writers settle on identical
-    content (entries are deterministic).
+    Thread-safe: a lock guards the memo and program tables; disk writes
+    are atomic whole-file replacements, so concurrent writers settle on
+    identical content (entries are deterministic).
     """
 
     def __init__(self, cache_path: str | None = None, ceiling: int | None = None):
@@ -161,6 +162,8 @@ class PolySource:
         self.ceiling = ceiling
         self.cache_path = cache_path
         self._memo: dict[UnivPolyKey, RingElement] = {}
+        # (key, target ring) -> compiled program, filled lazily by evaluate
+        self._programs: dict[tuple[UnivPolyKey, Ring], EvalProgram] = {}
         self._lock = threading.Lock()
         self._dirty = False
         if cache_path and os.path.exists(cache_path):
@@ -182,6 +185,22 @@ class PolySource:
         if self.cache_path:
             self.flush()
         return poly
+
+    def evaluate(self, key: UnivPolyKey, values: dict, target: Ring):
+        """Specialize the polynomial for `key` at `values` (names to payloads) in `target`.
+
+        The polynomial is compiled for `target` on first use and the program
+        is kept for later calls.
+        """
+        poly = self.universal_poly(key)
+        slot = (key, target)
+        with self._lock:
+            program = self._programs.get(slot)
+        if program is None:
+            program = poly.ring.compile(poly.value, target)
+            with self._lock:
+                program = self._programs.setdefault(slot, program)
+        return poly.ring.evaluate(poly.value, values, target, program)
 
     def _get(self, key: UnivPolyKey) -> RingElement:
         if key.weight > self.ceiling:

@@ -74,10 +74,7 @@ class WittVector:
     def __pow__(self, e: int):
         if e < 0:
             raise WittkitError("negative exponent")
-        result = witt_one(self.tset, self.ring)
-        for _ in range(e):
-            result = witt_mul(result, self)
-        return result
+        return _binary_power(witt_mul, witt_one(self.tset, self.ring), self, e)
 
     def __str__(self):
         return "(" + ", ".join(self.ring.format(c) for c in self.coords) + ")"
@@ -112,24 +109,40 @@ class GhostVector:
         }
 
 
-def witt_from_json(data: dict) -> WittVector:
+def _vector_from_json(data, field: str):
+    """(set, base ring, JSON entries in set order) of a serialized vector.
+
+    A wrong shape is a SpecMismatch, not a KeyError or TypeError.
+    """
     from .rings import parse_ring
     from .truncation import truncation_set
 
-    tset = truncation_set(data["set"])
-    ring = parse_ring(data["base"])
-    coords = tuple(ring.from_json(data["coords"][str(n)]) for n in tset.members)
-    return WittVector(tset, ring, coords)
+    shape = f"a JSON object with keys 'set' (a list of integers), 'base' and {field!r}"
+    if not isinstance(data, dict) or not {"set", "base", field} <= data.keys():
+        raise SpecMismatch(f"expected {shape}")
+    members, base, entries = data["set"], data["base"], data[field]
+    if (
+        not isinstance(members, list)
+        or not all(isinstance(n, int) and not isinstance(n, bool) for n in members)
+        or not isinstance(base, str)
+        or not isinstance(entries, dict)
+    ):
+        raise SpecMismatch(f"expected {shape}")
+    tset = truncation_set(members)
+    missing = [n for n in tset.members if str(n) not in entries]
+    if missing:
+        raise SpecMismatch(f"{field!r} has no entry for {missing}")
+    return tset, parse_ring(base), [entries[str(n)] for n in tset.members]
+
+
+def witt_from_json(data: dict) -> WittVector:
+    tset, ring, entries = _vector_from_json(data, "coords")
+    return WittVector(tset, ring, tuple(ring.from_json(c) for c in entries))
 
 
 def ghost_from_json(data: dict) -> GhostVector:
-    from .rings import parse_ring
-    from .truncation import truncation_set
-
-    tset = truncation_set(data["set"])
-    ring = parse_ring(data["base"])
-    values = tuple(ring.from_json(data["values"][str(n)]) for n in tset.members)
-    return GhostVector(tset, ring, values)
+    tset, ring, entries = _vector_from_json(data, "values")
+    return GhostVector(tset, ring, tuple(ring.from_json(v) for v in entries))
 
 
 # --------------------------------------------------------------------------
@@ -169,11 +182,7 @@ def witt_of_int(k: int, S: TruncationSet, ring: Ring, strategy: str = "auto") ->
         cover = ring.lift_ring()
         lifted = witt_of_int(k, S, cover, "ghost")
         return WittVector(S, ring, tuple(ring.reduce_from_lift(c) for c in lifted.coords))
-    acc = witt_zero(S, ring)
-    one = witt_one(S, ring)
-    for _ in range(abs(k)):
-        acc = witt_add(acc, one, strategy="universal")
-    return witt_neg(acc, strategy="universal") if k < 0 else acc
+    return witt_scalar_mul(k, witt_one(S, ring), "universal")
 
 
 # --------------------------------------------------------------------------
@@ -250,6 +259,26 @@ def _reduce_vector(x: WittVector, ring: Ring) -> WittVector:
     return WittVector(x.tset, ring, tuple(ring.reduce_from_lift(c) for c in x.coords))
 
 
+def _universal_vector(
+    T: TruncationSet, keys, x: WittVector, y: WittVector | None, source: PolySource | None
+) -> WittVector:
+    """The vector over T whose coordinates are the keys' polynomials at x (a_d) and y (b_d).
+
+    A key of weight w reads the coordinates at the divisors of w, which lie
+    in the (divisor-closed) set of x whenever w does.
+    """
+    src = source or default_source()
+    members = x.tset.members
+    coords = []
+    for key in keys:
+        w = key.weight
+        values = {f"a{d}": a for d, a in zip(members, x.coords) if w % d == 0}
+        if y is not None:
+            values.update({f"b{d}": b for d, b in zip(members, y.coords) if w % d == 0})
+        coords.append(src.evaluate(key, values, x.ring))
+    return WittVector(T, x.ring, tuple(coords))
+
+
 def _binary_op(x: WittVector, y: WittVector, op: str, strategy: str, source: PolySource | None) -> WittVector:
     _check_match(x, y)
     ring = x.ring
@@ -263,17 +292,7 @@ def _binary_op(x: WittVector, y: WittVector, op: str, strategy: str, source: Pol
     if st == "lift":
         out = _binary_op(_lift_vector(x), _lift_vector(y), op, "ghost", source)
         return _reduce_vector(out, ring)
-    src = source or default_source()
-    coords = []
-    for n in x.tset.members:
-        poly = src.universal_poly(UnivPolyKey(op, n))
-        values = {}
-        for d in x.tset.members:
-            if n % d == 0:
-                values[f"a{d}"] = x.coord(d)
-                values[f"b{d}"] = y.coord(d)
-        coords.append(poly.ring.evaluate(poly.value, values, ring))
-    return WittVector(x.tset, ring, tuple(coords))
+    return _universal_vector(x.tset, [UnivPolyKey(op, n) for n in x.tset.members], x, y, source)
 
 
 def witt_add(x: WittVector, y: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
@@ -292,13 +311,7 @@ def witt_neg(x: WittVector, strategy: str = "auto", source: PolySource | None = 
         return from_ghost(GhostVector(x.tset, ring, tuple(ring.neg(v) for v in g.values)))
     if st == "lift":
         return _reduce_vector(witt_neg(_lift_vector(x), "ghost", source), ring)
-    src = source or default_source()
-    coords = []
-    for n in x.tset.members:
-        poly = src.universal_poly(UnivPolyKey("neg", n))
-        values = {f"a{d}": x.coord(d) for d in x.tset.members if n % d == 0}
-        coords.append(poly.ring.evaluate(poly.value, values, ring))
-    return WittVector(x.tset, ring, tuple(coords))
+    return _universal_vector(x.tset, [UnivPolyKey("neg", n) for n in x.tset.members], x, None, source)
 
 
 def witt_scalar_mul(k: int, x: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
@@ -310,10 +323,22 @@ def witt_scalar_mul(k: int, x: WittVector, strategy: str = "auto", source: PolyS
         return from_ghost(GhostVector(x.tset, ring, tuple(ring.scalar_mul(k, v) for v in g.values)))
     if st == "lift":
         return _reduce_vector(witt_scalar_mul(k, _lift_vector(x), "ghost", source), ring)
-    acc = witt_zero(x.tset, ring)
-    for _ in range(abs(k)):
-        acc = witt_add(acc, x, strategy="universal", source=source)
+    acc = _binary_power(
+        lambda u, v: witt_add(u, v, "universal", source), witt_zero(x.tset, ring), x, abs(k)
+    )
     return witt_neg(acc, strategy="universal", source=source) if k < 0 else acc
+
+
+def _binary_power(op, unit: WittVector, x: WittVector, k: int) -> WittVector:
+    """x op x op ... op x (k >= 0 copies, `unit` when k = 0) by repeated doubling."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = x if acc is None else op(acc, x)
+        k >>= 1
+        if k:
+            x = op(x, x)
+    return unit if acc is None else acc
 
 
 # --------------------------------------------------------------------------
@@ -351,13 +376,7 @@ def frobenius(n: int, x: WittVector, strategy: str = "auto", source: PolySource 
         return from_ghost(GhostVector(T, ring, tuple(g.value(n * d) for d in T.members)))
     if st == "lift":
         return _reduce_vector(frobenius(n, _lift_vector(x), "ghost", source), ring)
-    src = source or default_source()
-    coords = []
-    for d in T.members:
-        poly = src.universal_poly(UnivPolyKey("frob", d, n))
-        values = {f"a{j}": x.coord(j) for j in x.tset.members if (n * d) % j == 0}
-        coords.append(poly.ring.evaluate(poly.value, values, ring))
-    return WittVector(T, ring, tuple(coords))
+    return _universal_vector(T, [UnivPolyKey("frob", d, n) for d in T.members], x, None, source)
 
 
 # --------------------------------------------------------------------------
@@ -379,13 +398,7 @@ def delta_component(e: int, x: WittVector, strategy: str = "auto", source: PolyS
         return from_ghost(GhostVector(T, ring, values))
     if st == "lift":
         return _reduce_vector(delta_component(e, _lift_vector(x), "ghost", source), ring)
-    src = source or default_source()
-    coords = []
-    for n in T.members:
-        poly = src.universal_poly(UnivPolyKey("delta", n, e))
-        values = {f"a{j}": x.coord(j) for j in x.tset.members if (n * e) % j == 0}
-        coords.append(poly.ring.evaluate(poly.value, values, ring))
-    return WittVector(T, ring, tuple(coords))
+    return _universal_vector(T, [UnivPolyKey("delta", n, e) for n in T.members], x, None, source)
 
 
 def delta(x: WittVector, T: TruncationSet, strategy: str = "auto", source: PolySource | None = None) -> WittVector:

@@ -169,3 +169,16 @@ def test_ceiling_env(capsys, monkeypatch, tmp_path):
                        "--cache", str(tmp_path / "c.txt"))
     assert code == 1
     assert err.startswith("CeilingExceeded")
+
+
+def test_wrong_shape_json_is_a_named_error(capsys):
+    code, _, err = run(capsys, "witt", "add", "{}", "{}")
+    assert code == 1
+    assert err.startswith("SpecMismatch:")
+    code, _, err = run(capsys, "witt", "ghost", "[1]")
+    assert code == 1
+    assert err.startswith("SpecMismatch:")
+    partial = json.dumps({"set": [1, 2], "base": "Z", "values": {"1": 3}})
+    code, _, err = run(capsys, "witt", "from-ghost", partial)
+    assert code == 1
+    assert err.startswith("SpecMismatch:")

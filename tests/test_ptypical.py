@@ -11,11 +11,13 @@ from wittkit.ptypical import (
     ptypical_projection,
     ptypical_section,
     reassemble,
+    ring_exact_div_coordinates,
     tau_iso,
 )
-from wittkit.rings import ModularRing, Q, Z
+from wittkit.rings import ModularRing, Q, RationalRing, Z
 from wittkit.truncation import divisors_of, initial_segment, p_typical, truncation_set
 from wittkit.witt import (
+    WittRing,
     WittVector,
     frobenius,
     ghost,
@@ -75,6 +77,18 @@ def test_not_invertible():
         idempotents(S12, 2, Z)
     with pytest.raises(NotPrime):
         idempotents(S12, 4, Q)
+
+
+def test_bugs_in_exact_div_are_not_domain_errors(monkeypatch):
+    def broken(self, x, n):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(RationalRing, "exact_div", broken)
+    with pytest.raises(RuntimeError):
+        idempotents(S12, 2, Q)
+    monkeypatch.setattr(WittRing, "exact_div", broken)
+    with pytest.raises(RuntimeError):
+        ring_exact_div_coordinates(witt_one(S12, Q), 3)
 
 
 def test_component_shapes():

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wittkit.errors import NotAUnit, NotDivisible, SpecMismatch, ZeroDivisor
+from wittkit.errors import MissingVariable, NotAUnit, NotDivisible, SpecMismatch, ZeroDivisor
 from wittkit.rings import (
     ModularRing,
     PolynomialRing,
@@ -20,6 +21,7 @@ from wittkit.rings import (
     ring_mul,
     series_inverse,
 )
+from wittkit.universal import PolySource, UnivPolyKey
 
 from oracles import series_long_division
 
@@ -159,3 +161,78 @@ def test_polynomial_canonical_form():
     built = P.add(P.mul(x, y), P.neg(P.mul(y, x)))
     assert built == {}
     assert P.format(P.add(P.mul(x, x), P.scalar_mul(-3, y))) in ("x^2 - 3*y", "-3*y + x^2")
+
+
+# -- compiled polynomial evaluation ---------------------------------------------
+
+EVAL_VARS = ("a1", "a2", "b1", "b2")
+EVAL_RING = PolynomialRing(Z, EVAL_VARS)
+EVAL_TARGETS = [parse_ring(spec) for spec in
+                ("Z/8", "Z/9", "series(Z/2,3)", "Z/3[x]", "sz(Z/4)", "Q")]
+
+# few variables and small exponents, so monomials often share a prefix
+monomials = st.lists(
+    st.tuples(st.integers(0, len(EVAL_VARS) - 1), st.integers(1, 3)), max_size=4
+).map(lambda factors: tuple(sorted(dict(factors).items())))
+# 72 = 8 * 9 vanishes in every torsion target above
+coefficients = st.integers(-30, 30).filter(bool) | st.integers(-3, 3).filter(bool).map(
+    lambda k: 72 * k
+)
+polynomials = st.one_of(
+    st.just({}),
+    coefficients.map(lambda c: {(): c}),
+    st.dictionaries(monomials, coefficients, max_size=14),
+)
+
+
+def term_by_term(payload, values, target, variables=EVAL_VARS):
+    """Evaluate term by term with repeated multiplication: no powers, no sharing."""
+    acc = target.zero
+    for mono, c in payload.items():
+        term = target.of_int(c)
+        for v, e in mono:
+            for _ in range(e):
+                term = target.mul(term, values[variables[v]])
+        acc = target.add(acc, term)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, st.sampled_from(EVAL_TARGETS), st.randoms(use_true_random=False))
+def test_evaluate_matches_term_by_term(payload, target, rng):
+    values = {name: target.sample(rng, 4) for name in EVAL_VARS}
+    assert EVAL_RING.evaluate(payload, values, target) == term_by_term(payload, values, target)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=8, max_size=8))
+def test_programs_are_kept_per_target_ring(raw):
+    src = PolySource()
+    key = UnivPolyKey("prod", 4)
+    poly = src.universal_poly(key)
+    for m in (8, 9, 8):
+        target = ModularRing(m)
+        values = {name: r % m for name, r in zip(poly.ring.variables, raw)}
+        want = term_by_term(poly.value, values, target, poly.ring.variables)
+        assert src.evaluate(key, values, target) == want
+        assert src.evaluate(key, values, target) == want
+
+
+def test_evaluate_checks_every_variable():
+    Z8 = ModularRing(8)
+    # a1 occurs only in a term whose coefficient vanishes mod 8
+    payload = {((0, 1),): 8, ((1, 2),): 3}
+    with pytest.raises(MissingVariable):
+        EVAL_RING.evaluate(payload, {"a2": 1}, Z8)
+    assert EVAL_RING.evaluate(payload, {"a1": 5, "a2": 3}, Z8) == 3
+    with pytest.raises(MissingVariable):
+        EVAL_RING.evaluate({((0, 1),): 8}, {}, Z8)
+    assert EVAL_RING.evaluate({((0, 1),): 8}, {"a1": 1}, Z8) == 0
+
+
+def test_evaluate_needs_integer_coefficients():
+    P = PolynomialRing(Q, ["a1"])
+    with pytest.raises(SpecMismatch):
+        P.evaluate({((0, 1),): Fraction(1, 2)}, {"a1": Fraction(1)}, Q)
+    with pytest.raises(SpecMismatch):
+        P.evaluate({(): Fraction(3)}, {}, Q)

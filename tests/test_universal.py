@@ -1,9 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from wittkit.errors import CacheCorrupt, CeilingExceeded, MissingVariable
-from wittkit.rings import PolynomialRing, Q, RingElement, Z
+from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, Z
 from wittkit.universal import (
     PolySource,
     UnivPolyKey,
@@ -190,3 +192,41 @@ def test_corrupt_cache(tmp_path):
     path.write_text("# wittkit universal polynomial cache v1\nsum:2\tgarbage!!\n")
     with pytest.raises(CacheCorrupt):
         PolySource(cache_path=str(path))
+
+
+def test_shared_source_under_threads():
+    # more threads than cores, switching often, on a source none of them has warmed
+    shared = PolySource()
+    reference = PolySource()
+    keys = [UnivPolyKey(op, n) for op in ("sum", "prod") for n in (4, 6)]
+    targets = [ModularRing(8), ModularRing(9)]
+    jobs = []
+    for i, key in enumerate(keys * 2):
+        target = targets[i % 2]
+        poly = reference.universal_poly(key)
+        values = {name: (j * 5 + i) % 7 for j, name in enumerate(poly.ring.variables)}
+        want = poly.ring.evaluate(poly.value, values, target)
+        jobs.append((key, values, target, want))
+    errors = []
+
+    def worker(offset):
+        try:
+            for _ in range(4):
+                for key, values, target, want in jobs[offset:] + jobs[:offset]:
+                    assert shared.evaluate(key, values, target) == want
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+

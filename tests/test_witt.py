@@ -313,3 +313,23 @@ def test_nested_witt_ring_arithmetic():
         assert witt_add(x, y) == witt_add(y, x)
         assert witt_mul(witt_mul(x, y), x) == witt_mul(x, witt_mul(y, x))
         assert nested.exact_div(nested.scalar_mul(3, x.coord(1)), 3) == x.coord(1)
+
+
+def test_universal_integer_multiples_by_doubling():
+    # 10**6 by doubling is about forty Witt additions
+    Z8 = ModularRing(8)
+    k = 10**6
+    assert witt_of_int(k, S12, Z8, "universal") == witt_of_int(k, S12, Z8, "lift")
+    x = rand_vec(S12, Z8, random.Random(5))
+    assert witt_scalar_mul(-k, x, "universal") == witt_scalar_mul(-k, x, "lift")
+    assert witt_scalar_mul(0, x, "universal") == witt_zero(S12, Z8)
+
+
+@pytest.mark.parametrize("ring", [Z, ModularRing(9)], ids=str)
+def test_pow_matches_repeated_mul(ring):
+    S = divisors_of(6)
+    x = rand_vec(S, ring, random.Random(11))
+    acc = witt_one(S, ring)
+    for e in range(10):
+        assert x**e == acc, e
+        acc = witt_mul(acc, x)
