@@ -1,6 +1,10 @@
 """Exact arithmetic for big Witt vectors over arbitrary commutative rings,
 with the fully explicit graded de Rham-Witt complex of the integers and
-executable law suites for its axioms."""
+executable law suites for its axioms.
+
+Cache events (an interrupted cache entry skipped or cut away) are logged
+as warnings on the "wittkit" logger, which prints nothing unless the
+application configures logging."""
 
 from .errors import WittkitError
 from .rings import (

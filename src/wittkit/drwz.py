@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotSubset, SetMismatch, SpecMismatch
+from .rings import json_int
 from .truncation import TruncationSet
 from .wittint import (
     BasisWittInt,
@@ -139,8 +140,10 @@ def drw_from_json(data: dict) -> DrwElement:
     from .truncation import truncation_set
 
     tset = truncation_set(data["set"])
-    deg0 = BasisWittInt(tset, tuple(int(data["deg0"].get(str(n), 0)) for n in tset.members))
-    deg1 = tuple(int(data["deg1"].get(str(n), 0)) % n for n in tset.members)
+    deg0 = BasisWittInt(tset, tuple(json_int(data["deg0"].get(str(n), 0), f"deg0 coefficient {n}")
+                                    for n in tset.members))
+    deg1 = tuple(json_int(data["deg1"].get(str(n), 0), f"deg1 coefficient {n}") % n
+                 for n in tset.members)
     return DrwElement(tset, deg0, deg1)
 
 

@@ -39,6 +39,13 @@ from .errors import (
 )
 
 
+def json_int(data, what: str) -> int:
+    """`data` if it is a JSON integer (an int that is not a bool), else SpecMismatch."""
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise SpecMismatch(f"{what} must be an integer, not {data!r}")
+    return data
+
+
 class Ring:
     """Abstract commutative ring operating on raw payload values."""
 
@@ -179,7 +186,7 @@ class IntegerRing(Ring):
         return x
 
     def from_json(self, data):
-        return int(data)
+        return json_int(data, "a coordinate in Z")
 
     def __str__(self):
         return "Z"
@@ -276,7 +283,7 @@ class ModularRing(Ring):
         return x
 
     def from_json(self, data):
-        return int(data) % self.m
+        return json_int(data, f"a coordinate in {self}") % self.m
 
     def __str__(self):
         return f"Z/{self.m}"
@@ -851,6 +858,14 @@ def _split_args(body: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
+def _spec_int(arg: str, spec: str) -> int:
+    """The decimal integer `arg` inside the ring spec `spec`."""
+    digits = arg.strip()
+    if digits.removeprefix("-").isdecimal():
+        digits = int(digits)
+    return json_int(digits, f"the number in ring spec {spec!r}")
+
+
 def parse_ring(text: str) -> Ring:
     """Parse a ring spec string, e.g. "Z", "Z/8", "Z/3[x]", "W(div24,Z)"."""
     text = text.strip()
@@ -864,14 +879,14 @@ def parse_ring(text: str) -> Ring:
     if text == "Q":
         return Q
     if text.startswith("Z/"):
-        return ModularRing(int(text[2:]))
+        return ModularRing(_spec_int(text[2:], text))
     if text.startswith("sz(") and text.endswith(")"):
         return SquareZeroRing(parse_ring(text[3:-1]))
     if text.startswith("series(") and text.endswith(")"):
         args = _split_args(text[7:-1])
         if len(args) != 2:
             raise SpecMismatch(f"series(...) takes base and precision: {text!r}")
-        return SeriesRing(parse_ring(args[0]), int(args[1]))
+        return SeriesRing(parse_ring(args[0]), _spec_int(args[1], text))
     if text.startswith("W(") and text.endswith(")"):
         from .truncation import parse_truncation_set
         from .witt import WittRing

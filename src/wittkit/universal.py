@@ -16,16 +16,22 @@ leaves a remainder is a theorem; a failure raises IntegralityViolation
 and means this module has a bug.
 
 Results are memoized in memory and, when a cache path is configured, in
-a versioned text file with one canonically-rendered polynomial per line
-(bit-exact across platforms).  PolySource.evaluate compiles a polynomial
-once per target ring and keeps the program for later evaluations.
+a versioned text file: a header line, then one `key<TAB>polynomial` line
+per entry in any order, each polynomial rendered canonically (bit-exact
+across platforms).  The file is append-only: a flush appends the lines of
+the polynomials computed since the previous flush, so each is written
+once.  An append interrupted by a crash leaves a final fragment without
+its newline; loading skips it and the next flush cuts it away, with a
+warning on the "wittkit" logger each time.  PolySource.evaluate compiles
+a polynomial once per target ring and keeps the program for later
+evaluations.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import re
-import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -38,6 +44,21 @@ HARD_MAX_CEILING = 128
 _CACHE_HEADER = "# wittkit universal polynomial cache v1"
 
 _OPS = ("sum", "prod", "neg", "frob", "delta")
+
+
+def _warn(message: str, *args):
+    """Log a cache event as a warning on the "wittkit" logger.
+
+    A NullHandler keeps it silent unless the application configures
+    logging.  logging is imported on the first event, not with the package:
+    importing it adds about 5 ms to every start-up, some 10% of the CLI's.
+    """
+    import logging
+
+    log = logging.getLogger("wittkit")
+    if not log.handlers:
+        log.addHandler(logging.NullHandler())
+    log.warning(message, *args)
 
 
 @dataclass(frozen=True)
@@ -76,10 +97,13 @@ class UnivPolyKey:
 
 def parse_key(text: str) -> UnivPolyKey:
     parts = text.split(":")
-    if parts[0] in ("frob", "delta") and len(parts) == 3:
-        return UnivPolyKey(parts[0], int(parts[2]), int(parts[1]))
-    if parts[0] in ("sum", "prod", "neg") and len(parts) == 2:
-        return UnivPolyKey(parts[0], int(parts[1]))
+    try:
+        if parts[0] in ("frob", "delta") and len(parts) == 3:
+            return UnivPolyKey(parts[0], int(parts[2]), int(parts[1]))
+        if parts[0] in ("sum", "prod", "neg") and len(parts) == 2:
+            return UnivPolyKey(parts[0], int(parts[1]))
+    except (ValueError, WittkitError):  # not a number, or an index of 0
+        pass
     raise CacheCorrupt(f"bad cache key: {text!r}")
 
 
@@ -125,19 +149,22 @@ def poly_from_text(text: str, ring: PolynomialRing) -> RingElement:
     text = text.strip()
     payload: dict = {}
     if text != "0":
-        for part in text.split(" + "):
-            m = _TERM_RE.match(part)
-            if not m:
-                raise CacheCorrupt(f"bad polynomial term: {part!r}")
-            coef = int(m.group(1))
-            mono = []
-            for factor in m.group(2).split("*")[1:]:
-                if "^" in factor:
-                    name, e = factor.split("^")
-                    mono.append((ring._index[name], int(e)))
-                else:
-                    mono.append((ring._index[factor], 1))
-            payload[tuple(sorted(mono))] = coef
+        try:
+            for part in text.split(" + "):
+                m = _TERM_RE.match(part)
+                if not m:
+                    raise CacheCorrupt(f"bad polynomial term: {part!r}")
+                coef = int(m.group(1))
+                mono = []
+                for factor in m.group(2).split("*")[1:]:
+                    if "^" in factor:
+                        name, e = factor.split("^")
+                        mono.append((ring._index[name], int(e)))
+                    else:
+                        mono.append((ring._index[factor], 1))
+                payload[tuple(sorted(mono))] = coef
+        except KeyError as exc:
+            raise CacheCorrupt(f"variable {exc.args[0]!r} is not in {ring}") from None
     return RingElement(ring, payload)
 
 
@@ -149,9 +176,12 @@ def poly_from_text(text: str, ring: PolynomialRing) -> RingElement:
 class PolySource:
     """Computes and memoizes universal polynomials up to a weight ceiling.
 
-    Thread-safe: a lock guards the memo and program tables; disk writes
-    are atomic whole-file replacements, so concurrent writers settle on
-    identical content (entries are deterministic).
+    Thread-safe: a lock guards the memo, program and pending tables.  The
+    cache file is append-only: every flush appends the polynomials
+    computed since the last one, in one write under an exclusive flock, so
+    sources in several threads or processes can share one file.  Entries
+    are deterministic, so two lines for one key must agree; a file where
+    they differ is corrupt.
     """
 
     def __init__(self, cache_path: str | None = None, ceiling: int | None = None):
@@ -165,7 +195,8 @@ class PolySource:
         # (key, target ring) -> compiled program, filled lazily by evaluate
         self._programs: dict[tuple[UnivPolyKey, Ring], EvalProgram] = {}
         self._lock = threading.Lock()
-        self._dirty = False
+        # (key, polynomial) computed here and not yet appended to the file
+        self._pending: list[tuple[UnivPolyKey, RingElement]] = []
         if cache_path and os.path.exists(cache_path):
             self._load()
 
@@ -213,40 +244,64 @@ class PolySource:
             return got
         poly = self._compute(key)
         with self._lock:
-            self._memo.setdefault(key, poly)
-            self._dirty = True
+            if self._memo.setdefault(key, poly) is poly and self.cache_path:
+                self._pending.append((key, poly))
         return poly
 
     def flush(self):
-        """Write the memo table to the cache file (atomic replace)."""
+        """Append the polynomials computed since the last flush to the cache file.
+
+        One write under an exclusive flock.  The header goes first only when
+        the file is empty, and an interrupted final entry is cut away before
+        appending.  If the write fails, the entries stay pending.
+        """
         if not self.cache_path:
             return
         with self._lock:
-            if not self._dirty:
-                return
-            entries = dict(self._memo)
-            self._dirty = False
-        merged = {}
-        if os.path.exists(self.cache_path):
-            try:
-                merged = dict(self._read_file(self.cache_path))
-            except CacheCorrupt:
-                merged = {}
-        merged.update({str(k): poly_to_text(p) for k, p in entries.items()})
-        os.makedirs(os.path.dirname(self.cache_path) or ".", exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.cache_path) or ".")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(_CACHE_HEADER + "\n")
-            for k in sorted(merged):
-                fh.write(f"{k}\t{merged[k]}\n")
-        os.replace(tmp, self.cache_path)
+            pending, self._pending = self._pending, []
+        if not pending:
+            return
+        data = "".join(f"{key}\t{poly_to_text(poly)}\n" for key, poly in pending).encode()
+        try:
+            os.makedirs(os.path.dirname(self.cache_path) or ".", exist_ok=True)
+            with open(self.cache_path, "a+b") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                size = fh.seek(0, os.SEEK_END)
+                end = _complete_length(fh, size)
+                if end < size:
+                    _warn("cache %s: truncating an interrupted final entry of %d bytes",
+                          self.cache_path, size - end)
+                    fh.truncate(end)
+                if end == 0:
+                    data = (_CACHE_HEADER + "\n").encode() + data
+                fh.write(data)
+                fh.flush()  # before closing the file releases the lock
+        except BaseException:
+            with self._lock:
+                self._pending[:0] = pending
+            raise
 
     # -- cache file --------------------------------------------------------
-    @staticmethod
-    def _read_file(path: str) -> list[tuple[str, str]]:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != _CACHE_HEADER:
+    def _read_file(self) -> list[tuple[str, str]]:
+        """The (key, polynomial) texts of the complete lines, read under a shared flock.
+
+        A final fragment without its newline is an interrupted append: it is
+        skipped, never parsed, since a cut at a term boundary still parses.
+        """
+        path = self.cache_path
+        try:
+            with open(path, encoding="ascii") as fh:
+                fcntl.flock(fh, fcntl.LOCK_SH)
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise CacheCorrupt(f"cache {path} is not ASCII text") from exc
+        torn = lines.pop()  # "" when the file ends in a newline, as a complete one does
+        if torn:
+            _warn("cache %s: skipping an interrupted final entry of %d bytes",
+                  path, len(torn))
+        if not lines:  # empty, or holding only an interrupted first append
+            return []
+        if lines[0] != _CACHE_HEADER:
             raise CacheCorrupt(f"bad cache header in {path}")
         out = []
         for line in lines[1:]:
@@ -259,10 +314,15 @@ class PolySource:
         return out
 
     def _load(self):
-        for key_text, poly_text in self._read_file(self.cache_path):
+        texts: dict[UnivPolyKey, str] = {}
+        for key_text, poly_text in self._read_file():
             key = parse_key(key_text)
-            ring = self._ring_for(key)
-            self._memo[key] = poly_from_text(poly_text, ring)
+            if key in texts:
+                if texts[key] != poly_text:
+                    raise CacheCorrupt(f"two different polynomials for {key} in {self.cache_path}")
+                continue
+            texts[key] = poly_text
+            self._memo[key] = poly_from_text(poly_text, self._ring_for(key))
 
     # -- recursion -----------------------------------------------------------
     @staticmethod
@@ -307,6 +367,20 @@ class PolySource:
         except WittkitError as exc:
             raise IntegralityViolation(f"ghost recursion for {key} not divisible by {n}") from exc
         return RingElement(ring, payload)
+
+
+def _complete_length(fh, size: int) -> int:
+    """Length of the open binary file `fh` (of `size` bytes) through its last newline."""
+    pos, step = size, 1  # a complete file ends in a newline: one byte settles it
+    while pos:
+        step = min(step, pos)
+        fh.seek(pos - step)
+        cut = fh.read(step).rfind(b"\n")
+        if cut >= 0:
+            return pos - step + cut + 1
+        pos -= step
+        step = 1 << 16
+    return 0
 
 
 _default_source: PolySource | None = None

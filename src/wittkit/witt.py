@@ -329,8 +329,11 @@ def witt_scalar_mul(k: int, x: WittVector, strategy: str = "auto", source: PolyS
     return witt_neg(acc, strategy="universal", source=source) if k < 0 else acc
 
 
-def _binary_power(op, unit: WittVector, x: WittVector, k: int) -> WittVector:
-    """x op x op ... op x (k >= 0 copies, `unit` when k = 0) by repeated doubling."""
+def _binary_power(op, unit, x, k: int):
+    """x op x op ... op x (k >= 0 copies, `unit` when k = 0) by repeated doubling.
+
+    The one power routine: Witt multiples and powers here, V-basis powers in wittint.
+    """
     acc = None
     while k:
         if k & 1:

@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotDivisible, NotSubset, SetMismatch, SpecMismatch
-from .rings import Z
+from .errors import NotDivisible, NotSubset, SetMismatch, SpecMismatch, WittkitError
+from .rings import Z, json_int
 from .truncation import TruncationSet
 from .witt import (
     GhostVector,
     WittVector,
+    _binary_power,
     delta_component,
     from_ghost,
     frobenius as witt_frobenius,
@@ -107,10 +108,9 @@ class BasisWittInt:
         return basis_mul(self, other)
 
     def __pow__(self, e: int):
-        result = basis_one(self.tset)
-        for _ in range(e):
-            result = basis_mul(result, self)
-        return result
+        if e < 0:
+            raise WittkitError("negative exponent")
+        return _binary_power(basis_mul, basis_one(self.tset), self, e)
 
     def __str__(self):
         parts = [
@@ -129,7 +129,8 @@ def basis_from_json(data: dict) -> BasisWittInt:
     from .truncation import truncation_set
 
     tset = truncation_set(data["set"])
-    coeffs = tuple(int(data["coeffs"].get(str(n), 0)) for n in tset.members)
+    coeffs = tuple(json_int(data["coeffs"].get(str(n), 0), f"coefficient {n}")
+                   for n in tset.members)
     return BasisWittInt(tset, coeffs)
 
 

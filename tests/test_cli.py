@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wittkit.cli import main
 
 
@@ -180,5 +182,51 @@ def test_wrong_shape_json_is_a_named_error(capsys):
     assert err.startswith("SpecMismatch:")
     partial = json.dumps({"set": [1, 2], "base": "Z", "values": {"1": 3}})
     code, _, err = run(capsys, "witt", "from-ghost", partial)
+    assert code == 1
+    assert err.startswith("SpecMismatch:")
+
+
+@pytest.mark.parametrize("coord", [1.5, True, "x"])
+def test_z_coordinates_must_be_json_integers(capsys, coord):
+    x = json.dumps({"set": [1, 2], "base": "Z", "coords": {"1": coord, "2": 1}})
+    code, out, err = run(capsys, "witt", "ghost", x)
+    assert (code, out) == (1, "")
+    assert err.startswith("SpecMismatch:")
+
+
+def test_modular_coordinates_must_be_json_integers(capsys):
+    x = json.dumps({"set": [1, 2], "base": "Z/9", "coords": {"1": 1.5, "2": 1}})
+    code, _, err = run(capsys, "witt", "ghost", x)
+    assert code == 1
+    assert err.startswith("SpecMismatch:")
+
+
+def test_q_coordinates_keep_their_string_form(capsys):
+    x = json.dumps({"set": [1, 2], "base": "Q", "coords": {"1": "1/2", "2": 1}})
+    code, out, _ = run(capsys, "witt", "ghost", x)
+    assert (code, out) == (0, "<1/2, 9/4>")
+
+
+@pytest.mark.parametrize("ring", ["Z/abc", "series(Z,abc)", "Z/1.5", "series(Z/2,)"])
+def test_ring_spec_numbers_must_be_integers(capsys, ring):
+    code, _, err = run(capsys, "witt", "teich", "2", "--set", "{1,2}", "--ring", ring)
+    assert code == 1
+    assert err.startswith("SpecMismatch:")
+
+
+@pytest.mark.parametrize("coeff", [1.5, False, "2"])
+def test_basis_coefficients_must_be_json_integers(capsys, coeff):
+    x = json.dumps({"set": [1, 2], "coeffs": {"1": coeff}})
+    code, _, err = run(capsys, "basis", "to", x)
+    assert code == 1
+    assert err.startswith("SpecMismatch:")
+
+
+@pytest.mark.parametrize("degree", ["deg0", "deg1"])
+@pytest.mark.parametrize("coeff", [1.5, True, "1"])
+def test_drwz_coefficients_must_be_json_integers(capsys, degree, coeff):
+    data = {"set": [1, 2], "deg0": {}, "deg1": {}}
+    data[degree]["2"] = coeff
+    code, _, err = run(capsys, "drwz", "d", json.dumps(data))
     assert code == 1
     assert err.startswith("SpecMismatch:")

@@ -1,12 +1,17 @@
+import logging
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wittkit.errors import CacheCorrupt, CeilingExceeded, MissingVariable
 from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, Z
 from wittkit.universal import (
+    _CACHE_HEADER,
     PolySource,
     UnivPolyKey,
     parse_key,
@@ -230,3 +235,202 @@ def test_shared_source_under_threads():
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[0]
 
+
+def _line(source, key):
+    return f"{key}\t{poly_to_text(source._memo[key])}\n"
+
+
+def test_flush_appends_only_new_polynomials(tmp_path):
+    path = tmp_path / "cache.txt"
+    source = PolySource(cache_path=str(path))
+    for n in (1, 2, 3):
+        source.universal_poly(UnivPolyKey("sum", n))
+    before, known = path.read_text(), set(source._memo)
+    # prod:6 also computes prod:1, prod:2 and prod:3 on the way
+    source.universal_poly(UnivPolyKey("prod", 6))
+    source.universal_poly(UnivPolyKey("sum", 4))
+    new = set(source._memo) - known
+    assert len(new) == 5
+    after = path.read_text()
+    assert after.startswith(before)
+    grown = after[len(before):]
+    assert sorted(grown.splitlines(keepends=True)) == sorted(_line(source, k) for k in new)
+
+
+def test_flush_with_nothing_pending_leaves_the_file_alone(tmp_path):
+    path = tmp_path / "cache.txt"
+    source = PolySource(cache_path=str(path))
+    source.universal_poly(UnivPolyKey("sum", 4))
+    stat = os.stat(path)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10**9))
+    stat = os.stat(path)
+    source.flush()
+    source.universal_poly(UnivPolyKey("sum", 4))  # a memo hit, then a flush
+    again = os.stat(path)
+    assert (again.st_size, again.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+
+
+def test_two_writers_share_one_file(tmp_path):
+    path = str(tmp_path / "sub" / "cache.txt")
+    first, second = PolySource(cache_path=path), PolySource(cache_path=path)
+    steps = [(first, UnivPolyKey("sum", 3)), (second, UnivPolyKey("prod", 4)),
+             (second, UnivPolyKey("sum", 3)), (first, UnivPolyKey("neg", 6)),
+             (second, UnivPolyKey("frob", 2, 2)), (first, UnivPolyKey("prod", 4))]
+    for source, key in steps:
+        source.universal_poly(key)
+    third = PolySource(cache_path=path)
+    assert set(third._memo) == set(first._memo) | set(second._memo)
+    fresh = PolySource()
+    for key, poly in third._memo.items():
+        assert poly.value == fresh.universal_poly(key).value
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == _CACHE_HEADER
+    assert lines.count(_CACHE_HEADER) == 1
+
+
+def test_writers_in_threads_share_one_file(tmp_path):
+    # one source per thread, all appending to one fresh file at once; repeated,
+    # since a lost race shows only now and then
+    keys = [UnivPolyKey(op, n) for n in (1, 2, 3, 4) for op in ("sum", "neg")]
+    errors = []
+
+    def worker(path, start, offset):
+        try:
+            source = PolySource(cache_path=path)
+            start.wait()
+            for key in keys[offset:] + keys[:offset]:
+                source.universal_poly(key)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(30):
+            path = str(tmp_path / f"cache{attempt}.txt")
+            start = threading.Barrier(4, timeout=60)
+            threads = [threading.Thread(target=worker, args=(path, start, k % 2))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors[0]
+            text = Path(path).read_text()
+            assert text.startswith(_CACHE_HEADER + "\n") and text.endswith("\n")
+            assert text.count(_CACHE_HEADER) == 1
+            assert set(PolySource(cache_path=path)._memo) == set(keys)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_interrupted_entry_is_recomputed_and_cut_away(tmp_path, caplog):
+    path = tmp_path / "cache.txt"
+    key = UnivPolyKey("prod", 4)
+    reference = PolySource()
+    full = reference.universal_poly(key)
+    writer = PolySource(cache_path=str(path))
+    for d in (1, 2):
+        writer.universal_poly(UnivPolyKey("prod", d))
+    # cut the entry at a term boundary: what is left still parses as a polynomial
+    terms = poly_to_text(full).split(" + ")
+    torn = f"{key}\t{' + '.join(terms[:len(terms) // 2])}"
+    poly_from_text(torn.split("\t")[1], full.ring)
+    with open(path, "a") as fh:
+        fh.write(torn)
+    caplog.set_level(logging.WARNING, logger="wittkit")
+    source = PolySource(cache_path=str(path))
+    assert key not in source._memo
+    assert [r.message for r in caplog.records] == [
+        f"cache {path}: skipping an interrupted final entry of {len(torn)} bytes"
+    ]
+    caplog.clear()
+    assert source.universal_poly(key).value == full.value
+    assert [r.message for r in caplog.records] == [
+        f"cache {path}: truncating an interrupted final entry of {len(torn)} bytes"
+    ]
+    caplog.clear()
+    reloaded = PolySource(cache_path=str(path))
+    assert not caplog.records
+    assert reloaded._memo[key].value == full.value
+    assert path.read_text().endswith(_line(reloaded, key))
+
+
+def test_cache_warnings_are_silent_by_default(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text(f"{_CACHE_HEADER}\nsum:1\t1*a1")
+    script = ("import sys; from wittkit.universal import PolySource, UnivPolyKey; "
+              "PolySource(cache_path=sys.argv[1]).universal_poly(UnivPolyKey('sum', 1))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert path.read_text() == f"{_CACHE_HEADER}\nsum:1\t1*a1 + 1*b1\n"
+
+
+def test_interrupted_first_append_leaves_an_empty_cache(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text(_CACHE_HEADER[:10])
+    source = PolySource(cache_path=str(path))
+    assert not source._memo
+    source.universal_poly(UnivPolyKey("sum", 1))
+    assert path.read_text() == f"{_CACHE_HEADER}\n{_line(source, UnivPolyKey('sum', 1))}"
+
+
+def test_duplicate_keys_must_agree(tmp_path):
+    path = tmp_path / "cache.txt"
+    line = f"sum:1\t{poly_to_text(PolySource().universal_poly(UnivPolyKey('sum', 1)))}\n"
+    path.write_text(f"{_CACHE_HEADER}\n{line}{line}")
+    assert set(PolySource(cache_path=str(path))._memo) == {UnivPolyKey("sum", 1)}
+    path.write_text(f"{_CACHE_HEADER}\n{line}sum:1\t2*a1 + 1*b1\n")
+    with pytest.raises(CacheCorrupt):
+        PolySource(cache_path=str(path))
+
+
+@pytest.mark.parametrize("line", ["sum:x\t1*a1", "sum:0\t1*a1", "sum:1\t1*a7", "sum:1\t1*a1 + "])
+def test_bad_entries_are_corrupt(tmp_path, line):
+    path = tmp_path / "cache.txt"
+    path.write_text(f"{_CACHE_HEADER}\n{line}\n")
+    with pytest.raises(CacheCorrupt):
+        PolySource(cache_path=str(path))
+
+
+def test_non_ascii_cache_is_corrupt(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_bytes(_CACHE_HEADER.encode() + b"\nsum:1\t1*a1 + 1*b\xff1\n")
+    with pytest.raises(CacheCorrupt):
+        PolySource(cache_path=str(path))
+
+
+def test_failed_flush_keeps_its_entries(tmp_path, monkeypatch):
+    path = tmp_path / "cache.txt"
+    source = PolySource(cache_path=str(path))
+
+    def no_lock(fh, op):
+        raise OSError("no locks here")
+
+    monkeypatch.setattr("wittkit.universal.fcntl.flock", no_lock)
+    with pytest.raises(OSError):
+        source.universal_poly(UnivPolyKey("sum", 2))
+    monkeypatch.undo()
+    source.universal_poly(UnivPolyKey("neg", 2))
+    reloaded = PolySource(cache_path=str(path))
+    assert set(reloaded._memo) == {UnivPolyKey(op, n) for op in ("sum", "neg") for n in (1, 2)}
+
+
+def test_sorted_whole_file_cache_still_loads(tmp_path):
+    # the layout of a cache written by whole-file replacement: header, then sorted lines
+    reference = PolySource()
+    keys = [UnivPolyKey(op, n) for op in ("sum", "prod", "neg") for n in (1, 2, 3, 6)]
+    keys += [UnivPolyKey("frob", 2, 2), UnivPolyKey("delta", 2, 2)]
+    texts = {str(k): poly_to_text(reference.universal_poly(k)) for k in keys}
+    path = tmp_path / "cache.txt"
+    path.write_text(_CACHE_HEADER + "\n" + "".join(f"{k}\t{texts[k]}\n" for k in sorted(texts)))
+    source = PolySource(cache_path=str(path))
+    for k in keys:
+        assert source._memo[k].value == reference.universal_poly(k).value
+    size = path.stat().st_size
+    source.universal_poly(UnivPolyKey("sum", 4))
+    assert path.read_text()[size:] == _line(source, UnivPolyKey("sum", 4))
+    assert UnivPolyKey("sum", 4) in PolySource(cache_path=str(path))._memo

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wittkit.errors import SetMismatch
+from wittkit.errors import SetMismatch, WittkitError
 from wittkit.rings import Z
 from wittkit.truncation import divisors_of, truncation_set
 from wittkit.witt import frobenius, restrict, teichmuller, verschiebung, witt_mul
@@ -82,6 +82,17 @@ def test_teich_basis():
     for m in range(-7, 8):
         for k in range(-7, 8):
             assert basis_mul(teich_basis(m, S12), teich_basis(k, S12)) == teich_basis(m * k, S12)
+
+
+def test_pow_matches_repeated_mul():
+    rng = random.Random(3)
+    for x in (teich_basis(2, divisors_of(6)), teich_basis(-3, S12), rand_basis(S12, rng, 3)):
+        acc = basis_one(x.tset)
+        for e in range(10):
+            assert x ** e == acc
+            acc = basis_mul(acc, x)
+        with pytest.raises(WittkitError):
+            x ** -1
 
 
 def test_necklace_counts_match_irreducible_counts():
