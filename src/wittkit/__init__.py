@@ -19,8 +19,6 @@ from .rings import (
     element_to_json,
     exact_div,
     parse_ring,
-    ring_add,
-    ring_mul,
     series_inverse,
 )
 from .truncation import (
@@ -29,9 +27,9 @@ from .truncation import (
     initial_segment,
     p_typical,
     parse_truncation_set,
-    quotient_set,
     truncation_set,
 )
+from .numtheory import mobius
 from .universal import PolySource, UnivPolyKey, ghost_poly, specialize, universal_poly
 from .witt import (
     GhostVector,
@@ -61,7 +59,6 @@ from .wittint import (
     divided_frobenius_form,
     from_coords,
     frobenius_basis,
-    mobius,
     restrict_basis,
     teich_basis,
     to_coords,

@@ -36,16 +36,20 @@ variants; the module-level functions delegate to a default instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotSubset, SetMismatch, SpecMismatch
 from .rings import json_int
 from .truncation import TruncationSet
+from .witt import WittVector, fields_from_json
 from .wittint import (
     BasisWittInt,
     basis_add,
+    basis_generator,
     basis_mul,
     basis_neg,
+    basis_one,
+    basis_scalar_mul,
     basis_zero,
     frobenius_basis,
     from_coords,
@@ -53,10 +57,6 @@ from .wittint import (
     teich_basis,
     verschiebung_basis,
 )
-
-
-def lcm(m: int, n: int) -> int:
-    return m // gcd(m, n) * n
 
 
 @dataclass(frozen=True)
@@ -136,19 +136,23 @@ class DrwElement:
         }
 
 
-def drw_from_json(data: dict) -> DrwElement:
-    from .truncation import truncation_set
-
-    tset = truncation_set(data["set"])
-    deg0 = BasisWittInt(tset, tuple(json_int(data["deg0"].get(str(n), 0), f"deg0 coefficient {n}")
-                                    for n in tset.members))
-    deg1 = tuple(json_int(data["deg1"].get(str(n), 0), f"deg1 coefficient {n}") % n
-                 for n in tset.members)
-    return DrwElement(tset, deg0, deg1)
+def drw_from_json(data) -> DrwElement:
+    tset, (deg0, deg1) = fields_from_json(data, "deg0", "deg1")
+    c0 = tuple(json_int(deg0.get(str(n), 0), f"deg0 coefficient {n}") for n in tset.members)
+    c1 = tuple(json_int(deg1.get(str(n), 0), f"deg1 coefficient {n}") % n for n in tset.members)
+    return DrwElement(tset, BasisWittInt(tset, c0), c1)
 
 
 def _reduce_deg1(S: TruncationSet, raw: dict[int, int]) -> tuple[int, ...]:
     return tuple(raw.get(n, 0) % n for n in S.members)
+
+
+def _add_dyadic(S: TruncationSet, raw: dict[int, int], l: int, w: int):
+    """Add w times sum over r >= 1 of 2^(r-1) l dV_(2^r l) e([1]) to raw, inside S."""
+    idx, step = 2 * l, w * l
+    while idx in S:
+        raw[idx] = raw.get(idx, 0) + step
+        idx, step = 2 * idx, 2 * step
 
 
 def drw_zero(S: TruncationSet) -> DrwElement:
@@ -156,15 +160,11 @@ def drw_zero(S: TruncationSet) -> DrwElement:
 
 
 def drw_one(S: TruncationSet) -> DrwElement:
-    from .wittint import basis_one
-
     return DrwElement(S, basis_one(S), tuple(0 for _ in S))
 
 
 def drw_eta(x) -> DrwElement:
     """Degree-0 inclusion of W_S(Z), from basis or coordinate form."""
-    from .witt import WittVector
-
     if isinstance(x, WittVector):
         x = from_coords(x)
     if not isinstance(x, BasisWittInt):
@@ -185,8 +185,6 @@ def drw_neg(x: DrwElement) -> DrwElement:
 
 
 def drw_scalar_mul(k: int, x: DrwElement) -> DrwElement:
-    from .wittint import basis_scalar_mul
-
     deg1 = tuple((k * a) % n for n, a in zip(x.tset.members, x.deg1))
     return DrwElement(x.tset, basis_scalar_mul(k, x.deg0), deg1)
 
@@ -216,7 +214,6 @@ class DrwComplex:
         return DrwElement(S, deg0, _reduce_deg1(S, raw))
 
     def _mul_deg0_deg1(self, S, a: BasisWittInt, c1: tuple, raw: dict[int, int]):
-        memset = set(S.members)
         for m, cm in zip(S.members, a.coeffs):
             if not cm:
                 continue
@@ -225,14 +222,10 @@ class DrwComplex:
                     continue
                 l = lcm(m, n)
                 w = cm * cn
-                if l in memset:
+                if l in S:
                     raw[l] = raw.get(l, 0) + w * self._crt_value(m, n)
                 if self._curly(m, n):
-                    r = 1
-                    while (1 << r) * l in memset:
-                        idx = (1 << r) * l
-                        raw[idx] = raw.get(idx, 0) + w * (1 << (r - 1)) * l
-                        r += 1
+                    _add_dyadic(S, raw, l, w)
 
     # -- derivation ----------------------------------------------------------
     def d(self, x: DrwElement) -> DrwElement:
@@ -245,7 +238,6 @@ class DrwComplex:
     def frobenius(self, m: int, x: DrwElement) -> DrwElement:
         S = x.tset
         T = S.quotient(m)
-        tset_members = set(T.members)
         deg0 = frobenius_basis(m, x.deg0)
         raw: dict[int, int] = {}
         for n, c in zip(S.members, x.deg1):
@@ -255,14 +247,10 @@ class DrwComplex:
             tgt = n // g
             # the canonical representative of (m,n] is divisible by m
             over_m = self._crt_value(m, n) // m
-            if tgt in tset_members:
+            if tgt in T:
                 raw[tgt] = raw.get(tgt, 0) + c * over_m
             if self._curly(m, n):
-                r = 1
-                while (1 << r) * tgt in tset_members:
-                    idx = (1 << r) * tgt
-                    raw[idx] = raw.get(idx, 0) + c * (1 << (r - 1)) * tgt
-                    r += 1
+                _add_dyadic(T, raw, tgt, c)
         return DrwElement(T, deg0, _reduce_deg1(T, raw))
 
     def verschiebung(self, m: int, x: DrwElement, S: TruncationSet) -> DrwElement:
@@ -282,12 +270,8 @@ class DrwComplex:
 
     def dlog_minus_one(self, S: TruncationSet) -> DrwElement:
         """The class sum_r 2^(r-1) dV_(2^r) e([1]); zero on odd-only sets."""
-        raw = {}
-        r = 1
-        memset = set(S.members)
-        while (1 << r) in memset:
-            raw[1 << r] = 1 << (r - 1)
-            r += 1
+        raw: dict[int, int] = {}
+        _add_dyadic(S, raw, 1, 1)
         return DrwElement(S, basis_zero(S), _reduce_deg1(S, raw))
 
     def eta_teich(self, a: int, S: TruncationSet) -> DrwElement:
@@ -326,9 +310,9 @@ def generator_tables(S: TruncationSet) -> dict:
     out = {"mul": {}, "frobenius": {}, "verschiebung": {}, "d": {}}
     gens: list[tuple[str, DrwElement]] = []
     for n in S.members:
-        gens.append((f"V{n}", drw_eta(_basis_gen(S, n))))
+        gens.append((f"V{n}", drw_eta(basis_generator(S, n))))
     for n in S.members:
-        gens.append((f"dV{n}", drw_d(drw_eta(_basis_gen(S, n)))))
+        gens.append((f"dV{n}", drw_d(drw_eta(basis_generator(S, n)))))
     for name_x, x in gens:
         for name_y, y in gens:
             out["mul"][f"{name_x}*{name_y}"] = str(drw_mul(x, y))
@@ -339,17 +323,12 @@ def generator_tables(S: TruncationSet) -> dict:
         T = S.quotient(m)
         for n in T.members:
             out["verschiebung"][f"V{m}(V{n})"] = str(
-                drw_verschiebung(m, drw_eta(_basis_gen(T, n)), S)
+                drw_verschiebung(m, drw_eta(basis_generator(T, n)), S)
             )
             out["verschiebung"][f"V{m}(dV{n})"] = str(
-                drw_verschiebung(m, drw_d(drw_eta(_basis_gen(T, n))), S)
+                drw_verschiebung(m, drw_d(drw_eta(basis_generator(T, n))), S)
             )
     for name_x, x in gens:
         out["d"][f"d({name_x})"] = str(drw_d(x))
     return out
 
-
-def _basis_gen(S: TruncationSet, n: int) -> BasisWittInt:
-    from .wittint import basis_generator
-
-    return basis_generator(S, n)

@@ -17,7 +17,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from .drwz import (
     DrwComplex,
@@ -28,8 +28,8 @@ from .drwz import (
     drw_eta,
     drw_scalar_mul,
     drw_zero,
-    lcm,
 )
+from .numtheory import bezout
 from .rings import Ring, Z
 from .truncation import TruncationSet
 from .witt import (
@@ -40,11 +40,20 @@ from .witt import (
     restrict,
     teichmuller,
     verschiebung,
+    witt_add,
+    witt_mul,
     witt_one,
     witt_scalar_mul,
     witt_zero,
 )
-from .wittint import BasisWittInt, basis_generator, basis_mul, basis_zero
+from .wittint import (
+    BasisWittInt,
+    basis_generator,
+    basis_mul,
+    basis_zero,
+    frobenius_basis,
+    verschiebung_basis,
+)
 
 
 @dataclass
@@ -127,6 +136,10 @@ class _Runner:
         return self.report
 
 
+def fmt(*parts) -> str:
+    return " | ".join(str(p) for p in parts)
+
+
 # --------------------------------------------------------------------------
 # graded-complex suite
 # --------------------------------------------------------------------------
@@ -158,9 +171,6 @@ def check_witt_complex(
     gens = _drw_generators(S, ops)
     some = pool[: max(8, trials // 25)] + gens
     members = S.members
-
-    def fmt(*parts):
-        return " | ".join(str(p) for p in parts)
 
     def law_assoc():
         for x, y in [(rng.choice(gens), rng.choice(gens)) for _ in range(len(gens) * 2)]:
@@ -268,8 +278,6 @@ def check_witt_complex(
         for n in members:
             for _ in range(4):
                 b = BasisWittInt(S, tuple(rng.randint(-9, 9) for _ in S))
-                from .wittint import frobenius_basis, verschiebung_basis
-
                 if ops.frobenius(n, drw_eta(b)) != drw_eta(frobenius_basis(n, b)):
                     yield fmt("F-eta", n, b)
                 yield None
@@ -347,7 +355,7 @@ def check_witt_complex(
         for m in members:
             for n in members:
                 c = gcd(m, n)
-                i, j = _bezout(m, n, c)
+                i, j = bezout(m, n, c)
                 T = S.quotient(n)
                 dlog_m = ops.dlog_minus_one(S.quotient(m))
                 for i2, j2 in [(i, j), (i + n // c, j - m // c)]:
@@ -452,20 +460,6 @@ def check_witt_complex(
     return runner.done()
 
 
-def _bezout(m: int, n: int, c: int) -> tuple[int, int]:
-    # extended gcd: mi + nj = c
-    old_r, r = m, n
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    assert old_r == c
-    return old_s, old_t
-
-
 # --------------------------------------------------------------------------
 # comonad suite
 # --------------------------------------------------------------------------
@@ -498,9 +492,6 @@ def check_comonad(
     pool = [_random_witt(S, ring, rng) for _ in range(trials)]
     nested_ring = WittRing(ring, S)
 
-    def fmt(*parts):
-        return " | ".join(str(p) for p in parts)
-
     def law_counit():
         for x in pool:
             d = ops.delta(x, T)
@@ -530,8 +521,6 @@ def check_comonad(
                 yield None
 
     def law_ring_hom():
-        from .witt import witt_add, witt_mul
-
         for _ in range(trials):
             x, y = rng.choice(pool), rng.choice(pool)
             for op_name, base_op, nested_op in (
@@ -612,9 +601,6 @@ def check_witt_ring(
     pool = [_random_witt(S, ring, rng) for _ in range(trials)]
     zero = witt_zero(S, ring)
     one = witt_one(S, ring)
-
-    def fmt(*parts):
-        return " | ".join(str(p) for p in parts)
 
     def law_abelian():
         for _ in range(trials):

@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotInvertible, NotPrime, SetMismatch, WittkitError
+from .numtheory import is_prime
 from .rings import ModularRing, Ring
-from .truncation import TruncationSet, is_prime, p_typical, truncation_set
+from .truncation import TruncationSet, p_typical, truncation_set
 from .witt import (
+    WittRing,
     WittVector,
     frobenius,
     restrict,
@@ -56,8 +58,6 @@ def _v_one_over(k: int, S: TruncationSet, ring: Ring) -> WittVector:
 
 def ring_exact_div_coordinates(x: WittVector, k: int) -> tuple:
     """Divide x by k inside W_S(A), via the ambient WittRing."""
-    from .witt import WittRing
-
     wr = WittRing(x.ring, x.tset)
     try:
         return wr.exact_div(x.coords, k)

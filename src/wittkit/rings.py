@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Any
 
 from .errors import (
@@ -37,6 +39,7 @@ from .errors import (
     WittkitError,
     ZeroDivisor,
 )
+from .numtheory import binary_power
 
 
 def json_int(data, what: str) -> int:
@@ -44,6 +47,10 @@ def json_int(data, what: str) -> int:
     if isinstance(data, bool) or not isinstance(data, int):
         raise SpecMismatch(f"{what} must be an integer, not {data!r}")
     return data
+
+
+def _is_pair(data) -> bool:
+    return isinstance(data, list) and len(data) == 2
 
 
 class Ring:
@@ -77,27 +84,19 @@ class Ring:
     def pow(self, x, e: int):
         if e < 0:
             raise WittkitError("negative exponent")
-        if e == 0:
-            return self.one
-        result = None
-        base = x
-        while True:
-            if e & 1:
-                result = base if result is None else self.mul(result, base)
-            e >>= 1
-            if not e:
-                return result
-            base = self.mul(base, base)
+        return binary_power(self.mul, self.one, x, e)
 
     def scalar_mul(self, k: int, x):
         """The k-fold sum k*x."""
         return self.mul(self.of_int(k), x)
 
-    @property
+    # Computed once per ring; payloads are never changed in place, so the
+    # constant can be shared by every caller.
+    @cached_property
     def zero(self):
         return self.of_int(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.of_int(1)
 
@@ -258,9 +257,7 @@ class ModularRing(Ring):
         return (k * x) % self.m
 
     def exact_div(self, x, n):
-        import math
-
-        g = math.gcd(n, self.m)
+        g = gcd(n, self.m)
         if g == 1:
             return (x * pow(n, -1, self.m)) % self.m
         if x % g == 0:
@@ -579,9 +576,23 @@ class PolynomialRing(Ring):
         ]
 
     def from_json(self, data):
+        shape = f"a value in {self} must be a list of [monomial, coefficient] pairs"
+        if not isinstance(data, list) or not all(_is_pair(term) for term in data):
+            raise SpecMismatch(f"{shape}, not {data!r}")
         out = {}
         for mono_data, c_data in data:
-            mono = tuple(sorted((self._index[name], int(e)) for name, e in mono_data))
+            if not isinstance(mono_data, list) or not all(
+                _is_pair(f) and isinstance(f[0], str) for f in mono_data
+            ):
+                raise SpecMismatch(f"{shape}, a monomial a list of [variable, exponent] pairs")
+            exponents: dict[str, int] = {}
+            for name, e in mono_data:
+                if name not in self._index:
+                    raise MissingVariable(f"{name} is not a variable of {self}")
+                if name in exponents or json_int(e, f"the exponent of {name}") < 1:
+                    raise SpecMismatch(f"{mono_data!r} is not a monomial: a variable twice or an exponent below 1")
+                exponents[name] = e
+            mono = tuple(sorted((self._index[name], e) for name, e in exponents.items()))
             c = self.base.from_json(c_data)
             if not self.base.is_zero(c):
                 out[mono] = c
@@ -656,6 +667,8 @@ class SquareZeroRing(Ring):
         return [self.base.to_json(x[0]), self.base.to_json(x[1])]
 
     def from_json(self, data):
+        if not _is_pair(data):
+            raise SpecMismatch(f"a value in {self} must be a pair [a, x], not {data!r}")
         return (self.base.from_json(data[0]), self.base.from_json(data[1]))
 
     def format(self, x):
@@ -726,6 +739,8 @@ class SeriesRing(Ring):
         return [self.base.to_json(a) for a in x]
 
     def from_json(self, data):
+        if not isinstance(data, list):
+            raise SpecMismatch(f"a value in {self} must be a list of coefficients, not {data!r}")
         return self.from_coefficients(self.base.from_json(a) for a in data)
 
     def format(self, x):
@@ -819,18 +834,6 @@ class RingElement:
 
     def __repr__(self):
         return f"RingElement({self.ring}, {self.ring.format(self.value)})"
-
-
-def ring_add(x: RingElement, y: RingElement) -> RingElement:
-    return x + y
-
-
-def ring_mul(x: RingElement, y: RingElement) -> RingElement:
-    return x * y
-
-
-def ring_neg(x: RingElement) -> RingElement:
-    return -x
 
 
 def exact_div(x: RingElement, n: int) -> RingElement:

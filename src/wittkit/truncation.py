@@ -13,13 +13,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidTruncationSet, NotPrime
+from .numtheory import divisors, is_prime
 
 
 @dataclass(frozen=True)
 class TruncationSet:
-    """A divisor-closed finite set of positive integers, sorted ascending."""
+    """A divisor-closed finite set of positive integers, sorted ascending.
+
+    The position map, the member set and the quotients are built on first
+    use and kept with the set; they are not part of its equality or hash.
+    """
 
     members: tuple[int, ...]
 
@@ -27,17 +33,26 @@ class TruncationSet:
         mem = self.members
         if list(mem) != sorted(set(mem)):
             raise InvalidTruncationSet(f"members must be strictly increasing: {mem}")
+        if mem and mem[0] < 1:
+            raise InvalidTruncationSet(f"members must be positive: {mem[0]}")
         for n in mem:
-            if n < 1:
-                raise InvalidTruncationSet(f"members must be positive: {n}")
-        memset = set(mem)
-        for n in mem:
-            for d in range(1, int(n**0.5) + 1):
-                if n % d == 0 and (d not in memset or n // d not in memset):
-                    raise InvalidTruncationSet(f"{n} in set but a divisor of it is missing")
+            if not self._memberset.issuperset(divisors(n)):
+                raise InvalidTruncationSet(f"{n} in set but a divisor of it is missing")
+
+    @cached_property
+    def _memberset(self) -> frozenset[int]:
+        return frozenset(self.members)
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return {n: i for i, n in enumerate(self.members)}
+
+    @cached_property
+    def _quotients(self) -> dict[int, TruncationSet]:
+        return {}
 
     def __contains__(self, n: int) -> bool:
-        return n in self.members
+        return n in self._memberset
 
     def __iter__(self):
         return iter(self.members)
@@ -46,21 +61,24 @@ class TruncationSet:
         return len(self.members)
 
     def __le__(self, other: TruncationSet) -> bool:
-        return set(self.members) <= set(other.members)
+        return self._memberset <= other._memberset
 
     def __str__(self) -> str:
         return "{" + ",".join(str(n) for n in self.members) + "}"
 
     def quotient(self, n: int) -> TruncationSet:
         """The set S/n = {d : n*d in S}."""
-        if n < 1:
-            raise InvalidTruncationSet(f"quotient index must be positive: {n}")
-        memset = set(self.members)
-        return TruncationSet(tuple(d for d in range(1, (self.members[-1] // n) + 1) if n * d in memset)) if self.members else EMPTY
+        got = self._quotients.get(n)
+        if got is None:
+            if n < 1:
+                raise InvalidTruncationSet(f"quotient index must be positive: {n}")
+            got = TruncationSet(tuple(m // n for m in self.members if m % n == 0))
+            got = self._quotients.setdefault(n, got)
+        return got
 
     def index(self, n: int) -> int:
         """Position of n in the member list."""
-        return self.members.index(n)
+        return self._position[n]
 
 
 EMPTY = TruncationSet(())
@@ -75,8 +93,7 @@ def divisors_of(N: int) -> TruncationSet:
     """All divisors of N."""
     if N < 1:
         raise InvalidTruncationSet(f"N must be positive: {N}")
-    divs = [d for d in range(1, N + 1) if N % d == 0]
-    return TruncationSet(tuple(divs))
+    return TruncationSet(divisors(N))
 
 
 def initial_segment(n: int) -> TruncationSet:
@@ -86,17 +103,6 @@ def initial_segment(n: int) -> TruncationSet:
     return TruncationSet(tuple(range(1, n + 1)))
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def p_typical(p: int, n: int) -> TruncationSet:
     """The set {1, p, ..., p^(n-1)} of p-powers below p^n."""
     if not is_prime(p):
@@ -104,10 +110,6 @@ def p_typical(p: int, n: int) -> TruncationSet:
     if n < 0:
         raise InvalidTruncationSet(f"length must be >= 0: {n}")
     return TruncationSet(tuple(p**i for i in range(n)))
-
-
-def quotient_set(S: TruncationSet, n: int) -> TruncationSet:
-    return S.quotient(n)
 
 
 _SET_RE = re.compile(r"^\{([\d,\s]*)\}$")

@@ -34,8 +34,10 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CacheCorrupt, CeilingExceeded, IntegralityViolation, WittkitError
+from .numtheory import divisors
 from .rings import EvalProgram, PolynomialRing, Ring, RingElement, Z
 
 DEFAULT_CEILING = 64
@@ -107,14 +109,11 @@ def parse_key(text: str) -> UnivPolyKey:
     raise CacheCorrupt(f"bad cache key: {text!r}")
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _vars_for(weight: int, tags: str) -> list[str]:
-    return [f"{tag}{d}" for tag in tags for d in _divisors(weight)]
+    return [f"{tag}{d}" for tag in tags for d in divisors(weight)]
 
 
+@lru_cache(maxsize=512)  # one ring per (weight, tags), with its constants built once
 def _poly_ring(weight: int, tags: str) -> PolynomialRing:
     return PolynomialRing(Z, _vars_for(weight, tags))
 
@@ -207,7 +206,7 @@ class PolySource:
             raise WittkitError(f"variable tag must be 'a' or 'b': {tag!r}")
         ring = _poly_ring(n, tag)
         acc = ring.zero
-        for d in _divisors(n):
+        for d in divisors(n):
             acc = ring.add(acc, ring.scalar_mul(d, ring.pow(ring.var(f"{tag}{d}"), n // d)))
         return RingElement(ring, acc)
 
@@ -336,14 +335,10 @@ class PolySource:
     def _compute(self, key: UnivPolyKey) -> RingElement:
         ring = self._ring_for(key)
         n = key.index
-        if key.op == "sum":
+        if key.op in ("sum", "prod"):
             wa = ring.convert_from(self.ghost_poly(n, "a").value, _poly_ring(n, "a"))
             wb = ring.convert_from(self.ghost_poly(n, "b").value, _poly_ring(n, "b"))
-            rhs = ring.add(wa, wb)
-        elif key.op == "prod":
-            wa = ring.convert_from(self.ghost_poly(n, "a").value, _poly_ring(n, "a"))
-            wb = ring.convert_from(self.ghost_poly(n, "b").value, _poly_ring(n, "b"))
-            rhs = ring.mul(wa, wb)
+            rhs = ring.add(wa, wb) if key.op == "sum" else ring.mul(wa, wb)
         elif key.op == "neg":
             rhs = ring.neg(self.ghost_poly(n, "a").value)
         elif key.op == "frob":
@@ -356,9 +351,7 @@ class PolySource:
             f_ne = self._get(UnivPolyKey("frob", e, n))
             rhs = ring.convert_from(f_ne.value, f_ne.ring)
         acc = rhs
-        for d in _divisors(n):
-            if d == n:
-                continue
+        for d in divisors(n)[:-1]:
             prev = self._get(UnivPolyKey(key.op, d, key.param))
             term = ring.pow(ring.convert_from(prev.value, prev.ring), n // d)
             acc = ring.sub(acc, ring.scalar_mul(d, term))

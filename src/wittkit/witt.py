@@ -4,11 +4,14 @@ A vector in W_S(A) is stored as its coordinate tuple (a_n | n in S).  The
 ghost map sends it to <w_n | n in S> with w_n = sum over d|n of
 d*a_d^(n/d); it is a ring homomorphism into the product ring A^S.
 
-Three interchangeable arithmetic strategies:
+Every operation (sum, product, negative, integer multiples, Frobenius,
+the comonad components) is fixed by its ghost components, so each is
+given once as a ghost-side transform plus its universal form, and one
+kernel, `_apply`, runs it under one of three interchangeable strategies:
 
-  "universal"  specialize the universal sum/prod/neg polynomials at each
+  "universal"  specialize the operation's universal polynomials at each
                coordinate; works over every base ring.
-  "ghost"      map to ghost coordinates, operate componentwise, and lift
+  "ghost"      map to ghost coordinates, apply the transform, and lift
                back by the divisor recursion; requires a torsion-free
                base (Z, Q, polynomial/series rings over them).
   "lift"       lift coordinates to a torsion-free cover (Z/m -> Z, etc.),
@@ -25,6 +28,7 @@ comonad map delta lands there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     NotDivisible,
@@ -35,8 +39,9 @@ from .errors import (
     UnsupportedRing,
     WittkitError,
 )
-from .rings import Ring, RingElement, SquareZeroRing
-from .truncation import TruncationSet
+from .numtheory import binary_power, divisors
+from .rings import Ring, RingElement, SquareZeroRing, parse_ring
+from .truncation import TruncationSet, truncation_set
 from .universal import PolySource, UnivPolyKey, default_source
 
 
@@ -74,7 +79,7 @@ class WittVector:
     def __pow__(self, e: int):
         if e < 0:
             raise WittkitError("negative exponent")
-        return _binary_power(witt_mul, witt_one(self.tset, self.ring), self, e)
+        return binary_power(witt_mul, witt_one(self.tset, self.ring), self, e)
 
     def __str__(self):
         return "(" + ", ".join(self.ring.format(c) for c in self.coords) + ")"
@@ -109,30 +114,36 @@ class GhostVector:
         }
 
 
-def _vector_from_json(data, field: str):
-    """(set, base ring, JSON entries in set order) of a serialized vector.
+def fields_from_json(data, *fields: str) -> tuple[TruncationSet, list[dict]]:
+    """The truncation set and the named JSON objects of a serialized element.
 
-    A wrong shape is a SpecMismatch, not a KeyError or TypeError.
+    `data` must be a JSON object with the key 'set' (a list of integers)
+    and one JSON object under each field; a wrong shape is a SpecMismatch,
+    not a KeyError or TypeError.
     """
-    from .rings import parse_ring
-    from .truncation import truncation_set
-
-    shape = f"a JSON object with keys 'set' (a list of integers), 'base' and {field!r}"
-    if not isinstance(data, dict) or not {"set", "base", field} <= data.keys():
+    names = ", ".join(map(repr, fields))
+    shape = f"a JSON object with keys 'set' (a list of integers) and {names} (JSON objects)"
+    if not isinstance(data, dict) or not {"set", *fields} <= data.keys():
         raise SpecMismatch(f"expected {shape}")
-    members, base, entries = data["set"], data["base"], data[field]
+    members, values = data["set"], [data[field] for field in fields]
     if (
         not isinstance(members, list)
         or not all(isinstance(n, int) and not isinstance(n, bool) for n in members)
-        or not isinstance(base, str)
-        or not isinstance(entries, dict)
+        or not all(isinstance(v, dict) for v in values)
     ):
         raise SpecMismatch(f"expected {shape}")
-    tset = truncation_set(members)
+    return truncation_set(members), values
+
+
+def _vector_from_json(data, field: str):
+    """(set, base ring, JSON entries in set order) of a serialized vector."""
+    tset, (entries,) = fields_from_json(data, field)
+    if not isinstance(data.get("base"), str):
+        raise SpecMismatch("expected a ring spec under the key 'base'")
     missing = [n for n in tset.members if str(n) not in entries]
     if missing:
         raise SpecMismatch(f"{field!r} has no entry for {missing}")
-    return tset, parse_ring(base), [entries[str(n)] for n in tset.members]
+    return tset, parse_ring(data["base"]), [entries[str(n)] for n in tset.members]
 
 
 def witt_from_json(data: dict) -> WittVector:
@@ -175,14 +186,7 @@ def witt_one(S: TruncationSet, ring: Ring) -> WittVector:
 
 def witt_of_int(k: int, S: TruncationSet, ring: Ring, strategy: str = "auto") -> WittVector:
     """Image of the integer k under the unique map Z -> W_S(A)."""
-    st = _resolve(strategy, ring)
-    if st == "ghost":
-        return from_ghost(GhostVector(S, ring, tuple(ring.of_int(k) for _ in S)))
-    if st == "lift":
-        cover = ring.lift_ring()
-        lifted = witt_of_int(k, S, cover, "ghost")
-        return WittVector(S, ring, tuple(ring.reduce_from_lift(c) for c in lifted.coords))
-    return witt_scalar_mul(k, witt_one(S, ring), "universal")
+    return witt_scalar_mul(k, witt_one(S, ring), strategy)
 
 
 # --------------------------------------------------------------------------
@@ -192,14 +196,12 @@ def witt_of_int(k: int, S: TruncationSet, ring: Ring, strategy: str = "auto") ->
 
 def ghost(x: WittVector) -> GhostVector:
     ring = x.ring
+    a = dict(zip(x.tset.members, x.coords))
     values = []
     for n in x.tset.members:
         acc = ring.zero
-        for d in x.tset.members:
-            if d > n:
-                break
-            if n % d == 0:
-                acc = ring.add(acc, ring.scalar_mul(d, ring.pow(x.coord(d), n // d)))
+        for d in divisors(n):
+            acc = ring.add(acc, ring.scalar_mul(d, ring.pow(a[d], n // d)))
         values.append(acc)
     return GhostVector(x.tset, ring, tuple(values))
 
@@ -210,16 +212,14 @@ def from_ghost(g: GhostVector) -> WittVector:
     if not ring.torsion_free:
         raise UnsupportedRing(f"ghost lifting needs a torsion-free base, not {ring}")
     coords: dict[int, object] = {}
-    for n in g.tset.members:
-        acc = g.value(n)
-        for d in g.tset.members:
-            if d < n and n % d == 0:
-                acc = ring.sub(acc, ring.scalar_mul(d, ring.pow(coords[d], n // d)))
+    for n, acc in zip(g.tset.members, g.values):
+        for d in divisors(n)[:-1]:
+            acc = ring.sub(acc, ring.scalar_mul(d, ring.pow(coords[d], n // d)))
         try:
             coords[n] = ring.exact_div(acc, n)
         except NotDivisible as exc:
             raise NotInGhostImage(f"coordinate {n}: {exc}") from exc
-    return WittVector(g.tset, ring, tuple(coords[n] for n in g.tset.members))
+    return WittVector(g.tset, ring, tuple(coords.values()))
 
 
 # --------------------------------------------------------------------------
@@ -243,6 +243,32 @@ def _resolve(strategy: str, ring: Ring) -> str:
     return strategy
 
 
+def _apply(xs: tuple, strategy: str, transform, universal) -> WittVector:
+    """Run one Witt operation on the operands `xs` under `strategy`.
+
+    `transform` maps operands over a torsion-free ring to the ghost vector
+    of the result; `universal()` computes the result on `xs` from the
+    universal polynomials.  The lift strategy runs the transform on the
+    operands lifted to the torsion-free cover and reduces the result.
+    """
+    ring = xs[0].ring
+    st = _resolve(strategy, ring)
+    if st == "universal":
+        return universal()
+    if st == "ghost":
+        return from_ghost(transform(*xs))
+    cover = ring.lift_ring()
+    lifted = (WittVector(x.tset, cover, tuple(map(ring.lift, x.coords))) for x in xs)
+    out = from_ghost(transform(*lifted))
+    return WittVector(out.tset, ring, tuple(map(ring.reduce_from_lift, out.coords)))
+
+
+def _ghostwise(fn, *xs: WittVector) -> GhostVector:
+    """The ghost vector with components fn(w_n(x), w_n(y), ...)."""
+    x = xs[0]
+    return GhostVector(x.tset, x.ring, tuple(map(fn, *(ghost(v).values for v in xs))))
+
+
 def _check_match(x: WittVector, y: WittVector):
     if x.tset != y.tset:
         raise SetMismatch(f"truncation sets differ: {x.tset} vs {y.tset}")
@@ -250,98 +276,55 @@ def _check_match(x: WittVector, y: WittVector):
         raise SpecMismatch(f"base rings differ: {x.ring} vs {y.ring}")
 
 
-def _lift_vector(x: WittVector) -> WittVector:
-    cover = x.ring.lift_ring()
-    return WittVector(x.tset, cover, tuple(x.ring.lift(c) for c in x.coords))
-
-
-def _reduce_vector(x: WittVector, ring: Ring) -> WittVector:
-    return WittVector(x.tset, ring, tuple(ring.reduce_from_lift(c) for c in x.coords))
-
-
 def _universal_vector(
-    T: TruncationSet, keys, x: WittVector, y: WittVector | None, source: PolySource | None
+    op: str, param: int, T: TruncationSet, x: WittVector, y: WittVector | None,
+    source: PolySource | None,
 ) -> WittVector:
-    """The vector over T whose coordinates are the keys' polynomials at x (a_d) and y (b_d).
+    """The vector over T whose coordinate at m is UnivPolyKey(op, m, param) at x (a_d) and y (b_d).
 
     A key of weight w reads the coordinates at the divisors of w, which lie
     in the (divisor-closed) set of x whenever w does.
     """
     src = source or default_source()
-    members = x.tset.members
+    a = dict(zip(x.tset.members, x.coords))
+    b = None if y is None else dict(zip(y.tset.members, y.coords))
     coords = []
-    for key in keys:
-        w = key.weight
-        values = {f"a{d}": a for d, a in zip(members, x.coords) if w % d == 0}
-        if y is not None:
-            values.update({f"b{d}": b for d, b in zip(members, y.coords) if w % d == 0})
+    for m in T.members:
+        key = UnivPolyKey(op, m, param)
+        ds = divisors(key.weight)
+        values = {f"a{d}": a[d] for d in ds}
+        if b is not None:
+            values.update({f"b{d}": b[d] for d in ds})
         coords.append(src.evaluate(key, values, x.ring))
     return WittVector(T, x.ring, tuple(coords))
 
 
-def _binary_op(x: WittVector, y: WittVector, op: str, strategy: str, source: PolySource | None) -> WittVector:
-    _check_match(x, y)
-    ring = x.ring
-    st = _resolve(strategy, ring)
-    if st == "ghost":
-        gx, gy = ghost(x), ghost(y)
-        fn = ring.add if op == "sum" else ring.mul
-        return from_ghost(
-            GhostVector(x.tset, ring, tuple(fn(a, b) for a, b in zip(gx.values, gy.values)))
-        )
-    if st == "lift":
-        out = _binary_op(_lift_vector(x), _lift_vector(y), op, "ghost", source)
-        return _reduce_vector(out, ring)
-    return _universal_vector(x.tset, [UnivPolyKey(op, n) for n in x.tset.members], x, y, source)
-
-
 def witt_add(x: WittVector, y: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
-    return _binary_op(x, y, "sum", strategy, source)
+    _check_match(x, y)
+    return _apply((x, y), strategy, lambda u, v: _ghostwise(u.ring.add, u, v),
+                  lambda: _universal_vector("sum", 0, x.tset, x, y, source))
 
 
 def witt_mul(x: WittVector, y: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
-    return _binary_op(x, y, "prod", strategy, source)
+    _check_match(x, y)
+    return _apply((x, y), strategy, lambda u, v: _ghostwise(u.ring.mul, u, v),
+                  lambda: _universal_vector("prod", 0, x.tset, x, y, source))
 
 
 def witt_neg(x: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
-    ring = x.ring
-    st = _resolve(strategy, ring)
-    if st == "ghost":
-        g = ghost(x)
-        return from_ghost(GhostVector(x.tset, ring, tuple(ring.neg(v) for v in g.values)))
-    if st == "lift":
-        return _reduce_vector(witt_neg(_lift_vector(x), "ghost", source), ring)
-    return _universal_vector(x.tset, [UnivPolyKey("neg", n) for n in x.tset.members], x, None, source)
+    return _apply((x,), strategy, lambda u: _ghostwise(u.ring.neg, u),
+                  lambda: _universal_vector("neg", 0, x.tset, x, None, source))
 
 
 def witt_scalar_mul(k: int, x: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
     """The k-fold sum k*x."""
-    st = _resolve(strategy, x.ring)
-    ring = x.ring
-    if st == "ghost":
-        g = ghost(x)
-        return from_ghost(GhostVector(x.tset, ring, tuple(ring.scalar_mul(k, v) for v in g.values)))
-    if st == "lift":
-        return _reduce_vector(witt_scalar_mul(k, _lift_vector(x), "ghost", source), ring)
-    acc = _binary_power(
-        lambda u, v: witt_add(u, v, "universal", source), witt_zero(x.tset, ring), x, abs(k)
-    )
-    return witt_neg(acc, strategy="universal", source=source) if k < 0 else acc
 
+    def universal():
+        add = partial(witt_add, strategy="universal", source=source)
+        acc = binary_power(add, witt_zero(x.tset, x.ring), x, abs(k))
+        return witt_neg(acc, "universal", source) if k < 0 else acc
 
-def _binary_power(op, unit, x, k: int):
-    """x op x op ... op x (k >= 0 copies, `unit` when k = 0) by repeated doubling.
-
-    The one power routine: Witt multiples and powers here, V-basis powers in wittint.
-    """
-    acc = None
-    while k:
-        if k & 1:
-            acc = x if acc is None else op(acc, x)
-        k >>= 1
-        if k:
-            x = op(x, x)
-    return unit if acc is None else acc
+    return _apply((x,), strategy, lambda u: _ghostwise(partial(u.ring.scalar_mul, k), u), universal)
 
 
 # --------------------------------------------------------------------------
@@ -359,27 +342,19 @@ def verschiebung(n: int, x: WittVector, S: TruncationSet) -> WittVector:
     """V_n: spread coordinates from S/n into S (zero elsewhere)."""
     if S.quotient(n) != x.tset:
         raise SetMismatch(f"operand lives over {x.tset}, expected {S}/{n} = {S.quotient(n)}")
-    ring = x.ring
-    coords = []
-    for m in S.members:
-        if m % n == 0 and m // n in x.tset:
-            coords.append(x.coord(m // n))
-        else:
-            coords.append(ring.zero)
-    return WittVector(S, ring, tuple(coords))
+    zero = x.ring.zero
+    return WittVector(S, x.ring, tuple(x.coord(m // n) if m % n == 0 else zero for m in S.members))
 
 
 def frobenius(n: int, x: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
     """F_n: W_S(A) -> W_{S/n}(A), ghost-indexed by w_{nd}."""
-    ring = x.ring
     T = x.tset.quotient(n)
-    st = _resolve(strategy, ring)
-    if st == "ghost":
-        g = ghost(x)
-        return from_ghost(GhostVector(T, ring, tuple(g.value(n * d) for d in T.members)))
-    if st == "lift":
-        return _reduce_vector(frobenius(n, _lift_vector(x), "ghost", source), ring)
-    return _universal_vector(T, [UnivPolyKey("frob", d, n) for d in T.members], x, None, source)
+
+    def transform(u):
+        g = ghost(u)
+        return GhostVector(T, u.ring, tuple(g.value(n * d) for d in T.members))
+
+    return _apply((x,), strategy, transform, lambda: _universal_vector("frob", n, T, x, None, source))
 
 
 # --------------------------------------------------------------------------
@@ -393,15 +368,12 @@ def delta_component(e: int, x: WittVector, strategy: str = "auto", source: PolyS
     Its ghost components satisfy w_m(delta_component(e, x)) = (F_m x)_e,
     and summing d * delta_component(d, x)^(e/d) over d | e gives F_e(x).
     """
-    ring = x.ring
     T = x.tset.quotient(e)
-    st = _resolve(strategy, ring)
-    if st == "ghost":
-        values = tuple(frobenius(m, x, "ghost").coord(e) for m in T.members)
-        return from_ghost(GhostVector(T, ring, values))
-    if st == "lift":
-        return _reduce_vector(delta_component(e, _lift_vector(x), "ghost", source), ring)
-    return _universal_vector(T, [UnivPolyKey("delta", n, e) for n in T.members], x, None, source)
+
+    def transform(u):
+        return GhostVector(T, u.ring, tuple(frobenius(m, u, "ghost").coord(e) for m in T.members))
+
+    return _apply((x,), strategy, transform, lambda: _universal_vector("delta", e, T, x, None, source))
 
 
 def delta(x: WittVector, T: TruncationSet, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
@@ -414,19 +386,12 @@ def delta(x: WittVector, T: TruncationSet, strategy: str = "auto", source: PolyS
     """
     if not T <= x.tset:
         raise NotSubset(f"delta target {T} must be contained in {x.tset}")
-    nested = WittRing(x.ring, x.tset)
+    zero = x.ring.zero
     coords = []
     for e in T.members:
         comp = delta_component(e, x, strategy, source)
-        coords.append(_embed_by_zero(comp, x.tset).coords)
-    return WittVector(T, nested, tuple(coords))
-
-
-def _embed_by_zero(x: WittVector, S: TruncationSet) -> WittVector:
-    coords = []
-    for n in S.members:
-        coords.append(x.coord(n) if n in x.tset else x.ring.zero)
-    return WittVector(S, x.ring, tuple(coords))
+        coords.append(tuple(comp.coord(n) if n in comp.tset else zero for n in x.tset.members))
+    return WittVector(T, WittRing(x.ring, x.tset), tuple(coords))
 
 
 # --------------------------------------------------------------------------
@@ -446,15 +411,15 @@ def square_zero_split(b: WittVector):
         raise SpecMismatch(f"expected a square-zero base ring, got {ring}")
     base = ring.base
     a_coords = tuple(c[0] for c in b.coords)
+    coord = dict(zip(b.tset.members, b.coords))
     xs = []
     for n in b.tset.members:
         acc = base.zero
-        for d in b.tset.members:
-            if n % d == 0:
-                a_d, y_d = b.coord(d)
-                acc = base.add(acc, base.mul(base.pow(a_d, (n // d) - 1), y_d))
+        for d in divisors(n):
+            a_d, y_d = coord[d]
+            acc = base.add(acc, base.mul(base.pow(a_d, (n // d) - 1), y_d))
         xs.append(acc)
-    return WittVector(b.tset, base, a_coords), list(xs)
+    return WittVector(b.tset, base, a_coords), xs
 
 
 # --------------------------------------------------------------------------
@@ -527,6 +492,8 @@ class WittRing(Ring):
         return {str(n): self.base.to_json(c) for n, c in zip(self.tset.members, x)}
 
     def from_json(self, data):
+        if not isinstance(data, dict) or not all(str(n) in data for n in self.tset.members):
+            raise SpecMismatch(f"a value in {self} must be a JSON object with a key for each of {self.tset}")
         return tuple(self.base.from_json(data[str(n)]) for n in self.tset.members)
 
     def format(self, x):

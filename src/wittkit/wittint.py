@@ -26,60 +26,19 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotDivisible, NotSubset, SetMismatch, SpecMismatch, WittkitError
+from .numtheory import binary_power, divisors, mobius
 from .rings import Z, json_int
 from .truncation import TruncationSet
 from .witt import (
     GhostVector,
     WittVector,
-    _binary_power,
     delta_component,
+    fields_from_json,
     from_ghost,
     frobenius as witt_frobenius,
+    ghost,
     restrict as witt_restrict,
 )
-
-_PRIME_TABLE_BOUND = 10**6
-_prime_cache: list[int] = []
-_prime_cache_bound = 1
-
-
-def _primes_up_to(bound: int) -> list[int]:
-    global _prime_cache, _prime_cache_bound
-    if bound > _prime_cache_bound:
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, int(bound**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _prime_cache = [i for i, flag in enumerate(sieve) if flag]
-        _prime_cache_bound = bound
-    return _prime_cache
-
-
-def factorize(n: int, table_bound: int = _PRIME_TABLE_BOUND) -> dict[int, int]:
-    """Prime factorization by trial division over a cached prime table."""
-    if n < 1:
-        raise SpecMismatch(f"factorize needs a positive integer: {n}")
-    out: dict[int, int] = {}
-    remaining = n
-    for p in _primes_up_to(min(int(n**0.5) + 1, table_bound)):
-        if p * p > remaining:
-            break
-        while remaining % p == 0:
-            out[p] = out.get(p, 0) + 1
-            remaining //= p
-    if remaining > 1:
-        out[remaining] = out.get(remaining, 0) + 1
-    return out
-
-
-def mobius(d: int) -> int:
-    """1 on squarefree products of evenly many primes, -1 on odd, else 0."""
-    factors = factorize(d)
-    if any(e > 1 for e in factors.values()):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
 
 @dataclass(frozen=True, eq=True)
 class BasisWittInt:
@@ -110,7 +69,7 @@ class BasisWittInt:
     def __pow__(self, e: int):
         if e < 0:
             raise WittkitError("negative exponent")
-        return _binary_power(basis_mul, basis_one(self.tset), self, e)
+        return binary_power(basis_mul, basis_one(self.tset), self, e)
 
     def __str__(self):
         parts = [
@@ -125,13 +84,9 @@ class BasisWittInt:
         }
 
 
-def basis_from_json(data: dict) -> BasisWittInt:
-    from .truncation import truncation_set
-
-    tset = truncation_set(data["set"])
-    coeffs = tuple(json_int(data["coeffs"].get(str(n), 0), f"coefficient {n}")
-                   for n in tset.members)
-    return BasisWittInt(tset, coeffs)
+def basis_from_json(data) -> BasisWittInt:
+    tset, (coeffs,) = fields_from_json(data, "coeffs")
+    return BasisWittInt(tset, tuple(json_int(coeffs.get(str(n), 0), f"coefficient {n}") for n in tset.members))
 
 
 def basis_zero(S: TruncationSet) -> BasisWittInt:
@@ -170,8 +125,7 @@ def basis_scalar_mul(k: int, x: BasisWittInt) -> BasisWittInt:
 def basis_mul(x: BasisWittInt, y: BasisWittInt) -> BasisWittInt:
     _check_set(x, y)
     members = x.tset.members
-    memset = set(members)
-    acc = {n: 0 for n in members}
+    acc = dict.fromkeys(members, 0)
     for m, cm in zip(members, x.coeffs):
         if not cm:
             continue
@@ -180,9 +134,9 @@ def basis_mul(x: BasisWittInt, y: BasisWittInt) -> BasisWittInt:
                 continue
             g = gcd(m, n)
             l = m // g * n
-            if l in memset:
+            if l in acc:
                 acc[l] += cm * cn * g
-    return BasisWittInt(x.tset, tuple(acc[n] for n in members))
+    return BasisWittInt(x.tset, tuple(acc.values()))
 
 
 def frobenius_basis(m: int, x: BasisWittInt) -> BasisWittInt:
@@ -221,44 +175,27 @@ def restrict_basis(T: TruncationSet, x: BasisWittInt) -> BasisWittInt:
 
 def to_coords(x: BasisWittInt) -> WittVector:
     """Coordinate form, via the triangular ghost relation w_m = sum n*c_n over n|m."""
-    values = []
-    for m in x.tset.members:
-        acc = 0
-        for n, c in zip(x.tset.members, x.coeffs):
-            if n > m:
-                break
-            if m % n == 0:
-                acc += n * c
-        values.append(acc)
-    return from_ghost(GhostVector(x.tset, Z, tuple(values)))
+    c = dict(zip(x.tset.members, x.coeffs))
+    values = tuple(sum(n * c[n] for n in divisors(m)) for m in x.tset.members)
+    return from_ghost(GhostVector(x.tset, Z, values))
 
 
 def from_coords(x: WittVector) -> BasisWittInt:
     if x.ring != Z:
         raise SpecMismatch(f"basis form is only defined over Z, got {x.ring}")
-    from .witt import ghost
-
-    g = ghost(x)
     coeffs: dict[int, int] = {}
-    for m in x.tset.members:
-        acc = g.value(m)
-        for n in x.tset.members:
-            if n < m and m % n == 0:
-                acc -= n * coeffs[n]
+    for m, acc in zip(x.tset.members, ghost(x).values):
+        acc -= sum(n * coeffs[n] for n in divisors(m)[:-1])
         q, r = divmod(acc, m)
         if r:
             raise NotDivisible(f"internal error: basis expansion at {m} not integral")
         coeffs[m] = q
-    return BasisWittInt(x.tset, tuple(coeffs[n] for n in x.tset.members))
+    return BasisWittInt(x.tset, tuple(coeffs.values()))
 
 
 def necklace_coefficient(m: int, n: int) -> int:
     """(1/n) * sum over d|n of mu(d) * m^(n/d)."""
-    acc = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            acc += mobius(d) * m ** (n // d)
-    q, r = divmod(acc, n)
+    q, r = divmod(sum(mobius(d) * m ** (n // d) for d in divisors(n)), n)
     if r:
         raise NotDivisible(f"internal error: necklace sum for ({m},{n}) not divisible")
     return q
@@ -317,7 +254,7 @@ def divided_frobenius_form(n: int, form: FormalOneForm) -> FormalOneForm:
     for a, b in form.terms:
         fa = from_coords(witt_frobenius(n, to_coords(a)))
         bv = to_coords(b)
-        for e in [d for d in range(1, n + 1) if n % d == 0]:
+        for e in divisors(n):
             comp = delta_component(e, bv)
             comp_T = from_coords(witt_restrict(comp, T))
             coef = basis_mul(fa, comp_T ** ((n // e) - 1))

@@ -230,3 +230,21 @@ def test_drwz_coefficients_must_be_json_integers(capsys, degree, coeff):
     code, _, err = run(capsys, "drwz", "d", json.dumps(data))
     assert code == 1
     assert err.startswith("SpecMismatch:")
+
+
+@pytest.mark.parametrize("ring", ["series(Z,3)", "sz(Z)", "Z[x]", "W({1,2},Z)"])
+def test_composite_ring_values_must_have_their_json_shape(capsys, ring):
+    code, out, err = run(capsys, "witt", "teich", "2", "--set", "{1,2}", "--ring", ring)
+    assert (code, out) == (1, "")
+    assert err.startswith("SpecMismatch:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "to", "{}"),
+    ("basis", "to", '{"set": [1, 2], "coeffs": [1]}'),
+    ("drwz", "d", "{}"),
+])
+def test_basis_and_graded_json_must_have_their_shape(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("SpecMismatch:")

@@ -17,8 +17,6 @@ from wittkit.rings import (
     element_to_json,
     exact_div,
     parse_ring,
-    ring_add,
-    ring_mul,
     series_inverse,
 )
 from wittkit.universal import PolySource, UnivPolyKey
@@ -42,11 +40,11 @@ RINGS = [
 
 
 def test_basic_examples():
-    assert ring_add(RingElement(Z, 2), RingElement(Z, 3)) == RingElement(Z, 5)
+    assert RingElement(Z, 2) + RingElement(Z, 3) == RingElement(Z, 5)
     R4 = ModularRing(4)
-    assert ring_add(RingElement(R4, 3), RingElement(R4, 3)) == RingElement(R4, 2)
+    assert RingElement(R4, 3) + RingElement(R4, 3) == RingElement(R4, 2)
     R6 = ModularRing(6)
-    assert ring_mul(RingElement(R6, 4), RingElement(R6, 3)) == RingElement(R6, 0)
+    assert RingElement(R6, 4) * RingElement(R6, 3) == RingElement(R6, 0)
     P = PolynomialRing(Z, ["a1", "b1"])
     a1 = RingElement(P, P.var("a1"))
     b1 = RingElement(P, P.var("b1"))
@@ -66,7 +64,7 @@ def test_square_zero_product():
 
 def test_spec_mismatch():
     with pytest.raises(SpecMismatch):
-        ring_add(RingElement(Z, 1), RingElement(Q, Fraction(1)))
+        RingElement(Z, 1) + RingElement(Q, Fraction(1))
 
 
 def test_exact_div():
@@ -129,6 +127,20 @@ def test_ring_axioms(ring):
         assert ring.add(x, zero) == x
         assert ring.mul(x, one) == x
         assert ring.add(x, ring.neg(x)) == zero
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_zero_and_one_are_built_once(ring):
+    zero, one = ring.zero, ring.one
+    assert ring.zero is zero and ring.one is one
+    rng = random.Random(4)
+    for _ in range(20):
+        x = ring.sample(rng)
+        ring.add(ring.mul(one, x), zero)
+        ring.add(zero, ring.pow(x, 0))
+        ring.mul(ring.pow(x, 2), one)
+    # the shared constants come back unchanged from every operation
+    assert (zero, one) == (ring.of_int(0), ring.of_int(1))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

@@ -8,7 +8,6 @@ from wittkit.truncation import (
     initial_segment,
     p_typical,
     parse_truncation_set,
-    quotient_set,
     truncation_set,
 )
 
@@ -21,9 +20,9 @@ def test_divisors_of():
 
 def test_quotient_set():
     S = divisors_of(12)
-    assert quotient_set(S, 2).members == (1, 2, 3, 6)
-    assert quotient_set(S, 1) == S
-    assert quotient_set(truncation_set([1, 2, 4]), 3).members == ()
+    assert S.quotient(2).members == (1, 2, 3, 6)
+    assert S.quotient(1) == S
+    assert truncation_set([1, 2, 4]).quotient(3).members == ()
 
 
 def test_p_typical():
@@ -51,7 +50,7 @@ def test_divisor_closure_enforced():
 @given(st.integers(1, 60), st.integers(1, 12), st.integers(1, 12))
 def test_quotient_composes(k, m, n):
     S = divisors_of(k)
-    assert quotient_set(quotient_set(S, m), n) == quotient_set(S, m * n)
+    assert S.quotient(m).quotient(n) == S.quotient(m * n)
 
 
 @given(st.integers(1, 100))

@@ -2,10 +2,13 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittkit.errors import NotInGhostImage, NotSubset, SetMismatch, UnsupportedRing
 from wittkit.rings import ModularRing, Q, SeriesRing, SquareZeroRing, Z
+from wittkit.numtheory import divisors
 from wittkit.truncation import divisors_of, truncation_set
+from wittkit.universal import PolySource
 from wittkit.witt import (
     GhostVector,
     WittRing,
@@ -333,3 +336,39 @@ def test_pow_matches_repeated_mul(ring):
     for e in range(10):
         assert x**e == acc, e
         acc = witt_mul(acc, x)
+
+
+KERNEL_SOURCE = PolySource(None)
+
+
+@st.composite
+def small_truncation_sets(draw):
+    """Divisor-closed sets with members at most 12 (the empty set included)."""
+    tops = draw(st.sets(st.integers(1, 12), max_size=3))
+    return truncation_set(d for n in tops for d in divisors(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    S=small_truncation_sets(),
+    ring=st.one_of(
+        st.just(Z), st.integers(2, 12).map(ModularRing), st.just(SquareZeroRing(ModularRing(4)))
+    ),
+    rng=st.randoms(use_true_random=False),
+    k=st.integers(-12, 12),
+)
+def test_every_kernel_operation_agrees_across_strategies(S, ring, rng, k):
+    exact = "ghost" if ring.torsion_free else "lift"
+    x, y = rand_vec(S, ring, rng), rand_vec(S, ring, rng)
+    ops = [
+        lambda how: witt_add(x, y, how, KERNEL_SOURCE),
+        lambda how: witt_mul(x, y, how, KERNEL_SOURCE),
+        lambda how: witt_neg(x, how, KERNEL_SOURCE),
+        lambda how: witt_of_int(k, S, ring, how),
+    ]
+    ops += [lambda how, j=j: witt_scalar_mul(j, x, how, KERNEL_SOURCE) for j in (k, -k, 0)]
+    for n in S.members:
+        ops.append(lambda how, n=n: frobenius(n, x, how, KERNEL_SOURCE))
+        ops.append(lambda how, n=n: delta_component(n, x, how, KERNEL_SOURCE))
+    for op in ops:
+        assert op(exact) == op("universal")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wittkit.errors import SetMismatch, WittkitError
+from wittkit.numtheory import factorize, mobius
 from wittkit.rings import Z
 from wittkit.truncation import divisors_of, truncation_set
 from wittkit.witt import frobenius, restrict, teichmuller, verschiebung, witt_mul
@@ -13,10 +14,8 @@ from wittkit.wittint import (
     basis_one,
     basis_scalar_mul,
     divided_frobenius_form,
-    factorize,
     from_coords,
     frobenius_basis,
-    mobius,
     necklace_coefficient,
     one_form,
     restrict_basis,
