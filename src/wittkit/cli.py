@@ -1,9 +1,17 @@
 """Command-line front end: one verb per library operation.
 
+Every verb is one entry of the verb table `VERBS`: its command path, its
+arguments and the function it runs on the parsed arguments.
+`build_parser` makes one subparser per entry, and `main` runs the chosen
+function and prints its result in one place.  A function returns either
+a library object, printed through `to_json()` or `str()`, or an `Output`
+with an explicit payload, text and exit code.
+
 Vectors, basis elements and graded elements are passed as JSON (the same
 shapes the library serializes); sets and rings as spec strings.  Output
 is text by default, JSON with --format json.  Exit codes: 0 success,
-1 domain error (the error name is printed verbatim), 2 usage error.
+1 domain error (the error name is printed verbatim), 2 usage error
+(including a JSON argument that does not parse, printed as BadJson).
 
 Environment: WITTKIT_CACHE overrides the universal-polynomial cache
 path, WITTKIT_CEILING the weight ceiling.
@@ -12,8 +20,10 @@ path, WITTKIT_CEILING the weight ceiling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from typing import Any, Callable, NamedTuple
 
 from . import drwz, laws, ptypical, series, universal, wittint
 from .errors import WittkitError
@@ -21,7 +31,6 @@ from .rings import element_from_json, element_to_json, parse_ring
 from .truncation import parse_truncation_set
 from .universal import HARD_MAX_CEILING, PolySource
 from .witt import (
-    WittVector,
     delta,
     from_ghost,
     frobenius,
@@ -37,175 +46,199 @@ from .witt import (
 )
 
 
-def _emit(args, payload, text: str | None = None):
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+class BadJson(Exception):
+    """A JSON argument that does not parse (exit 2)."""
+
+
+class Output(NamedTuple):
+    """A result printed as `payload` with --format json, else as `text`.
+
+    A payload of None prints `text` in either format.
+    """
+
+    payload: Any
+    text: str
+    code: int = 0
+
+
+def _json(arg: str):
+    try:
+        return json.loads(arg)
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
+        raise BadJson(exc) from exc
+
+
+def _vector(arg: str):
+    return witt_from_json(_json(arg))
+
+
+def _basis(arg: str):
+    return wittint.basis_from_json(_json(arg))
+
+
+def _drw(arg: str):
+    return drwz.drw_from_json(_json(arg))
+
+
+# -- verbs with more than one library call -------------------------------------
+
+
+def _witt_teich(a):
+    ring = parse_ring(a.ring)
+    return teichmuller(ring.from_json(_json(a.value)), parse_truncation_set(a.set), ring)
+
+
+def _gamma(a) -> Output:
+    out = series.gamma(_vector(a.x), a.precision)
+    return Output(element_to_json(out), str(out))
+
+
+def _ptypical_decompose(a) -> Output:
+    x = _vector(a.x)
+    idems = ptypical.idempotents(x.tset, a.prime, x.ring)
+    comps = {k: ptypical.ptypical_projection(k, x, a.prime, idems[k]) for k in idems}
+    payload = {str(k): v.to_json() for k, v in comps.items()}
+    return Output(payload, "\n".join(f"{k}: {v}" for k, v in sorted(comps.items())))
+
+
+def _ptypical_tau(a):
+    iso = ptypical.tau_iso(a.prime, a.length)
+    if a.value is not None:
+        return iso.to_witt(a.value)
+    payload = {str(k): iso.to_witt(k).to_json() for k in range(iso.modulus)}
+    return Output(payload, "\n".join(f"{k} -> {iso.to_witt(k)}" for k in range(iso.modulus)))
+
+
+def _drwz_table(a) -> Output:
+    tables = drwz.generator_tables(parse_truncation_set(a.set))
+    lines = []
+    for section, rows in tables.items():
+        lines.append(f"[{section}]")
+        lines += (f"  {k} = {rows[k]}" for k in sorted(rows))
+    return Output(tables, "\n".join(lines))
+
+
+def _laws_check(a) -> Output:
+    S = parse_truncation_set(a.set)
+    if a.suite == "wittcomplex":
+        report = laws.check_witt_complex(S, trials=a.trials, seed=a.seed)
+    elif a.suite == "comonad":
+        T = parse_truncation_set(a.target) if a.target else S
+        report = laws.check_comonad(S, T, parse_ring(a.base), trials=a.trials, seed=a.seed)
     else:
-        print(text if text is not None else json.dumps(payload, sort_keys=True))
+        report = laws.check_witt_ring(S, parse_ring(a.base), trials=a.trials, seed=a.seed)
+    as_json = a.json or a.format == "json"
+    text = laws.report_to_json_text(report) if as_json else report.summary()
+    return Output(None, text, 0 if report.passed else 1)
 
 
-def _vector(arg: str) -> WittVector:
-    return witt_from_json(json.loads(arg))
-
-
-def _basis(arg: str) -> wittint.BasisWittInt:
-    return wittint.basis_from_json(json.loads(arg))
-
-
-def _drw(arg: str) -> drwz.DrwElement:
-    return drwz.drw_from_json(json.loads(arg))
-
-
-# -- witt verbs --------------------------------------------------------------
-
-
-def _cmd_witt(args) -> int:
-    op = args.witt_op
-    if op in ("add", "mul"):
-        x, y = _vector(args.x), _vector(args.y)
-        fn = witt_add if op == "add" else witt_mul
-        out = fn(x, y, strategy=args.strategy)
-    elif op == "neg":
-        out = witt_neg(_vector(args.x), strategy=args.strategy)
-    elif op == "ghost":
-        g = ghost(_vector(args.x))
-        _emit(args, g.to_json(), str(g))
-        return 0
-    elif op == "from-ghost":
-        out = from_ghost(ghost_from_json(json.loads(args.x)))
-    elif op == "teich":
-        ring = parse_ring(args.ring)
-        out = teichmuller(ring.from_json(json.loads(args.value)), parse_truncation_set(args.set), ring)
-    elif op == "frob":
-        out = frobenius(args.n, _vector(args.x), strategy=args.strategy)
-    elif op == "versch":
-        out = verschiebung(args.n, _vector(args.x), parse_truncation_set(args.set))
-    elif op == "restrict":
-        out = restrict(_vector(args.x), parse_truncation_set(args.target))
-    else:  # pragma: no cover
-        raise WittkitError(f"unknown witt verb {op}")
-    _emit(args, out.to_json(), str(out))
-    return 0
-
-
-def _cmd_basis(args) -> int:
-    op = args.basis_op
-    if op == "teich":
-        out = wittint.teich_basis(args.m, parse_truncation_set(args.set))
-        _emit(args, out.to_json(), str(out))
-    elif op == "to":
-        vec = wittint.to_coords(_basis(args.x))
-        _emit(args, vec.to_json(), str(vec))
-    elif op == "from":
-        out = wittint.from_coords(_vector(args.x))
-        _emit(args, out.to_json(), str(out))
-    else:  # pragma: no cover
-        raise WittkitError(f"unknown basis verb {op}")
-    return 0
-
-
-def _cmd_delta(args) -> int:
-    out = delta(_vector(args.x), parse_truncation_set(args.target))
-    _emit(args, out.to_json(), str(out))
-    return 0
-
-
-def _cmd_gamma(args) -> int:
-    out = series.gamma(_vector(args.x), args.precision)
-    _emit(args, element_to_json(out), str(out))
-    return 0
-
-
-def _cmd_gamma_inv(args) -> int:
-    f = element_from_json(json.loads(args.series))
-    out = series.gamma_inverse(f, args.length)
-    _emit(args, out.to_json(), str(out))
-    return 0
-
-
-def _cmd_ptypical(args) -> int:
-    if args.pt_op == "decompose":
-        x = _vector(args.x)
-        idems = ptypical.idempotents(x.tset, args.prime, x.ring)
-        comps = {
-            k: ptypical.ptypical_projection(k, x, args.prime, idems[k]) for k in idems
-        }
-        payload = {str(k): v.to_json() for k, v in comps.items()}
-        text = "\n".join(f"{k}: {v}" for k, v in sorted(comps.items()))
-        _emit(args, payload, text)
-    elif args.pt_op == "tau":
-        iso = ptypical.tau_iso(args.prime, args.length)
-        if args.value is not None:
-            v = iso.to_witt(args.value)
-            _emit(args, v.to_json(), str(v))
-        else:
-            payload = {str(k): iso.to_witt(k).to_json() for k in range(iso.modulus)}
-            text = "\n".join(f"{k} -> {iso.to_witt(k)}" for k in range(iso.modulus))
-            _emit(args, payload, text)
-    else:  # pragma: no cover
-        raise WittkitError(f"unknown ptypical verb {args.pt_op}")
-    return 0
-
-
-def _cmd_drwz(args) -> int:
-    op = args.drwz_op
-    if op == "mul":
-        out = drwz.drw_mul(_drw(args.x), _drw(args.y))
-    elif op == "d":
-        out = drwz.drw_d(_drw(args.x))
-    elif op == "frob":
-        out = drwz.drw_frobenius(args.n, _drw(args.x))
-    elif op == "versch":
-        out = drwz.drw_verschiebung(args.n, _drw(args.x), parse_truncation_set(args.set))
-    elif op == "dlog":
-        out = drwz.dlog_minus_one(parse_truncation_set(args.set))
-    elif op == "eta":
-        out = drwz.drw_eta(_basis(args.x))
-    elif op == "restrict":
-        out = drwz.drw_restrict(parse_truncation_set(args.target), _drw(args.x))
-    elif op == "table":
-        tables = drwz.generator_tables(parse_truncation_set(args.set))
-        if args.format == "json":
-            print(json.dumps(tables, indent=2, sort_keys=True))
-        else:
-            for section, rows in tables.items():
-                print(f"[{section}]")
-                for k in sorted(rows):
-                    print(f"  {k} = {rows[k]}")
-        return 0
-    else:  # pragma: no cover
-        raise WittkitError(f"unknown drwz verb {op}")
-    _emit(args, out.to_json(), str(out))
-    return 0
-
-
-def _cmd_laws(args) -> int:
-    S = parse_truncation_set(args.set)
-    if args.suite == "wittcomplex":
-        report = laws.check_witt_complex(S, trials=args.trials, seed=args.seed)
-    elif args.suite == "comonad":
-        T = parse_truncation_set(args.target) if args.target else S
-        report = laws.check_comonad(S, T, parse_ring(args.base), trials=args.trials, seed=args.seed)
-    elif args.suite == "wittring":
-        report = laws.check_witt_ring(S, parse_ring(args.base), trials=args.trials, seed=args.seed)
-    else:  # pragma: no cover
-        raise WittkitError(f"unknown suite {args.suite}")
-    if args.json or args.format == "json":
-        print(laws.report_to_json_text(report))
-    else:
-        print(report.summary())
-    return 0 if report.passed else 1
-
-
-def _cmd_cache(args) -> int:
-    source = PolySource(
-        cache_path=args.cache or universal.default_cache_path(), ceiling=args.ceiling
-    )
-    count = universal.warm_cache(args.up_to, source)
+def _cache_warm(a) -> Output:
+    source = PolySource(cache_path=a.cache or universal.default_cache_path(), ceiling=a.ceiling)
+    count = universal.warm_cache(a.up_to, source)
     source.flush()
-    _emit(args, {"entries": count, "path": source.cache_path},
-          f"computed {count} polynomials -> {source.cache_path}")
-    return 0
+    return Output({"entries": count, "path": source.cache_path},
+                  f"computed {count} polynomials -> {source.cache_path}")
+
+
+# -- the verb table -------------------------------------------------------------
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _set(help=None):
+    return _arg("--set", required=True, help=help)
+
+
+FORMAT = _arg("--format", choices=("text", "json"), default="text")
+STRATEGY = _arg("--strategy", default="auto", choices=("auto", "ghost", "lift", "universal"))
+X, Y, N, TARGET = _arg("x"), _arg("y"), _arg("n", type=int), _arg("target")
+
+
+class Verb(NamedTuple):
+    """A command path, its arguments as (flags, options) pairs for
+    `add_argument`, the function run on the parsed arguments, and the
+    help line of a top-level verb."""
+
+    path: tuple[str, ...]
+    args: tuple
+    run: Callable[[argparse.Namespace], Any]
+    help: str | None = None
+
+
+# Command groups: the subparser dest of each (named in usage errors) and its help.
+GROUPS = {
+    "witt": ("witt_op", "Witt vector arithmetic"),
+    "basis": ("basis_op", "W_S(Z) in the V-basis"),
+    "ptypical": ("pt_op", "idempotent decomposition and Z/p^n"),
+    "drwz": ("drwz_op", "the graded complex over Z"),
+    "laws": ("laws_op", "run a law suite"),
+    "cache": ("cache_op", "universal polynomial cache"),
+}
+
+VERBS = (
+    Verb(("witt", "add"), (X, Y, STRATEGY),
+         lambda a: witt_add(_vector(a.x), _vector(a.y), strategy=a.strategy)),
+    Verb(("witt", "mul"), (X, Y, STRATEGY),
+         lambda a: witt_mul(_vector(a.x), _vector(a.y), strategy=a.strategy)),
+    Verb(("witt", "neg"), (X, STRATEGY), lambda a: witt_neg(_vector(a.x), strategy=a.strategy)),
+    Verb(("witt", "ghost"), (X,), lambda a: ghost(_vector(a.x))),
+    Verb(("witt", "from-ghost"), (X,), lambda a: from_ghost(ghost_from_json(_json(a.x)))),
+    Verb(("witt", "teich"),
+         (_arg("value", help="JSON payload of a base-ring element"), _set(),
+          _arg("--ring", default="Z")),
+         _witt_teich),
+    Verb(("witt", "frob"), (N, X, STRATEGY),
+         lambda a: frobenius(a.n, _vector(a.x), strategy=a.strategy)),
+    Verb(("witt", "versch"), (N, X, _set("target truncation set")),
+         lambda a: verschiebung(a.n, _vector(a.x), parse_truncation_set(a.set))),
+    Verb(("witt", "restrict"), (TARGET, X),
+         lambda a: restrict(_vector(a.x), parse_truncation_set(a.target))),
+    Verb(("basis", "teich"), (_arg("m", type=int), _set()),
+         lambda a: wittint.teich_basis(a.m, parse_truncation_set(a.set))),
+    Verb(("basis", "to"), (_arg("x", help="basis element JSON"),),
+         lambda a: wittint.to_coords(_basis(a.x))),
+    Verb(("basis", "from"), (_arg("x", help="Witt vector JSON over Z"),),
+         lambda a: wittint.from_coords(_vector(a.x))),
+    Verb(("delta",), (X, _arg("--target", required=True)),
+         lambda a: delta(_vector(a.x), parse_truncation_set(a.target)),
+         "comonad map into the nested Witt ring"),
+    Verb(("gamma",), (X, _arg("--precision", type=int, required=True)), _gamma,
+         "Witt vector to power series"),
+    Verb(("gamma-inv",),
+         (_arg("series", help="series element JSON"), _arg("--length", type=int, required=True)),
+         lambda a: series.gamma_inverse(element_from_json(_json(a.series)), a.length),
+         "series (constant term 1) to Witt vector"),
+    Verb(("ptypical", "decompose"), (X, _arg("--prime", type=int, required=True)),
+         _ptypical_decompose),
+    Verb(("ptypical", "tau"),
+         (_arg("--prime", type=int, required=True), _arg("--length", type=int, required=True),
+          _arg("--value", type=int)),
+         _ptypical_tau),
+    Verb(("drwz", "mul"), (X, Y), lambda a: drwz.drw_mul(_drw(a.x), _drw(a.y))),
+    Verb(("drwz", "d"), (X,), lambda a: drwz.drw_d(_drw(a.x))),
+    Verb(("drwz", "frob"), (N, X), lambda a: drwz.drw_frobenius(a.n, _drw(a.x))),
+    Verb(("drwz", "versch"), (N, X, _set()),
+         lambda a: drwz.drw_verschiebung(a.n, _drw(a.x), parse_truncation_set(a.set))),
+    Verb(("drwz", "dlog"), (_set(),), lambda a: drwz.dlog_minus_one(parse_truncation_set(a.set))),
+    Verb(("drwz", "eta"), (X,), lambda a: drwz.drw_eta(_basis(a.x))),
+    Verb(("drwz", "restrict"), (TARGET, X),
+         lambda a: drwz.drw_restrict(parse_truncation_set(a.target), _drw(a.x))),
+    Verb(("drwz", "table"), (_set(),), _drwz_table),
+    Verb(("laws", "check"),
+         (_arg("--suite", required=True, choices=tuple(laws.SUITES)), _set(),
+          _arg("--target", help="inner truncation set for the comonad suite"),
+          _arg("--base", default="Z"), _arg("--trials", type=int, default=200),
+          _arg("--seed", type=int, default=7), _arg("--json", action="store_true")),
+         _laws_check),
+    Verb(("cache", "warm"),
+         (_arg("--up-to", dest="up_to", type=int, required=True),
+          _arg("--cache", help="cache file path override"),
+          _arg("--ceiling", type=int, default=None,
+               help=f"weight ceiling override (hard maximum {HARD_MAX_CEILING})")),
+         _cache_warm),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,147 +247,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for big Witt vectors and the explicit "
         "de Rham-Witt complex of the integers.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    w = sub.add_parser("witt", help="Witt vector arithmetic")
-    ws = w.add_subparsers(dest="witt_op", required=True)
-    for op in ("add", "mul"):
-        p = ws.add_parser(op, parents=[common])
-        p.add_argument("x")
-        p.add_argument("y")
-        p.add_argument("--strategy", default="auto",
-                       choices=("auto", "ghost", "lift", "universal"))
-    p = ws.add_parser("neg", parents=[common])
-    p.add_argument("x")
-    p.add_argument("--strategy", default="auto", choices=("auto", "ghost", "lift", "universal"))
-    p = ws.add_parser("ghost", parents=[common])
-    p.add_argument("x")
-    p = ws.add_parser("from-ghost", parents=[common])
-    p.add_argument("x")
-    p = ws.add_parser("teich", parents=[common])
-    p.add_argument("value", help="JSON payload of a base-ring element")
-    p.add_argument("--set", required=True)
-    p.add_argument("--ring", default="Z")
-    p = ws.add_parser("frob", parents=[common])
-    p.add_argument("n", type=int)
-    p.add_argument("x")
-    p.add_argument("--strategy", default="auto", choices=("auto", "ghost", "lift", "universal"))
-    p = ws.add_parser("versch", parents=[common])
-    p.add_argument("n", type=int)
-    p.add_argument("x")
-    p.add_argument("--set", required=True, help="target truncation set")
-    p = ws.add_parser("restrict", parents=[common])
-    p.add_argument("target")
-    p.add_argument("x")
-
-    b = sub.add_parser("basis", help="W_S(Z) in the V-basis")
-    bs = b.add_subparsers(dest="basis_op", required=True)
-    p = bs.add_parser("teich", parents=[common])
-    p.add_argument("m", type=int)
-    p.add_argument("--set", required=True)
-    p = bs.add_parser("to", parents=[common])
-    p.add_argument("x", help="basis element JSON")
-    p = bs.add_parser("from", parents=[common])
-    p.add_argument("x", help="Witt vector JSON over Z")
-
-    p = sub.add_parser("delta", parents=[common], help="comonad map into the nested Witt ring")
-    p.add_argument("x")
-    p.add_argument("--target", required=True)
-
-    p = sub.add_parser("gamma", parents=[common], help="Witt vector to power series")
-    p.add_argument("x")
-    p.add_argument("--precision", type=int, required=True)
-
-    p = sub.add_parser("gamma-inv", parents=[common], help="series (constant term 1) to Witt vector")
-    p.add_argument("series", help="series element JSON")
-    p.add_argument("--length", type=int, required=True)
-
-    pt = sub.add_parser("ptypical", help="idempotent decomposition and Z/p^n")
-    pts = pt.add_subparsers(dest="pt_op", required=True)
-    p = pts.add_parser("decompose", parents=[common])
-    p.add_argument("x")
-    p.add_argument("--prime", type=int, required=True)
-    p = pts.add_parser("tau", parents=[common])
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--value", type=int)
-
-    dz = sub.add_parser("drwz", help="the graded complex over Z")
-    dzs = dz.add_subparsers(dest="drwz_op", required=True)
-    p = dzs.add_parser("mul", parents=[common])
-    p.add_argument("x")
-    p.add_argument("y")
-    p = dzs.add_parser("d", parents=[common])
-    p.add_argument("x")
-    p = dzs.add_parser("frob", parents=[common])
-    p.add_argument("n", type=int)
-    p.add_argument("x")
-    p = dzs.add_parser("versch", parents=[common])
-    p.add_argument("n", type=int)
-    p.add_argument("x")
-    p.add_argument("--set", required=True)
-    p = dzs.add_parser("dlog", parents=[common])
-    p.add_argument("--set", required=True)
-    p = dzs.add_parser("eta", parents=[common])
-    p.add_argument("x")
-    p = dzs.add_parser("restrict", parents=[common])
-    p.add_argument("target")
-    p.add_argument("x")
-    p = dzs.add_parser("table", parents=[common])
-    p.add_argument("--set", required=True)
-
-    lw = sub.add_parser("laws", help="run a law suite")
-    lws = lw.add_subparsers(dest="laws_op", required=True)
-    p = lws.add_parser("check", parents=[common])
-    p.add_argument("--suite", required=True, choices=tuple(laws.SUITES))
-    p.add_argument("--set", required=True)
-    p.add_argument("--target", help="inner truncation set for the comonad suite")
-    p.add_argument("--base", default="Z")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--json", action="store_true")
-
-    c = sub.add_parser("cache", help="universal polynomial cache")
-    cs = c.add_subparsers(dest="cache_op", required=True)
-    p = cs.add_parser("warm", parents=[common])
-    p.add_argument("--up-to", dest="up_to", type=int, required=True)
-    p.add_argument("--cache", help="cache file path override")
-    p.add_argument(
-        "--ceiling",
-        type=int,
-        default=None,
-        help=f"weight ceiling override (hard maximum {HARD_MAX_CEILING})",
-    )
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for verb in VERBS:
+        if len(verb.path) == 1:
+            p = top.add_parser(verb.path[0], help=verb.help)
+        else:
+            group, name = verb.path
+            if group not in groups:
+                dest, group_help = GROUPS[group]
+                g = top.add_parser(group, help=group_help)
+                groups[group] = g.add_subparsers(dest=dest, required=True)
+            p = groups[group].add_parser(name)
+        for flags, options in (FORMAT, *verb.args):
+            p.add_argument(*flags, **options)
+        p.set_defaults(run=verb.run)
     return parser
 
 
-_HANDLERS = {
-    "witt": _cmd_witt,
-    "basis": _cmd_basis,
-    "delta": _cmd_delta,
-    "gamma": _cmd_gamma,
-    "gamma-inv": _cmd_gamma_inv,
-    "ptypical": _cmd_ptypical,
-    "drwz": _cmd_drwz,
-    "laws": _cmd_laws,
-    "cache": _cmd_cache,
-}
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        out = args.run(args)
+        if not isinstance(out, Output):
+            out = Output(out.to_json(), str(out))
+        if args.format == "json" and out.payload is not None:
+            print(json.dumps(out.payload, indent=2, sort_keys=True))
+        else:
+            print(out.text)
+        return out.code
     except WittkitError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except BadJson as exc:
         print(f"BadJson: {exc}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,6 @@ from .wittint import (
     basis_generator,
     basis_mul,
     basis_neg,
-    basis_one,
     basis_scalar_mul,
     basis_zero,
     frobenius_basis,
@@ -157,10 +156,6 @@ def _add_dyadic(S: TruncationSet, raw: dict[int, int], l: int, w: int):
 
 def drw_zero(S: TruncationSet) -> DrwElement:
     return DrwElement(S, basis_zero(S), tuple(0 for _ in S))
-
-
-def drw_one(S: TruncationSet) -> DrwElement:
-    return DrwElement(S, basis_one(S), tuple(0 for _ in S))
 
 
 def drw_eta(x) -> DrwElement:

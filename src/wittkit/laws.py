@@ -29,6 +29,7 @@ from .drwz import (
     drw_scalar_mul,
     drw_zero,
 )
+from .errors import NotSubset
 from .numtheory import bezout
 from .rings import Ring, Z
 from .truncation import TruncationSet
@@ -485,6 +486,8 @@ def check_comonad(
     (u, t, n) exactly when u*t*n lies in S.  Outside that range both
     sides are padding.
     """
+    if not T <= S:
+        raise NotSubset(f"comonad target {T} must be contained in {S}")
     ops = ops or WittOps()
     rng = random.Random(seed)
     runner = _Runner("comonad", S, trials, seed)

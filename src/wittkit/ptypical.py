@@ -13,6 +13,7 @@ unit; tau_iso tabulates this bijection and exposes both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceeded, NotInvertible, NotPrime, SetMismatch, WittkitError
 from .numtheory import is_prime
@@ -161,14 +162,11 @@ class TauIso:
         return self.forward[k % self.modulus]
 
     def to_int(self, x: WittVector) -> int:
-        return self._backward()[x.coords]
+        return self._backward[x.coords]
 
+    @cached_property
     def _backward(self) -> dict:
-        if not hasattr(self, "_backward_cache"):
-            object.__setattr__(
-                self, "_backward_cache", {v.coords: k for k, v in enumerate(self.forward)}
-            )
-        return self._backward_cache
+        return {v.coords: k for k, v in enumerate(self.forward)}
 
 
 def tau_iso(p: int, n: int, budget: int = TAU_BUDGET) -> TauIso:

@@ -221,7 +221,10 @@ class RationalRing(Ring):
         return str(x)
 
     def from_json(self, data):
-        return Fraction(str(data))
+        try:
+            return Fraction(str(data))
+        except (ValueError, ZeroDivisionError):
+            raise SpecMismatch(f"cannot read a rational from {data!r}") from None
 
     def __str__(self):
         return "Q"
@@ -439,11 +442,6 @@ class PolynomialRing(Ring):
     def is_zero(self, x):
         return not x
 
-    def degree(self, x) -> int:
-        if not x:
-            return 0
-        return max((sum(e for _, e in m) for m in x), default=0)
-
     def convert_from(self, payload: dict, src: PolynomialRing) -> dict:
         """Re-index a payload from a ring whose variables are a subset."""
         if src is self:
@@ -630,9 +628,6 @@ class SquareZeroRing(Ring):
         self.base = base
         self.torsion_free = base.torsion_free
 
-    def pair(self, a, x):
-        return (a, x)
-
     def add(self, x, y):
         return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
 
@@ -692,9 +687,6 @@ class SeriesRing(Ring):
         coeffs = list(coeffs)[: self.precision]
         coeffs += [self.base.zero] * (self.precision - len(coeffs))
         return tuple(coeffs)
-
-    def coefficient(self, x, k: int):
-        return x[k]
 
     def add(self, x, y):
         return tuple(self.base.add(a, b) for a, b in zip(x, y))
@@ -865,7 +857,10 @@ def _spec_int(arg: str, spec: str) -> int:
     """The decimal integer `arg` inside the ring spec `spec`."""
     digits = arg.strip()
     if digits.removeprefix("-").isdecimal():
-        digits = int(digits)
+        try:
+            digits = int(digits)
+        except ValueError:  # more digits than int() converts: left as text, rejected below
+            pass
     return json_int(digits, f"the number in ring spec {spec!r}")
 
 
@@ -873,7 +868,9 @@ def parse_ring(text: str) -> Ring:
     """Parse a ring spec string, e.g. "Z", "Z/8", "Z/3[x]", "W(div24,Z)"."""
     text = text.strip()
     if text.endswith("]"):
-        open_idx = text.index("[")
+        open_idx = text.find("[")
+        if open_idx < 0:
+            raise SpecMismatch(f"cannot parse ring spec: {text!r}")
         base = parse_ring(text[:open_idx])
         names = [v.strip() for v in text[open_idx + 1 : -1].split(",") if v.strip()]
         return PolynomialRing(base, names)
@@ -906,5 +903,9 @@ def element_to_json(el: RingElement) -> dict:
 
 
 def element_from_json(data: dict) -> RingElement:
+    if not isinstance(data, dict) or not isinstance(data.get("spec"), str) or "value" not in data:
+        raise SpecMismatch(
+            "expected a JSON object with keys 'spec' (a ring spec string) and 'value'"
+        )
     ring = parse_ring(data["spec"])
     return RingElement(ring, ring.from_json(data["value"]))

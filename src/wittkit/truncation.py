@@ -119,17 +119,24 @@ _PTYP_RE = re.compile(r"^ptyp\((\d+),(\d+)\)$")
 def parse_truncation_set(text: str) -> TruncationSet:
     """Parse "div24", "seg16", "ptyp(2,4)", or an explicit "{1,2,3,6}"."""
     text = text.strip()
+
+    def number(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            raise InvalidTruncationSet(f"cannot parse truncation set: {text!r}") from None
+
     if text.startswith("div"):
-        return divisors_of(int(text[3:]))
+        return divisors_of(number(text[3:]))
     if text.startswith("seg"):
-        return initial_segment(int(text[3:]))
+        return initial_segment(number(text[3:]))
     m = _PTYP_RE.match(text)
     if m:
-        return p_typical(int(m.group(1)), int(m.group(2)))
+        return p_typical(number(m.group(1)), number(m.group(2)))
     m = _SET_RE.match(text)
     if m:
         body = m.group(1).strip()
         if not body:
             return EMPTY
-        return truncation_set(int(part) for part in body.split(","))
+        return truncation_set(number(part) for part in body.split(","))
     raise InvalidTruncationSet(f"cannot parse truncation set: {text!r}")

@@ -185,7 +185,11 @@ class PolySource:
 
     def __init__(self, cache_path: str | None = None, ceiling: int | None = None):
         if ceiling is None:
-            ceiling = int(os.environ.get("WITTKIT_CEILING", DEFAULT_CEILING))
+            env = os.environ.get("WITTKIT_CEILING", str(DEFAULT_CEILING))
+            try:
+                ceiling = int(env)
+            except ValueError:
+                raise CeilingExceeded(f"WITTKIT_CEILING must be an integer, not {env!r}") from None
         if ceiling > HARD_MAX_CEILING:
             raise CeilingExceeded(f"ceiling {ceiling} above hard maximum {HARD_MAX_CEILING}")
         self.ceiling = ceiling
