@@ -27,7 +27,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import drwz, laws, ptypical, series, universal, wittint
 from .errors import WittkitError
-from .rings import element_from_json, element_to_json, parse_ring
+from .rings import element_from_json, parse_ring
 from .truncation import parse_truncation_set
 from .universal import HARD_MAX_CEILING, PolySource
 from .witt import (
@@ -88,17 +88,20 @@ def _witt_teich(a):
     return teichmuller(ring.from_json(_json(a.value)), parse_truncation_set(a.set), ring)
 
 
-def _gamma(a) -> Output:
-    out = series.gamma(_vector(a.x), a.precision)
-    return Output(element_to_json(out), str(out))
+class _Components(dict):
+    """The p-typical components of a vector by index, printed like a library object."""
+
+    def to_json(self) -> dict:
+        return {str(k): v.to_json() for k, v in self.items()}
+
+    def __str__(self) -> str:
+        return "\n".join(f"{k}: {v}" for k, v in sorted(self.items()))
 
 
-def _ptypical_decompose(a) -> Output:
+def _ptypical_decompose(a) -> _Components:
     x = _vector(a.x)
     idems = ptypical.idempotents(x.tset, a.prime, x.ring)
-    comps = {k: ptypical.ptypical_projection(k, x, a.prime, idems[k]) for k in idems}
-    payload = {str(k): v.to_json() for k, v in comps.items()}
-    return Output(payload, "\n".join(f"{k}: {v}" for k, v in sorted(comps.items())))
+    return _Components((k, ptypical.ptypical_projection(k, x, a.prime, e)) for k, e in idems.items())
 
 
 def _ptypical_tau(a):
@@ -204,8 +207,8 @@ VERBS = (
     Verb(("delta",), (X, _arg("--target", required=True)),
          lambda a: delta(_vector(a.x), parse_truncation_set(a.target)),
          "comonad map into the nested Witt ring"),
-    Verb(("gamma",), (X, _arg("--precision", type=int, required=True)), _gamma,
-         "Witt vector to power series"),
+    Verb(("gamma",), (X, _arg("--precision", type=int, required=True)),
+         lambda a: series.gamma(_vector(a.x), a.precision), "Witt vector to power series"),
     Verb(("gamma-inv",),
          (_arg("series", help="series element JSON"), _arg("--length", type=int, required=True)),
          lambda a: series.gamma_inverse(element_from_json(_json(a.series)), a.length),
@@ -265,6 +268,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(out, fmt: str) -> int:
+    """Print a result in full and return its exit code.
+
+    Exact results may hold integers past Python's int->str digit limit, so
+    the limit is lifted while printing and restored after; every input was
+    parsed under it.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if not isinstance(out, Output):
+            out = Output(out.to_json(), str(out))
+        if fmt == "json" and out.payload is not None:
+            print(json.dumps(out.payload, indent=2, sort_keys=True))
+        else:
+            print(out.text)
+        return out.code
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()
@@ -276,14 +300,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        out = args.run(args)
-        if not isinstance(out, Output):
-            out = Output(out.to_json(), str(out))
-        if args.format == "json" and out.payload is not None:
-            print(json.dumps(out.payload, indent=2, sort_keys=True))
-        else:
-            print(out.text)
-        return out.code
+        return _print(args.run(args), args.format)
     except WittkitError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 1

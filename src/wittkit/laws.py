@@ -491,7 +491,6 @@ def check_comonad(
     ops = ops or WittOps()
     rng = random.Random(seed)
     runner = _Runner("comonad", S, trials, seed)
-    runner.report.set_members = S.members
     pool = [_random_witt(S, ring, rng) for _ in range(trials)]
     nested_ring = WittRing(ring, S)
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BudgetExceeded, NotInvertible, NotPrime, SetMismatch, WittkitError
-from .numtheory import is_prime
+from .errors import BudgetExceeded, NotInvertible, SetMismatch, WittkitError
 from .rings import ModularRing, Ring
-from .truncation import TruncationSet, p_typical, truncation_set
+from .truncation import TruncationSet, p_typical, require_prime, truncation_set
 from .witt import (
     WittRing,
     WittVector,
@@ -68,8 +67,7 @@ def ring_exact_div_coordinates(x: WittVector, k: int) -> tuple:
 
 def idempotents(S: TruncationSet, p: int, ring: Ring) -> dict[int, WittVector]:
     """The orthogonal idempotents e_k, k in I(S), over a base where I(S) is invertible."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     I = prime_to_p_part(S, p)
     for k in I:
         if not _invertible(k, ring):
@@ -107,16 +105,13 @@ def _is_p_power(d: int, p: int) -> bool:
     return d == 1
 
 
-def ptypical_projection(k: int, x: WittVector, p: int, e_k: WittVector | None = None) -> WittVector:
+def ptypical_projection(k: int, x: WittVector, p: int, e_k: WittVector) -> WittVector:
     """Project onto the k-th p-typical component: restrict o F_k on x * e_k."""
-    S = x.tset
-    if e_k is None:
-        e_k = _idempotent(k, prime_to_p_part(S, p), S, x.ring)
     cut = witt_mul(x, e_k)
-    return restrict(frobenius(k, cut), ptypical_component_set(S, p, k))
+    return restrict(frobenius(k, cut), ptypical_component_set(x.tset, p, k))
 
 
-def ptypical_section(k: int, y: WittVector, S: TruncationSet, p: int, e_k: WittVector | None = None) -> WittVector:
+def ptypical_section(k: int, y: WittVector, S: TruncationSet, p: int, e_k: WittVector) -> WittVector:
     """Back into W_S(A)e_k: zero-pad to S/k, apply (1/k)V_k, cut by e_k."""
     ring = y.ring
     T = S.quotient(k)
@@ -127,8 +122,6 @@ def ptypical_section(k: int, y: WittVector, S: TruncationSet, p: int, e_k: WittV
     )
     lifted = verschiebung(k, padded, S)
     lifted = WittVector(S, ring, ring_exact_div_coordinates(lifted, k))
-    if e_k is None:
-        e_k = _idempotent(k, prime_to_p_part(S, p), S, ring)
     return witt_mul(lifted, e_k)
 
 
@@ -169,17 +162,16 @@ class TauIso:
         return {v.coords: k for k, v in enumerate(self.forward)}
 
 
-def tau_iso(p: int, n: int, budget: int = TAU_BUDGET) -> TauIso:
+def tau_iso(p: int, n: int) -> TauIso:
     """Tabulate k -> k*[1] on W over {1, p, ..., p^(n-1)} of F_p.
 
     The map is verified to be a bijection; additivity/multiplicativity
     are left to the law suites.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
+    if n > TAU_BUDGET.bit_length() or p**n > TAU_BUDGET:  # the first test keeps p**n small
+        raise BudgetExceeded(f"p^n = {p}^{n} exceeds the enumeration budget {TAU_BUDGET}")
     size = p**n
-    if size > budget:
-        raise BudgetExceeded(f"p^n = {size} exceeds the enumeration budget {budget}")
     S = p_typical(p, n)
     ring = ModularRing(p)
     one = witt_one(S, ring)

@@ -25,6 +25,7 @@ Internal algorithms work on payloads directly through the ring methods.
 
 from __future__ import annotations
 
+import re
 from array import array
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +33,7 @@ from math import gcd
 from typing import Any
 
 from .errors import (
+    BudgetExceeded,
     MissingVariable,
     NotAUnit,
     NotDivisible,
@@ -40,6 +42,11 @@ from .errors import (
     ZeroDivisor,
 )
 from .numtheory import binary_power
+
+# The largest decimal exponent a Q coordinate may carry: "1e999999999"
+# would build 10**999999999 before anything else looks at it.
+EXPONENT_BUDGET = 4300
+_EXPONENT_RE = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
 
 def json_int(data, what: str) -> int:
@@ -221,8 +228,12 @@ class RationalRing(Ring):
         return str(x)
 
     def from_json(self, data):
+        text = str(data)
+        exponent = _EXPONENT_RE.search(text)
         try:
-            return Fraction(str(data))
+            if exponent and abs(int(exponent.group(1))) > EXPONENT_BUDGET:
+                raise BudgetExceeded(f"the exponent of {text!r} exceeds the budget {EXPONENT_BUDGET}")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise SpecMismatch(f"cannot read a rational from {data!r}") from None
 
@@ -428,6 +439,13 @@ class PolynomialRing(Ring):
                 else:
                     out[mono] = c
         return self._trim(out)
+
+    def pow(self, x, e):
+        if len(x) == 1 and e > 0:  # one term: scale its exponents, no products
+            ((mono, c),) = x.items()
+            c = self.base.pow(c, e)
+            return {} if self.base.is_zero(c) else {tuple((v, k * e) for v, k in mono): c}
+        return super().pow(x, e)
 
     def of_int(self, k):
         c = self.base.of_int(k)
@@ -810,6 +828,9 @@ class RingElement:
 
     def __pow__(self, e: int):
         return RingElement(self.ring, self.ring.pow(self.value, e))
+
+    def to_json(self) -> dict:
+        return element_to_json(self)
 
     def __eq__(self, other):
         return (

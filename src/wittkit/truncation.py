@@ -6,7 +6,10 @@ standard families: all divisors of N, the initial segment {1, ..., n},
 and the p-typical set {1, p, ..., p^(n-1)}.
 
 Only finite sets are representable.  The empty set is allowed and indexes
-the zero ring.
+the zero ring.  A set is refused with BudgetExceeded, before any divisor
+search on it, when a member (or the prime of a p-typical set) exceeds
+MEMBER_BUDGET or it has more than SIZE_BUDGET members: the divisor search
+takes time in the square root of each member.
 """
 
 from __future__ import annotations
@@ -15,8 +18,25 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidTruncationSet, NotPrime
+from .errors import BudgetExceeded, InvalidTruncationSet, NotPrime
 from .numtheory import divisors, is_prime
+
+MEMBER_BUDGET = 10**6
+SIZE_BUDGET = 10**4
+
+
+def _check_budget(largest: int, size: int):
+    if largest > MEMBER_BUDGET:
+        raise BudgetExceeded(f"{largest} exceeds the member budget {MEMBER_BUDGET}")
+    if size > SIZE_BUDGET:
+        raise BudgetExceeded(f"{size} members exceed the size budget {SIZE_BUDGET}")
+
+
+def require_prime(p: int):
+    """NotPrime unless p is prime; BudgetExceeded, before the test, past MEMBER_BUDGET."""
+    _check_budget(p, 0)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -35,6 +55,8 @@ class TruncationSet:
             raise InvalidTruncationSet(f"members must be strictly increasing: {mem}")
         if mem and mem[0] < 1:
             raise InvalidTruncationSet(f"members must be positive: {mem[0]}")
+        if mem:
+            _check_budget(mem[-1], len(mem))
         for n in mem:
             if not self._memberset.issuperset(divisors(n)):
                 raise InvalidTruncationSet(f"{n} in set but a divisor of it is missing")
@@ -93,6 +115,7 @@ def divisors_of(N: int) -> TruncationSet:
     """All divisors of N."""
     if N < 1:
         raise InvalidTruncationSet(f"N must be positive: {N}")
+    _check_budget(N, 1)
     return TruncationSet(divisors(N))
 
 
@@ -100,16 +123,20 @@ def initial_segment(n: int) -> TruncationSet:
     """The set {1, 2, ..., n}; {} for n = 0."""
     if n < 0:
         raise InvalidTruncationSet(f"segment length must be >= 0: {n}")
+    _check_budget(n, n)
     return TruncationSet(tuple(range(1, n + 1)))
 
 
 def p_typical(p: int, n: int) -> TruncationSet:
     """The set {1, p, ..., p^(n-1)} of p-powers below p^n."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     if n < 0:
         raise InvalidTruncationSet(f"length must be >= 0: {n}")
-    return TruncationSet(tuple(p**i for i in range(n)))
+    members = [1] if n else []
+    while len(members) < n:  # at most log_p(MEMBER_BUDGET) + 1 steps
+        members.append(members[-1] * p)
+        _check_budget(members[-1], len(members))
+    return TruncationSet(tuple(members))
 
 
 _SET_RE = re.compile(r"^\{([\d,\s]*)\}$")

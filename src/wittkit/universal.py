@@ -10,10 +10,12 @@ uniquely over Z, families of integer polynomials:
     frob  f_{m,n}(a)    sum over d|n of d*f_{m,d}^(n/d) = w_{mn}(a)
     delta d_{e,n}(a)    sum over d|n of d*d_{e,d}^(n/d) = f_{n,e}(a)
 
-Each family is computed by the divisor recursion, solving for the top
-polynomial with an exact integer division by n.  That the division never
+Each polynomial is the Witt operation itself, run by the ghost strategy of
+the kernel in wittkit.witt on the generic vectors a = (a_d) and b = (b_d)
+over Z[a_d, b_d]: the kernel's divisor recursion solves for each
+coordinate with an exact integer division.  That the division never
 leaves a remainder is a theorem; a failure raises IntegralityViolation
-and means this module has a bug.
+and means this package has a bug.
 
 Results are memoized in memory and, when a cache path is configured, in
 a versioned text file: a header line, then one `key<TAB>polynomial` line
@@ -34,11 +36,13 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .errors import CacheCorrupt, CeilingExceeded, IntegralityViolation, WittkitError
+from .errors import CacheCorrupt, CeilingExceeded, IntegralityViolation, NotInGhostImage, WittkitError
 from .numtheory import divisors
 from .rings import EvalProgram, PolynomialRing, Ring, RingElement, Z
+from .truncation import divisors_of
+from .witt import WittVector, delta_component, frobenius, ghost, witt_add, witt_mul, witt_neg
 
 DEFAULT_CEILING = 64
 HARD_MAX_CEILING = 128
@@ -204,16 +208,6 @@ class PolySource:
             self._load()
 
     # -- public ------------------------------------------------------------
-    def ghost_poly(self, n: int, tag: str = "a") -> RingElement:
-        """The ghost polynomial w_n in the variables tag_d, d | n."""
-        if tag not in ("a", "b"):
-            raise WittkitError(f"variable tag must be 'a' or 'b': {tag!r}")
-        ring = _poly_ring(n, tag)
-        acc = ring.zero
-        for d in divisors(n):
-            acc = ring.add(acc, ring.scalar_mul(d, ring.pow(ring.var(f"{tag}{d}"), n // d)))
-        return RingElement(ring, acc)
-
     def universal_poly(self, key: UnivPolyKey) -> RingElement:
         poly = self._get(key)
         if self.cache_path:
@@ -327,43 +321,30 @@ class PolySource:
             texts[key] = poly_text
             self._memo[key] = poly_from_text(poly_text, self._ring_for(key))
 
-    # -- recursion -----------------------------------------------------------
+    # -- computation -------------------------------------------------------
     @staticmethod
     def _ring_for(key: UnivPolyKey) -> PolynomialRing:
-        if key.op in ("sum", "prod"):
-            return _poly_ring(key.index, "ab")
-        if key.op == "neg":
-            return _poly_ring(key.index, "a")
-        return _poly_ring(key.weight, "a")
+        return _poly_ring(key.weight, "ab" if key.op in ("sum", "prod") else "a")
 
     def _compute(self, key: UnivPolyKey) -> RingElement:
+        """Coordinate key.index of the key's operation, run by the ghost kernel on the generic vectors."""
         ring = self._ring_for(key)
-        n = key.index
-        if key.op in ("sum", "prod"):
-            wa = ring.convert_from(self.ghost_poly(n, "a").value, _poly_ring(n, "a"))
-            wb = ring.convert_from(self.ghost_poly(n, "b").value, _poly_ring(n, "b"))
-            rhs = ring.add(wa, wb) if key.op == "sum" else ring.mul(wa, wb)
-        elif key.op == "neg":
-            rhs = ring.neg(self.ghost_poly(n, "a").value)
-        elif key.op == "frob":
-            m = key.param
-            rhs = ring.convert_from(
-                self.ghost_poly(m * n, "a").value, _poly_ring(m * n, "a")
-            )
-        else:  # delta
-            e = key.param
-            f_ne = self._get(UnivPolyKey("frob", e, n))
-            rhs = ring.convert_from(f_ne.value, f_ne.ring)
-        acc = rhs
-        for d in divisors(n)[:-1]:
-            prev = self._get(UnivPolyKey(key.op, d, key.param))
-            term = ring.pow(ring.convert_from(prev.value, prev.ring), n // d)
-            acc = ring.sub(acc, ring.scalar_mul(d, term))
+        op = {"sum": witt_add, "prod": witt_mul, "neg": witt_neg,
+              "frob": partial(frobenius, key.param),
+              "delta": partial(delta_component, key.param)}[key.op]
         try:
-            payload = ring.exact_div(acc, n)
-        except WittkitError as exc:
-            raise IntegralityViolation(f"ghost recursion for {key} not divisible by {n}") from exc
-        return RingElement(ring, payload)
+            out = op(*_generic(ring, key.weight), strategy="ghost")
+        except NotInGhostImage as exc:
+            raise IntegralityViolation(f"ghost recursion for {key}: {exc}") from exc
+        return RingElement(ring, out.coord(key.index))
+
+
+@lru_cache(maxsize=512)  # immutable, like the rings of _poly_ring
+def _generic(ring: PolynomialRing, weight: int) -> tuple[WittVector, ...]:
+    """The generic vectors (a_d | d divides weight), then (b_d) if `ring` has those variables."""
+    S = divisors_of(weight)
+    coords = [ring.var(name) for name in ring.variables]  # a_d, then b_d, in the order of S
+    return tuple(WittVector(S, ring, tuple(coords[i:i + len(S)])) for i in range(0, len(coords), len(S)))
 
 
 def _complete_length(fh, size: int) -> int:
@@ -408,7 +389,11 @@ def set_default_source(source: PolySource | None):
 
 
 def ghost_poly(n: int, tag: str = "a") -> RingElement:
-    return default_source().ghost_poly(n, tag)
+    """The ghost polynomial w_n in the variables tag_d, d | n: the top ghost component of (tag_d)."""
+    if tag not in ("a", "b"):
+        raise WittkitError(f"variable tag must be 'a' or 'b': {tag!r}")
+    (x,) = _generic(_poly_ring(n, tag), n)
+    return RingElement(x.ring, ghost(x).value(n))
 
 
 def universal_poly(key: UnivPolyKey) -> RingElement:

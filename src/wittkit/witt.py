@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .errors import (
     NotDivisible,
@@ -42,7 +43,9 @@ from .errors import (
 from .numtheory import binary_power, divisors
 from .rings import Ring, RingElement, SquareZeroRing, parse_ring
 from .truncation import TruncationSet, truncation_set
-from .universal import PolySource, UnivPolyKey, default_source
+
+if TYPE_CHECKING:
+    from .universal import PolySource
 
 
 @dataclass(frozen=True, eq=True)
@@ -173,9 +176,7 @@ def teichmuller(a, S: TruncationSet, ring: Ring | None = None) -> WittVector:
     if ring is None:
         raise SpecMismatch("teichmuller needs a ring when given a raw payload")
     coords = [ring.zero] * len(S)
-    if S.members:
-        if S.members[0] != 1:
-            raise SpecMismatch("non-empty truncation sets contain 1")
+    if S.members:  # a non-empty divisor-closed set starts with 1
         coords[0] = a
     return WittVector(S, ring, tuple(coords))
 
@@ -214,7 +215,7 @@ def from_ghost(g: GhostVector) -> WittVector:
     coords: dict[int, object] = {}
     for n, acc in zip(g.tset.members, g.values):
         for d in divisors(n)[:-1]:
-            acc = ring.sub(acc, ring.scalar_mul(d, ring.pow(coords[d], n // d)))
+            acc = ring.add(acc, ring.scalar_mul(-d, ring.pow(coords[d], n // d)))
         try:
             coords[n] = ring.exact_div(acc, n)
         except NotDivisible as exc:
@@ -285,6 +286,8 @@ def _universal_vector(
     A key of weight w reads the coordinates at the divisors of w, which lie
     in the (divisor-closed) set of x whenever w does.
     """
+    from .universal import UnivPolyKey, default_source  # deferred: universal runs this kernel
+
     src = source or default_source()
     a = dict(zip(x.tset.members, x.coords))
     b = None if y is None else dict(zip(y.tset.members, y.coords))
@@ -371,7 +374,13 @@ def delta_component(e: int, x: WittVector, strategy: str = "auto", source: PolyS
     T = x.tset.quotient(e)
 
     def transform(u):
-        return GhostVector(T, u.ring, tuple(frobenius(m, u, "ghost").coord(e) for m in T.members))
+        # (F_m u)_e depends only on the ghost components w_{md}(u), d | e
+        E = TruncationSet(tuple(d for d in u.tset.members if e % d == 0))  # divisors of e, for e in S
+        g = ghost(u)
+        return GhostVector(T, u.ring, tuple(
+            from_ghost(GhostVector(E, u.ring, tuple(g.value(m * d) for d in E.members))).coord(e)
+            for m in T.members
+        ))
 
     return _apply((x,), strategy, transform, lambda: _universal_vector("delta", e, T, x, None, source))
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -248,3 +249,21 @@ def test_basis_and_graded_json_must_have_their_shape(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("SpecMismatch:")
+
+
+def test_results_past_the_digit_limit_print_in_full(capsys):
+    # coordinate 1 of the product is a*b, past the 4300-digit int->str limit
+    a, b = 10**2999 + 7, 3 * 10**2999 + 1
+    x = json.dumps({"set": [1, 2], "base": "Z", "coords": {"1": a, "2": 2}})
+    y = json.dumps({"set": [1, 2], "base": "Z", "coords": {"1": b, "2": 5}})
+    limit = sys.get_int_max_str_digits()
+    results = [run(capsys, "witt", "mul", x, y, "--format", fmt) for fmt in ("json", "text")]
+    assert sys.get_int_max_str_digits() == limit
+    assert [(code, err) for code, _, err in results] == [(0, ""), (0, "")]
+    product = (a * b, a * a * 5 + 2 * b * b + 2 * 2 * 5)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(results[0][1])["coords"] == {"1": product[0], "2": product[1]}
+        assert results[1][1] == f"({product[0]}, {product[1]})"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -10,6 +10,9 @@ escape.  Set and ring sizes stay small (at most 64).
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,3 +194,27 @@ def test_boundary_regressions(monkeypatch, tmp_path, env, argv, name, code):
     result = _run(list(argv))
     assert result[0] == code and result[1] == ""
     assert result[2].startswith(f"{name}:")
+
+
+PRIME = str(2**61 - 1)  # its primality test by trial division takes minutes
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "teich", "2", "--set", "div" + "1" * 20),
+    ("basis", "teich", "2", "--set", "seg" + "1" * 20),
+    ("basis", "teich", "2", "--set", "{1,2," + "1" * 20 + "}"),
+    ("basis", "teich", "2", "--set", f"ptyp({PRIME},2)"),
+    ("basis", "teich", "2", "--set", "ptyp(2,1000000000000)"),
+    ("witt", "ghost", '{"set":[1],"base":"Q","coords":{"1":"1e999999999"}}'),
+    ("ptypical", "tau", "--prime", PRIME, "--length", "1"),
+    ("ptypical", "decompose", V2, "--prime", PRIME),
+], ids=["div-large", "seg-large", "member-large", "ptyp-large-prime", "ptyp-long",
+        "q-exponent", "tau-large-prime", "decompose-large-prime"])
+def test_budgets_fail_fast(argv):
+    # in a subprocess, so that an input past its budget that hangs fails the
+    # test by the timeout instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "wittkit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("BudgetExceeded:")

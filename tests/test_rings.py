@@ -175,6 +175,17 @@ def test_polynomial_canonical_form():
     assert P.format(P.add(P.mul(x, x), P.scalar_mul(-3, y))) in ("x^2 - 3*y", "-3*y + x^2")
 
 
+def test_power_of_a_single_term_matches_repeated_products():
+    cases = [(PolynomialRing(Z, ["x", "y"]), {((0, 2), (1, 1)): -3}),
+             (PolynomialRing(ModularRing(4), ["x"]), {((0, 1),): 2}),  # (2x)^2 = 0
+             (PolynomialRing(Z, ["x"]), {(): 5})]
+    for P, term in cases:
+        product = P.one
+        for e in range(5):
+            assert P.pow(term, e) == product
+            product = P.mul(product, term)
+
+
 # -- compiled polynomial evaluation ---------------------------------------------
 
 EVAL_VARS = ("a1", "a2", "b1", "b2")

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import os
 import subprocess
@@ -8,16 +9,24 @@ from pathlib import Path
 
 import pytest
 
-from wittkit.errors import CacheCorrupt, CeilingExceeded, MissingVariable
+from wittkit.errors import (
+    CacheCorrupt,
+    CeilingExceeded,
+    IntegralityViolation,
+    MissingVariable,
+    NotDivisible,
+)
 from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, Z
 from wittkit.universal import (
     _CACHE_HEADER,
     PolySource,
     UnivPolyKey,
+    ghost_poly,
     parse_key,
     poly_from_text,
     poly_to_text,
     specialize,
+    warm_cache,
 )
 
 
@@ -34,14 +43,14 @@ def _named(poly):
 
 
 def test_ghost_poly(src):
-    assert _named(src.ghost_poly(1)) == {(("a1", 1),): 1}
-    assert _named(src.ghost_poly(2)) == {(("a1", 2),): 1, (("a2", 1),): 2}
-    assert _named(src.ghost_poly(4)) == {
+    assert _named(ghost_poly(1)) == {(("a1", 1),): 1}
+    assert _named(ghost_poly(2)) == {(("a1", 2),): 1, (("a2", 1),): 2}
+    assert _named(ghost_poly(4)) == {
         (("a1", 4),): 1,
         (("a2", 2),): 2,
         (("a4", 1),): 4,
     }
-    assert _named(src.ghost_poly(2, "b")) == {(("b1", 2),): 1, (("b2", 1),): 2}
+    assert _named(ghost_poly(2, "b")) == {(("b1", 2),): 1, (("b2", 1),): 2}
 
 
 def test_low_degree_values(src):
@@ -90,8 +99,8 @@ def _ghost_of_family(src, op, n, ring):
 def test_ghost_identities(src, n):
     ring = PolynomialRing(Z, [f"a{d}" for d in range(1, n + 1) if n % d == 0]
                           + [f"b{d}" for d in range(1, n + 1) if n % d == 0])
-    wa = ring.convert_from(src.ghost_poly(n, "a").value, src.ghost_poly(n, "a").ring)
-    wb = ring.convert_from(src.ghost_poly(n, "b").value, src.ghost_poly(n, "b").ring)
+    wa = ring.convert_from(ghost_poly(n, "a").value, ghost_poly(n, "a").ring)
+    wb = ring.convert_from(ghost_poly(n, "b").value, ghost_poly(n, "b").ring)
     assert _ghost_of_family(src, "sum", n, ring) == ring.add(wa, wb)
     assert _ghost_of_family(src, "prod", n, ring) == ring.mul(wa, wb)
     assert _ghost_of_family(src, "neg", n, ring) == ring.neg(wa)
@@ -106,7 +115,7 @@ def test_frobenius_ghost_identity(src, m, n):
         if n % d == 0:
             fd = src.universal_poly(UnivPolyKey("frob", d, m))
             acc = ring.add(acc, ring.scalar_mul(d, ring.pow(ring.convert_from(fd.value, fd.ring), n // d)))
-    w = src.ghost_poly(m * n, "a")
+    w = ghost_poly(m * n, "a")
     assert acc == ring.convert_from(w.value, w.ring)
 
 
@@ -246,11 +255,11 @@ def test_flush_appends_only_new_polynomials(tmp_path):
     for n in (1, 2, 3):
         source.universal_poly(UnivPolyKey("sum", n))
     before, known = path.read_text(), set(source._memo)
-    # prod:6 also computes prod:1, prod:2 and prod:3 on the way
+    # a request computes only its own polynomial, none of its lower siblings
     source.universal_poly(UnivPolyKey("prod", 6))
     source.universal_poly(UnivPolyKey("sum", 4))
     new = set(source._memo) - known
-    assert len(new) == 5
+    assert new == {UnivPolyKey("prod", 6), UnivPolyKey("sum", 4)}
     after = path.read_text()
     assert after.startswith(before)
     grown = after[len(before):]
@@ -369,6 +378,14 @@ def test_cache_warnings_are_silent_by_default(tmp_path):
     assert path.read_text() == f"{_CACHE_HEADER}\nsum:1\t1*a1 + 1*b1\n"
 
 
+def test_importing_the_package_does_not_load_logging():
+    script = "import sys, wittkit; print('logging' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 def test_interrupted_first_append_leaves_an_empty_cache(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text(_CACHE_HEADER[:10])
@@ -416,7 +433,7 @@ def test_failed_flush_keeps_its_entries(tmp_path, monkeypatch):
     monkeypatch.undo()
     source.universal_poly(UnivPolyKey("neg", 2))
     reloaded = PolySource(cache_path=str(path))
-    assert set(reloaded._memo) == {UnivPolyKey(op, n) for op in ("sum", "neg") for n in (1, 2)}
+    assert set(reloaded._memo) == {UnivPolyKey("sum", 2), UnivPolyKey("neg", 2)}
 
 
 def test_sorted_whole_file_cache_still_loads(tmp_path):
@@ -434,3 +451,35 @@ def test_sorted_whole_file_cache_still_loads(tmp_path):
     source.universal_poly(UnivPolyKey("sum", 4))
     assert path.read_text()[size:] == _line(source, UnivPolyKey("sum", 4))
     assert UnivPolyKey("sum", 4) in PolySource(cache_path=str(path))._memo
+
+
+@pytest.mark.parametrize("key", [UnivPolyKey("sum", 2), UnivPolyKey("prod", 3), UnivPolyKey("neg", 2),
+                                 UnivPolyKey("frob", 2, 2), UnivPolyKey("delta", 2, 2)])
+def test_a_failed_exact_division_is_an_integrality_violation(monkeypatch, key):
+    def not_divisible(self, x, n):
+        raise NotDivisible(f"{n} does not divide the polynomial")
+
+    monkeypatch.setattr(PolynomialRing, "exact_div", not_divisible)
+    with pytest.raises(IntegralityViolation):
+        PolySource().universal_poly(key)
+
+
+# Digests recorded with the recursion that predates the ghost kernel: the
+# polynomials, and the bytes of the cache file, must not change.
+def test_warm_cache_file_is_bit_for_bit(tmp_path):
+    path = tmp_path / "cache.txt"
+    warm_cache(12, PolySource(cache_path=str(path)))
+    data = path.read_bytes()
+    assert len(data) == 18_230
+    assert hashlib.sha256(data).hexdigest() == (
+        "16dc89d7c2d8072a7caf39eb491f906b03638edfb266bd547171a2413df7c790")
+
+
+def test_frobenius_and_delta_polynomials_are_bit_for_bit():
+    source = PolySource()
+    keys = [UnivPolyKey(op, index, param) for op in ("frob", "delta")
+            for param in range(1, 13) for index in range(1, 12 // param + 1)]
+    assert len(keys) == 70
+    text = "".join(f"{key}\t{poly_to_text(source.universal_poly(key))}\n" for key in keys)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a2316ec4a81cb8974642a2ae704f4936f8cd0cddb94e59fb16894931305b81f6")
