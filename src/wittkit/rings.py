@@ -60,6 +60,14 @@ def _is_pair(data) -> bool:
     return isinstance(data, list) and len(data) == 2
 
 
+def _decimal(x: int) -> str:
+    """x in decimal for a message; its size in bits past the int->str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a {x.bit_length()}-bit integer"
+
+
 class Ring:
     """Abstract commutative ring operating on raw payload values."""
 
@@ -182,7 +190,7 @@ class IntegerRing(Ring):
             raise ZeroDivisor("division by 0")
         q, r = divmod(x, n)
         if r:
-            raise NotDivisible(f"{n} does not divide {x}")
+            raise NotDivisible(f"{n} does not divide {_decimal(x)}")
         return q
 
     def sample(self, rng, size=9):

@@ -536,14 +536,5 @@ class WittOps:
     def frobenius(self, n, x):
         return frobenius(n, x, self.strategy, self.source)
 
-    def delta_component(self, e, x):
-        return delta_component(e, x, self.strategy, self.source)
-
     def delta(self, x, T):
         return delta(x, T, self.strategy, self.source)
-
-    def ghost(self, x):
-        return ghost(x)
-
-    def teichmuller(self, a, S, ring):
-        return teichmuller(a, S, ring)

@@ -184,9 +184,14 @@ def test_junk_json_never_escapes(case, junk):
     ({"WITTKIT_CEILING": "abc"}, ("cache", "warm", "--up-to", "2"), "CeilingExceeded", 1),
     ({}, ("laws", "check", "--suite", "comonad", "--set", "div4", "--target", "div8"),
      "NotSubset", 1),
+    ({}, ("witt", "from-ghost", '{"set":[1,2],"base":"Z","values":{"1":' + "3" * 3000 + ',"2":2}}'),
+     "NotInGhostImage", 1),
+    ({}, ("laws", "check", "--suite", "wittring", "--set", "div4", "--trials", "0"),
+     "WittkitError", 1),
 ], ids=["json-integer-digits", "q-text", "q-list", "q-zero-denominator", "series-empty-object",
         "series-list", "series-spec-number", "set-divabc", "set-div", "set-seg1.5",
-        "ring-bracket", "ceiling-env", "comonad-target-above-set"])
+        "ring-bracket", "ceiling-env", "comonad-target-above-set", "from-ghost-huge-remainder",
+        "trials-zero"])
 def test_boundary_regressions(monkeypatch, tmp_path, env, argv, name, code):
     monkeypatch.setenv("WITTKIT_CACHE", str(tmp_path / "cache.txt"))
     for key, value in env.items():
@@ -208,8 +213,9 @@ PRIME = str(2**61 - 1)  # its primality test by trial division takes minutes
     ("witt", "ghost", '{"set":[1],"base":"Q","coords":{"1":"1e999999999"}}'),
     ("ptypical", "tau", "--prime", PRIME, "--length", "1"),
     ("ptypical", "decompose", V2, "--prime", PRIME),
+    ("laws", "check", "--suite", "wittring", "--set", "div4", "--trials", "1" * 20),
 ], ids=["div-large", "seg-large", "member-large", "ptyp-large-prime", "ptyp-long",
-        "q-exponent", "tau-large-prime", "decompose-large-prime"])
+        "q-exponent", "tau-large-prime", "decompose-large-prime", "trials-large"])
 def test_budgets_fail_fast(argv):
     # in a subprocess, so that an input past its budget that hangs fails the
     # test by the timeout instead of hanging the suite

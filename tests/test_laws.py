@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 from wittkit.drwz import DrwComplex
 from wittkit.laws import check_comonad, check_witt_complex, check_witt_ring
 from wittkit.rings import ModularRing, Z
@@ -126,3 +129,21 @@ def test_failure_carries_counterexample():
     report = check_witt_complex(divisors_of(12), trials=40, seed=7, ops=CurlyKilled())
     for r in report.failures():
         assert r.counterexample
+
+
+def test_reports_are_pinned():
+    # pins every checked count and counterexample text, passing and failing
+    S12, S8, S4 = divisors_of(12), divisors_of(8), divisors_of(4)
+    mutated = WittOps(source=SumMutated(), strategy="universal")
+    reports = [
+        check_witt_complex(S12, trials=40, seed=7),
+        check_witt_complex(S12, trials=40, seed=7, ops=CurlyKilled()),
+        check_witt_complex(S12, trials=40, seed=7, ops=WrongCrt()),
+        check_witt_ring(divisors_of(6), ModularRing(9), trials=40, seed=7),
+        check_witt_ring(S8, Z, trials=20, seed=7, ops=mutated),
+        check_comonad(S8, S4, Z, trials=15, seed=7),
+        check_comonad(S8, S4, Z, trials=15, seed=7, ops=mutated),
+    ]
+    data = [{k: v for k, v in r.to_json().items() if k != "elapsed_s"} for r in reports]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == "8b9cc0360a2f13b3634da32b98879e618490d8e576a3e749171e4ecce0769a2a"
