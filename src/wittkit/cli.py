@@ -138,7 +138,6 @@ def _laws_check(a) -> Output:
 def _cache_warm(a) -> Output:
     source = PolySource(cache_path=a.cache or universal.default_cache_path(), ceiling=a.ceiling)
     count = universal.warm_cache(a.up_to, source)
-    source.flush()
     return Output({"entries": count, "path": source.cache_path},
                   f"computed {count} polynomials -> {source.cache_path}")
 

@@ -9,10 +9,16 @@ string) whose methods operate on raw payload values:
     R[x,y]   polynomials over R        payload: dict {monomial: coeff},
              monomial = tuple of (var_index, exponent) pairs, sorted,
              exponents >= 1, no zero coefficients
-    sz(R)    square-zero extension     payload: (a, x) pair of R payloads;
-             product (a,x)*(b,y) = (ab, ay+bx)
     series(R,k)  truncated power series mod t^k   payload: k-tuple of R payloads
+    sz(R)    square-zero extension     sz(R) = series(R,2), (a, x) for a + x*t
     W(S,R)   Witt vectors (defined in wittkit.witt)
+
+R[x,y], series(R,k), sz(R) and W(S,R) are Constructions over a base ring R,
+each with two hooks: `_map` applies a function to every R payload inside
+one of its payloads, and `_over` builds the same construction over another
+base.  Construction defines negation, integer multiples, exact division
+and the torsion-free cover (the same construction over the cover of R,
+built once) through them.
 
 Payloads are canonical: equal payloads <=> equal ring elements.  All
 values are treated as immutable; operations are pure functions, so every
@@ -28,7 +34,7 @@ from __future__ import annotations
 import re
 from array import array
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 from typing import Any
 
@@ -308,6 +314,46 @@ class ModularRing(Ring):
         return f"Z/{self.m}"
 
 
+class Construction(Ring):
+    """A ring built over a base ring, acting on each base payload it holds."""
+
+    def __init__(self, base: Ring):
+        self.base = base
+        self.torsion_free = base.torsion_free
+
+    def _map(self, fn, x):
+        """The payload holding fn(c) for each base payload c of x."""
+        return tuple(map(fn, x))
+
+    def _over(self, base: Ring) -> Construction:
+        """The same construction over `base`."""
+        raise NotImplementedError
+
+    def neg(self, x):
+        return self._map(self.base.neg, x)
+
+    def exact_div(self, x, n):
+        return self._map(lambda c: self.base.exact_div(c, n), x)
+
+    def scalar_mul(self, k, x):
+        return self._map(partial(self.base.scalar_mul, k), x)
+
+    # Rings are immutable, so the cover is built on first use and kept.
+    @cached_property
+    def _cover(self) -> Ring | None:
+        cover = self.base.lift_ring()
+        return None if cover is None else self._over(cover)
+
+    def lift_ring(self):
+        return self._cover
+
+    def lift(self, x):
+        return self._map(self.base.lift, x)
+
+    def reduce_from_lift(self, x):
+        return self._map(self.base.reduce_from_lift, x)
+
+
 # Opcodes of an EvalProgram; an instruction is `argument << 2 | opcode`.
 _PUSH, _MUL, _MULADD = 0, 1, 2
 
@@ -365,7 +411,7 @@ class EvalProgram:
         return stack[0]
 
 
-class PolynomialRing(Ring):
+class PolynomialRing(Construction):
     """Sparse multivariate polynomials over a base ring.
 
     Monomials are tuples of (variable_index, exponent) pairs sorted by
@@ -374,12 +420,18 @@ class PolynomialRing(Ring):
     """
 
     def __init__(self, base: Ring, variables):
-        self.base = base
+        super().__init__(base)
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise WittkitError(f"duplicate variable names: {self.variables}")
         self._index = {v: i for i, v in enumerate(self.variables)}
-        self.torsion_free = base.torsion_free
+
+    def _map(self, fn, x):
+        is_zero = self.base.is_zero
+        return {m: d for m, c in x.items() if not is_zero(d := fn(c))}
+
+    def _over(self, base):
+        return PolynomialRing(base, self.variables)
 
     def var(self, name: str):
         """The payload for a single variable."""
@@ -402,9 +454,6 @@ class PolynomialRing(Ring):
             else:
                 out[mono] = c
         return out
-
-    def neg(self, x):
-        return {m: self.base.neg(c) for m, c in x.items()}
 
     @staticmethod
     def _merge_monomials(a, b):
@@ -458,12 +507,6 @@ class PolynomialRing(Ring):
     def of_int(self, k):
         c = self.base.of_int(k)
         return {} if self.base.is_zero(c) else {(): c}
-
-    def scalar_mul(self, k, x):
-        return self._trim({m: self.base.scalar_mul(k, c) for m, c in x.items()})
-
-    def exact_div(self, x, n):
-        return {m: self.base.exact_div(c, n) for m, c in x.items()}
 
     def is_zero(self, x):
         return not x
@@ -567,18 +610,6 @@ class PolynomialRing(Ring):
             program = self.compile(payload, target)
         return program.run(values)
 
-    def lift_ring(self):
-        cover = self.base.lift_ring()
-        if cover is None:
-            return None
-        return PolynomialRing(cover, self.variables)
-
-    def lift(self, x):
-        return {m: self.base.lift(c) for m, c in x.items()}
-
-    def reduce_from_lift(self, x):
-        return self._trim({m: self.base.reduce_from_lift(c) for m, c in x.items()})
-
     def sample(self, rng, size=9):
         out = {}
         nvars = len(self.variables)
@@ -647,67 +678,17 @@ class PolynomialRing(Ring):
         return f"{self.base}[{','.join(self.variables)}]"
 
 
-class SquareZeroRing(Ring):
-    """The extension of a ring by itself with square-zero product on the fiber."""
-
-    def __init__(self, base: Ring):
-        self.base = base
-        self.torsion_free = base.torsion_free
-
-    def add(self, x, y):
-        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
-
-    def neg(self, x):
-        return (self.base.neg(x[0]), self.base.neg(x[1]))
-
-    def mul(self, x, y):
-        a, m = x
-        b, n = y
-        return (self.base.mul(a, b), self.base.add(self.base.mul(a, n), self.base.mul(b, m)))
-
-    def of_int(self, k):
-        return (self.base.of_int(k), self.base.zero)
-
-    def exact_div(self, x, n):
-        return (self.base.exact_div(x[0], n), self.base.exact_div(x[1], n))
-
-    def lift_ring(self):
-        cover = self.base.lift_ring()
-        return None if cover is None else SquareZeroRing(cover)
-
-    def lift(self, x):
-        return (self.base.lift(x[0]), self.base.lift(x[1]))
-
-    def reduce_from_lift(self, x):
-        return (self.base.reduce_from_lift(x[0]), self.base.reduce_from_lift(x[1]))
-
-    def sample(self, rng, size=9):
-        return (self.base.sample(rng, size), self.base.sample(rng, size))
-
-    def to_json(self, x):
-        return [self.base.to_json(x[0]), self.base.to_json(x[1])]
-
-    def from_json(self, data):
-        if not _is_pair(data):
-            raise SpecMismatch(f"a value in {self} must be a pair [a, x], not {data!r}")
-        return (self.base.from_json(data[0]), self.base.from_json(data[1]))
-
-    def format(self, x):
-        return f"({self.base.format(x[0])}, {self.base.format(x[1])})"
-
-    def __str__(self):
-        return f"sz({self.base})"
-
-
-class SeriesRing(Ring):
+class SeriesRing(Construction):
     """Power series in t over a base ring, truncated mod t^precision."""
 
     def __init__(self, base: Ring, precision: int):
         if precision < 1:
             raise WittkitError(f"precision must be >= 1: {precision}")
-        self.base = base
+        super().__init__(base)
         self.precision = precision
-        self.torsion_free = base.torsion_free
+
+    def _over(self, base):
+        return SeriesRing(base, self.precision)
 
     def from_coefficients(self, coeffs) -> tuple:
         coeffs = list(coeffs)[: self.precision]
@@ -716,9 +697,6 @@ class SeriesRing(Ring):
 
     def add(self, x, y):
         return tuple(self.base.add(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple(self.base.neg(a) for a in x)
 
     def mul(self, x, y):
         base = self.base
@@ -736,19 +714,6 @@ class SeriesRing(Ring):
 
     def of_int(self, k):
         return self.from_coefficients([self.base.of_int(k)])
-
-    def exact_div(self, x, n):
-        return tuple(self.base.exact_div(a, n) for a in x)
-
-    def lift_ring(self):
-        cover = self.base.lift_ring()
-        return None if cover is None else SeriesRing(cover, self.precision)
-
-    def lift(self, x):
-        return tuple(self.base.lift(a) for a in x)
-
-    def reduce_from_lift(self, x):
-        return tuple(self.base.reduce_from_lift(a) for a in x)
 
     def sample(self, rng, size=9):
         return tuple(self.base.sample(rng, size) for _ in range(self.precision))
@@ -777,6 +742,30 @@ class SeriesRing(Ring):
 
     def __str__(self):
         return f"series({self.base},{self.precision})"
+
+
+class SquareZeroRing(SeriesRing):
+    """sz(R) = R[e]/(e^2) = series(R,2), with (a, x) for a + x*t.
+
+    Only its spec, its JSON pair [a, x] and its text form (a, x) are its own.
+    """
+
+    def __init__(self, base: Ring):
+        super().__init__(base, 2)
+
+    def _over(self, base):
+        return SquareZeroRing(base)
+
+    def from_json(self, data):
+        if not _is_pair(data):
+            raise SpecMismatch(f"a value in {self} must be a pair [a, x], not {data!r}")
+        return super().from_json(data)
+
+    def format(self, x):
+        return f"({self.base.format(x[0])}, {self.base.format(x[1])})"
+
+    def __str__(self):
+        return f"sz({self.base})"
 
 
 Z = IntegerRing()
@@ -896,13 +885,12 @@ def _spec_int(arg: str, spec: str) -> int:
 def parse_ring(text: str) -> Ring:
     """Parse a ring spec string, e.g. "Z", "Z/8", "Z/3[x]", "W(div24,Z)"."""
     text = text.strip()
-    if text.endswith("]"):
-        open_idx = text.find("[")
-        if open_idx < 0:
-            raise SpecMismatch(f"cannot parse ring spec: {text!r}")
-        base = parse_ring(text[:open_idx])
+    if text.endswith("]"):  # R[x,y]: the last bracket group names the variables
+        open_idx = text.rfind("[")
         names = [v.strip() for v in text[open_idx + 1 : -1].split(",") if v.strip()]
-        return PolynomialRing(base, names)
+        if open_idx < 0 or not all(name.isidentifier() for name in names):
+            raise SpecMismatch(f"cannot parse ring spec: {text!r}")
+        return PolynomialRing(parse_ring(text[:open_idx]), names)
     if text == "Z":
         return Z
     if text == "Q":

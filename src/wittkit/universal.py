@@ -38,7 +38,14 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .errors import CacheCorrupt, CeilingExceeded, IntegralityViolation, NotInGhostImage, WittkitError
+from .errors import (
+    BudgetExceeded,
+    CacheCorrupt,
+    CeilingExceeded,
+    IntegralityViolation,
+    NotInGhostImage,
+    WittkitError,
+)
 from .numtheory import divisors
 from .rings import EvalProgram, PolynomialRing, Ring, RingElement, Z
 from .truncation import divisors_of
@@ -46,6 +53,9 @@ from .witt import WittVector, delta_component, frobenius, ghost, witt_add, witt_
 
 DEFAULT_CEILING = 64
 HARD_MAX_CEILING = 128
+# The most terms a polynomial may have a priori (`term_bound`) to be computed:
+# the cost depends on the divisors of the weight, not on its size.
+TERM_BUDGET = 5 * 10**6
 
 _CACHE_HEADER = "# wittkit universal polynomial cache v1"
 
@@ -111,6 +121,26 @@ def parse_key(text: str) -> UnivPolyKey:
     except (ValueError, WittkitError):  # not a number, or an index of 0
         pass
     raise CacheCorrupt(f"bad cache key: {text!r}")
+
+
+@lru_cache(maxsize=1024)  # checked on every read of a polynomial
+def term_bound(op: str, w: int) -> int:
+    """The most monomials a polynomial of operation `op` and weight `w` can have.
+
+    It is isobaric of weight w in the a_d (and b_d), d | w.  With c(k) the
+    partitions of k into divisors of w, that is c(w) monomials, c(w)^2 for
+    prod (weight w in a and in b), and the sum of c(k)*c(w-k) for sum
+    (weight w in a and b together).
+    """
+    c = [1] + [0] * w
+    for d in divisors(w):
+        for k in range(d, w + 1):
+            c[k] += c[k - d]
+    if op == "prod":
+        return c[w] ** 2
+    if op == "sum":
+        return sum(c[k] * c[w - k] for k in range(w + 1))
+    return c[w]
 
 
 def _vars_for(weight: int, tags: str) -> list[str]:
@@ -230,11 +260,19 @@ class PolySource:
                 program = self._programs.setdefault(slot, program)
         return poly.ring.evaluate(poly.value, values, target, program)
 
-    def _get(self, key: UnivPolyKey) -> RingElement:
-        if key.weight > self.ceiling:
-            raise CeilingExceeded(
-                f"{key} has weight {key.weight}, above the ceiling {self.ceiling}"
+    def check(self, key: UnivPolyKey):
+        """Refuse a key above the weight ceiling, then one past the term budget."""
+        weight = key.weight
+        if weight > self.ceiling:
+            raise CeilingExceeded(f"{key} has weight {weight}, above the ceiling {self.ceiling}")
+        bound = term_bound(key.op, weight)
+        if bound > TERM_BUDGET:
+            raise BudgetExceeded(
+                f"{key} may have {bound} terms, above the term budget {TERM_BUDGET}"
             )
+
+    def _get(self, key: UnivPolyKey) -> RingElement:
+        self.check(key)
         with self._lock:
             got = self._memo.get(key)
         if got is not None:

@@ -41,7 +41,7 @@ from .errors import (
     WittkitError,
 )
 from .numtheory import binary_power, divisors
-from .rings import Ring, RingElement, SquareZeroRing, parse_ring
+from .rings import Construction, Ring, RingElement, SquareZeroRing, parse_ring
 from .truncation import TruncationSet, truncation_set
 
 if TYPE_CHECKING:
@@ -63,9 +63,6 @@ class WittVector:
     def coord(self, n: int):
         """Raw payload of the coordinate at index n."""
         return self.coords[self.tset.index(n)]
-
-    def element(self, n: int) -> RingElement:
-        return RingElement(self.ring, self.coord(n))
 
     def __add__(self, other):
         return witt_add(self, other)
@@ -284,16 +281,20 @@ def _universal_vector(
     """The vector over T whose coordinate at m is UnivPolyKey(op, m, param) at x (a_d) and y (b_d).
 
     A key of weight w reads the coordinates at the divisors of w, which lie
-    in the (divisor-closed) set of x whenever w does.
+    in the (divisor-closed) set of x whenever w does.  Every key is checked
+    against the source's ceiling and term budget, heaviest first, before
+    any is computed.
     """
     from .universal import UnivPolyKey, default_source  # deferred: universal runs this kernel
 
     src = source or default_source()
+    keys = [UnivPolyKey(op, m, param) for m in T.members]
+    for key in reversed(keys):
+        src.check(key)
     a = dict(zip(x.tset.members, x.coords))
     b = None if y is None else dict(zip(y.tset.members, y.coords))
     coords = []
-    for m in T.members:
-        key = UnivPolyKey(op, m, param)
+    for key in keys:
         ds = divisors(key.weight)
         values = {f"a{d}": a[d] for d in ds}
         if b is not None:
@@ -436,16 +437,18 @@ def square_zero_split(b: WittVector):
 # --------------------------------------------------------------------------
 
 
-class WittRing(Ring):
+class WittRing(Construction):
     """W_S(A) packaged as a base ring, enabling nested Witt constructions.
 
     Payloads are coordinate tuples aligned with the truncation set.
     """
 
     def __init__(self, base: Ring, tset: TruncationSet):
-        self.base = base
+        super().__init__(base)
         self.tset = tset
-        self.torsion_free = base.torsion_free
+
+    def _over(self, base):
+        return WittRing(base, self.tset)
 
     def _wrap(self, payload) -> WittVector:
         return WittVector(self.tset, self.base, payload)
@@ -483,16 +486,6 @@ class WittRing(Ring):
             known = witt_scalar_mul(n, probe).coords[i]
             coords.append(self.base.exact_div(self.base.sub(x[i], known), n))
         return tuple(coords)
-
-    def lift_ring(self):
-        cover = self.base.lift_ring()
-        return None if cover is None else WittRing(cover, self.tset)
-
-    def lift(self, x):
-        return tuple(self.base.lift(c) for c in x)
-
-    def reduce_from_lift(self, x):
-        return tuple(self.base.reduce_from_lift(c) for c in x)
 
     def sample(self, rng, size=9):
         return tuple(self.base.sample(rng, size) for _ in self.tset)

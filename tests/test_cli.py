@@ -98,6 +98,12 @@ def test_gamma_verbs(capsys):
     assert json.loads(out2)["coords"] == {"1": 1, "2": -1}
 
 
+def test_gamma_inverse_reads_a_square_zero_element(capsys):
+    # sz(Z) is series(Z,2): (1, 5) is 1 + 5t = gamma((5)) mod t^2
+    code, out, _ = run(capsys, "gamma-inv", '{"spec":"sz(Z)","value":[1,5]}', "--length", "1")
+    assert (code, out) == (0, "(5)")
+
+
 def test_ptypical_verbs(capsys):
     x = json.dumps({"set": [1, 2, 3, 4, 6, 12], "base": "Q",
                     "coords": {"1": "1", "2": "0", "3": "2", "4": "0", "6": "0", "12": "1"}})

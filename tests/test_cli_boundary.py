@@ -204,6 +204,18 @@ def test_boundary_regressions(monkeypatch, tmp_path, env, argv, name, code):
 PRIME = str(2**61 - 1)  # its primality test by trial division takes minutes
 
 
+def z8_vector(n):
+    """A vector over Z/8 on the divisors of n, as JSON."""
+    members = [d for d in range(1, n + 1) if n % d == 0]
+    return json.dumps({"set": members, "base": "Z/8", "coords": {str(d): d % 8 for d in members}})
+
+
+# prod:60 may have 73155^2 terms; prod:96 is above the default weight ceiling 64,
+# and its family also holds prod:48, past the term budget
+UNIVERSAL_DIV60 = ("witt", "mul", z8_vector(60), z8_vector(60), "--strategy", "universal")
+UNIVERSAL_DIV96 = ("witt", "mul", z8_vector(96), z8_vector(96), "--strategy", "universal")
+
+
 @pytest.mark.parametrize("argv", [
     ("basis", "teich", "2", "--set", "div" + "1" * 20),
     ("basis", "teich", "2", "--set", "seg" + "1" * 20),
@@ -214,13 +226,19 @@ PRIME = str(2**61 - 1)  # its primality test by trial division takes minutes
     ("ptypical", "tau", "--prime", PRIME, "--length", "1"),
     ("ptypical", "decompose", V2, "--prime", PRIME),
     ("laws", "check", "--suite", "wittring", "--set", "div4", "--trials", "1" * 20),
+    UNIVERSAL_DIV60,
+    UNIVERSAL_DIV96,
 ], ids=["div-large", "seg-large", "member-large", "ptyp-large-prime", "ptyp-long",
-        "q-exponent", "tau-large-prime", "decompose-large-prime", "trials-large"])
-def test_budgets_fail_fast(argv):
+        "q-exponent", "tau-large-prime", "decompose-large-prime", "trials-large",
+        "universal-div60", "universal-div96"])
+def test_budgets_fail_fast(argv, tmp_path):
     # in a subprocess, so that an input past its budget that hangs fails the
     # test by the timeout instead of hanging the suite
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cache = tmp_path / "cache.txt"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), WITTKIT_CACHE=str(cache))
     done = subprocess.run([sys.executable, "-m", "wittkit.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr.startswith("BudgetExceeded:")
+    name = "CeilingExceeded" if argv == UNIVERSAL_DIV96 else "BudgetExceeded"
+    assert done.stderr.startswith(f"{name}:")
+    assert not cache.exists()  # refused before any polynomial was computed

@@ -161,6 +161,51 @@ def test_parse_ring_round_trip():
         parse_ring("F_9")
 
 
+def structure(ring):
+    """The class and parameters of a ring, level by level (== compares spec strings only)."""
+    params = tuple(getattr(ring, name, None) for name in ("variables", "precision", "tset", "m"))
+    base = getattr(ring, "base", None)
+    return type(ring), params, None if base is None else structure(base)
+
+
+@pytest.mark.parametrize("ring", [
+    PolynomialRing(PolynomialRing(Z, ["x"]), ["y"]),
+    PolynomialRing(parse_ring("W({1},Z[x])"), ["y"]),
+    PolynomialRing(SquareZeroRing(PolynomialRing(Z, ["x"])), ["y"]),
+], ids=str)
+def test_parse_ring_reads_polynomials_over_a_bracketed_base(ring):
+    parsed = parse_ring(str(ring))
+    assert str(parsed) == str(ring) and structure(parsed) == structure(ring)
+
+
+@pytest.mark.parametrize("text", ["Z[x y]", "Z[1]", "Z[x]]", "Z[x,y-z]"])
+def test_parse_ring_refuses_a_variable_that_is_no_identifier(text):
+    with pytest.raises(SpecMismatch):
+        parse_ring(text)
+
+
+@pytest.mark.parametrize("ring", [ring for ring in RINGS if hasattr(ring, "base") and ring.lift_ring()],
+                         ids=str)
+def test_the_cover_is_built_once(ring):
+    assert ring.lift_ring() is ring.lift_ring()
+
+
+def test_square_zero_is_the_series_ring_mod_t_squared():
+    R, S2 = SquareZeroRing(ModularRing(4)), SeriesRing(ModularRing(4), 2)
+    assert isinstance(R, SeriesRing) and R.lift_ring() == SquareZeroRing(Z)
+    rng = random.Random(5)
+    for _ in range(30):
+        x, y = R.sample(rng), R.sample(rng)
+        assert R.mul(x, y) == S2.mul(x, y) and R.add(x, y) == S2.add(x, y)
+    # text, JSON and spec stay those of a pair
+    x = RingElement(R, (1, 3))
+    assert (str(x), element_to_json(x)) == ("(1, 3)", {"spec": "sz(Z/4)", "value": [1, 3]})
+    with pytest.raises(SpecMismatch):
+        R.from_json([1, 3, 0])
+    # a series mod t^2 with constant term 1 has an inverse
+    assert str(series_inverse(RingElement(SquareZeroRing(Z), (1, 5)))) == "(1, -5)"
+
+
 def test_modular_normalization():
     R = ModularRing(5)
     assert R.of_int(-1) == 4

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from wittkit.errors import (
+    BudgetExceeded,
     CacheCorrupt,
     CeilingExceeded,
     IntegralityViolation,
@@ -19,6 +20,8 @@ from wittkit.errors import (
 from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, Z
 from wittkit.universal import (
     _CACHE_HEADER,
+    DEFAULT_CEILING,
+    TERM_BUDGET,
     PolySource,
     UnivPolyKey,
     ghost_poly,
@@ -26,6 +29,7 @@ from wittkit.universal import (
     poly_from_text,
     poly_to_text,
     specialize,
+    term_bound,
     warm_cache,
 )
 
@@ -173,6 +177,19 @@ def test_ceiling():
         tiny.universal_poly(UnivPolyKey("frob", 3, 2))
     with pytest.raises(CeilingExceeded):
         PolySource(ceiling=1000)
+
+
+def test_term_budget():
+    # c(w), the partitions of w into divisors of w, bounds a key of weight w
+    for w, c in [(24, 458), (36, 2234), (48, 9676), (60, 73155), (64, 1828)]:
+        assert (term_bound("neg", w), term_bound("prod", w)) == (c, c * c)
+    for key in [UnivPolyKey("prod", 24), UnivPolyKey("sum", 32), UnivPolyKey("frob", 3, 2)]:
+        assert len(PolySource().universal_poly(key).value) <= term_bound(key.op, key.weight)
+    refused = [f"{op}:{n}" for n in range(1, DEFAULT_CEILING + 1)
+               for op in ("sum", "prod", "neg") if term_bound(op, n) > TERM_BUDGET]
+    assert refused == ["sum:48", "prod:48", "prod:54", "prod:56", "sum:60", "prod:60"]
+    with pytest.raises(BudgetExceeded):
+        PolySource().universal_poly(UnivPolyKey("prod", 48))
 
 
 def test_text_round_trip(src):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittkit.errors import NotInGhostImage, NotSubset, SetMismatch, UnsupportedRing
-from wittkit.rings import ModularRing, Q, SeriesRing, SquareZeroRing, Z
+from wittkit.rings import ModularRing, PolynomialRing, Q, SeriesRing, SquareZeroRing, Z
 from wittkit.numtheory import divisors
 from wittkit.truncation import divisors_of, truncation_set
 from wittkit.universal import PolySource
@@ -372,3 +372,36 @@ def test_every_kernel_operation_agrees_across_strategies(S, ring, rng, k):
         ops.append(lambda how, n=n: delta_component(n, x, how, KERNEL_SOURCE))
     for op in ops:
         assert op(exact) == op("universal")
+
+
+def v_teichmuller(n, a, S, ring):
+    """V_n[a] in W_S(A): zero unless n is in S."""
+    return verschiebung(n, teichmuller(a, S.quotient(n), ring), S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    S=small_truncation_sets(),
+    ring=st.one_of(
+        st.integers(2, 12).map(ModularRing),
+        st.just(SquareZeroRing(ModularRing(4))),
+        st.integers(1, 4).map(lambda k: SeriesRing(ModularRing(2), k)),
+        st.just(PolynomialRing(ModularRing(3), ["x"])),
+    ),
+    strategy=st.sampled_from(["auto", "universal"]),
+    rng=st.randoms(use_true_random=False),
+    data=st.data(),
+)
+def test_product_of_v_teichmuller_lifts(S, ring, strategy, rng, data):
+    # V_m[a] * V_n[b] = g * V_{mn/g}[a^(n/g) * b^(m/g)], g = gcd(m, n): an
+    # identity of the paper with no product on the right, where the multiple
+    # runs under the other strategy, so a fault in either shows
+    index = st.sampled_from(S.members) if S.members else st.integers(1, 12)
+    m, n = data.draw(index | st.integers(1, 12)), data.draw(index | st.integers(1, 12))
+    a, b = ring.sample(rng), ring.sample(rng)
+    g = gcd(m, n)
+    lhs = witt_mul(v_teichmuller(m, a, S, ring), v_teichmuller(n, b, S, ring), strategy, KERNEL_SOURCE)
+    c = ring.mul(ring.pow(a, n // g), ring.pow(b, m // g))
+    other = "universal" if strategy == "auto" else "auto"
+    rhs = witt_scalar_mul(g, v_teichmuller(m * n // g, c, S, ring), other, KERNEL_SOURCE)
+    assert lhs == rhs
