@@ -35,6 +35,7 @@ import re
 from array import array
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from math import gcd
 from typing import Any
 
@@ -411,12 +412,44 @@ class EvalProgram:
         return stack[0]
 
 
+def _packed(p: dict, w: int) -> list[int]:
+    """The monomials of the polynomial payload p, each packed into one int of w-bit fields."""
+    out = []
+    for mono in p:
+        k = 0
+        for v, e in mono:
+            k += e << v * w
+        out.append(k)
+    return out
+
+
+def _decoded(bits: int, v: int, w: int, pairs: dict) -> tuple:
+    """The monomial of the w-bit fields of `bits`, the first for variable v.
+
+    `pairs` interns the (variable, exponent) pairs.
+    """
+    mask = (1 << w) - 1
+    mono = []
+    while bits:
+        if e := bits & mask:
+            pair = (v, e)
+            mono.append(pairs.setdefault(pair, pair))
+        bits >>= w
+        v += 1
+    return tuple(mono)
+
+
 class PolynomialRing(Construction):
     """Sparse multivariate polynomials over a base ring.
 
     Monomials are tuples of (variable_index, exponent) pairs sorted by
     index, exponents positive; the payload maps monomials to nonzero base
     coefficients.  The variable order is fixed by the constructor list.
+
+    `mul` packs internally: a product of two polynomials of two terms or
+    more turns each monomial into one int with a field per variable
+    (Kronecker packing), multiplies monomials by adding ints, and unpacks
+    the result into the payload format above.
     """
 
     def __init__(self, base: Ring, variables):
@@ -425,6 +458,11 @@ class PolynomialRing(Construction):
         if len(set(self.variables)) != len(self.variables):
             raise WittkitError(f"duplicate variable names: {self.variables}")
         self._index = {v: i for i, v in enumerate(self.variables)}
+        # Decoding tables of the packed product, filled as products need them:
+        # each (v, e) pair once, and per field width w the (low, high) halves
+        # of monomials decoded so far.  Equal entries are all a race can add.
+        self._pairs: dict = {}
+        self._halves: dict = {}
 
     def _map(self, fn, x):
         is_zero = self.base.is_zero
@@ -438,9 +476,6 @@ class PolynomialRing(Construction):
         if name not in self._index:
             raise MissingVariable(f"{name} is not a variable of {self}")
         return {((self._index[name], 1),): self.base.one}
-
-    def _trim(self, terms: dict) -> dict:
-        return {m: c for m, c in terms.items() if not self.base.is_zero(c)}
 
     def add(self, x, y):
         out = dict(x)
@@ -485,17 +520,68 @@ class PolynomialRing(Construction):
         if len(x) > len(y):
             x, y = y, x
         base = self.base
-        out: dict = {}
-        merge = self._merge_monomials
-        for ma, ca in x.items():
-            for mb, cb in y.items():
-                mono = merge(ma, mb)
-                c = base.mul(ca, cb)
-                if mono in out:
-                    out[mono] = base.add(out[mono], c)
-                else:
-                    out[mono] = c
-        return self._trim(out)
+        mul, add = base.mul, base.add
+        if len(x) < 2:  # a monomial times a polynomial: distinct products, merged directly
+            merge, is_zero = self._merge_monomials, base.is_zero
+            return {merge(ma, mb): c for ma, ca in x.items() for mb, cb in y.items()
+                    if not is_zero(c := mul(ca, cb))}
+        # Kronecker packing: exponent e of variable v is e << v*w in one int.
+        # A w-bit field holds twice the largest exponent, so the sum of two
+        # packed monomials is their product, with no carry between fields.
+        top = 0
+        for mono in chain(x, y):
+            for _, e in mono:
+                if e > top:
+                    top = e
+        w = (2 * top).bit_length()
+        kx, cx = _packed(x, w), list(x.values())
+        acc: dict = {}
+        get = acc.get
+        if x is y:  # a square: each cross term once, its second factor doubled
+            cd = [add(c, c) for c in cx]
+            for i, (ka, ca) in enumerate(zip(kx, cx)):
+                for kb, cb in zip(kx[i:], [ca, *cd[i + 1:]]):
+                    k = ka + kb
+                    c = get(k)
+                    acc[k] = mul(ca, cb) if c is None else add(c, mul(ca, cb))
+        else:
+            ky, cy = _packed(y, w), list(y.values())
+            for ka, ca in zip(kx, cx):
+                for kb, cb in zip(ky, cy):
+                    k = ka + kb
+                    c = get(k)
+                    acc[k] = mul(ca, cb) if c is None else add(c, mul(ca, cb))
+        return self._unpacked(acc, w)
+
+    def _unpacked(self, acc: dict, w: int) -> dict:
+        """The payload of the packed monomials of `acc` (field width w), zero coefficients dropped.
+
+        A monomial is cut into the fields of the low and the high half of the
+        variables.  Each half is decoded once per ring and width, so the
+        monomials share their pairs: one object per (v, e).
+        """
+        split = (len(self.variables) + 1) // 2
+        shift = split * w
+        low = (1 << shift) - 1
+        is_zero = self.base.is_zero
+        pairs = self._pairs
+        tables = self._halves.get(w)
+        if tables is None:
+            tables = self._halves.setdefault(w, ({}, {}))
+        lows, highs = tables
+        out = {}
+        for k, c in acc.items():
+            if is_zero(c):
+                continue
+            lo, hi = k & low, k >> shift
+            head = lows.get(lo)
+            if head is None:
+                head = lows[lo] = _decoded(lo, 0, w, pairs)
+            tail = highs.get(hi)
+            if tail is None:
+                tail = highs[hi] = _decoded(hi, split, w, pairs)
+            out[head + tail] = c
+        return out
 
     def pow(self, x, e):
         if len(x) == 1 and e > 0:  # one term: scale its exponents, no products
@@ -793,6 +879,19 @@ def series_inverse_payload(ring: SeriesRing, f: tuple) -> tuple:
 # --------------------------------------------------------------------------
 
 
+def _frozen(value):
+    """A hashable form of a payload that equal payloads share.
+
+    A dict becomes the frozenset of its items, so the order in which a
+    polynomial was built does not matter, also for dict coefficients.
+    """
+    if isinstance(value, dict):
+        return frozenset((k, _frozen(c)) for k, c in value.items())
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    return value
+
+
 class RingElement:
     """A payload tagged with its ring; supports +, -, *, ** and exact ==."""
 
@@ -837,7 +936,7 @@ class RingElement:
         )
 
     def __hash__(self):
-        return hash((self.ring, repr(self.value)))
+        return hash((self.ring, _frozen(self.value)))
 
     def __str__(self):
         return self.ring.format(self.value)

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .numtheory import divisors
 from .rings import EvalProgram, PolynomialRing, Ring, RingElement, Z
-from .truncation import divisors_of
+from .truncation import TruncationSet, divisors_of
 from .witt import WittVector, delta_component, frobenius, ghost, witt_add, witt_mul, witt_neg
 
 DEFAULT_CEILING = 64
@@ -147,9 +147,28 @@ def _vars_for(weight: int, tags: str) -> list[str]:
     return [f"{tag}{d}" for tag in tags for d in divisors(weight)]
 
 
+def _tags(op: str) -> str:
+    """The variable tags of an operation's polynomials: a_d, and b_d for the binary ones."""
+    return "ab" if op in ("sum", "prod") else "a"
+
+
 @lru_cache(maxsize=512)  # one ring per (weight, tags), with its constants built once
 def _poly_ring(weight: int, tags: str) -> PolynomialRing:
     return PolynomialRing(Z, _vars_for(weight, tags))
+
+
+@lru_cache(maxsize=1024)  # read by every universal-strategy operation
+def key_family(op: str, param: int, T: TruncationSet) -> tuple:
+    """(key, variable names, divisors d of the weight) for each UnivPolyKey(op, m, param), m in T.
+
+    The names are a_d for each d, then b_d for sum and prod, as in the
+    key's polynomial ring.
+    """
+    out = []
+    for m in T.members:
+        key = UnivPolyKey(op, m, param)
+        out.append((key, tuple(_vars_for(key.weight, _tags(op))), tuple(divisors(key.weight))))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -362,7 +381,7 @@ class PolySource:
     # -- computation -------------------------------------------------------
     @staticmethod
     def _ring_for(key: UnivPolyKey) -> PolynomialRing:
-        return _poly_ring(key.weight, "ab" if key.op in ("sum", "prod") else "a")
+        return _poly_ring(key.weight, _tags(key.op))
 
     def _compute(self, key: UnivPolyKey) -> RingElement:
         """Coordinate key.index of the key's operation, run by the ghost kernel on the generic vectors."""

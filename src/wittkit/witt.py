@@ -285,21 +285,20 @@ def _universal_vector(
     against the source's ceiling and term budget, heaviest first, before
     any is computed.
     """
-    from .universal import UnivPolyKey, default_source  # deferred: universal runs this kernel
+    from .universal import default_source, key_family  # deferred: universal runs this kernel
 
     src = source or default_source()
-    keys = [UnivPolyKey(op, m, param) for m in T.members]
-    for key in reversed(keys):
+    family = key_family(op, param, T)
+    for key, _, _ in reversed(family):
         src.check(key)
     a = dict(zip(x.tset.members, x.coords))
     b = None if y is None else dict(zip(y.tset.members, y.coords))
     coords = []
-    for key in keys:
-        ds = divisors(key.weight)
-        values = {f"a{d}": a[d] for d in ds}
+    for key, names, ds in family:
+        args = [a[d] for d in ds]
         if b is not None:
-            values.update({f"b{d}": b[d] for d in ds})
-        coords.append(src.evaluate(key, values, x.ring))
+            args += [b[d] for d in ds]
+        coords.append(src.evaluate(key, dict(zip(names, args)), x.ring))
     return WittVector(T, x.ring, tuple(coords))
 
 

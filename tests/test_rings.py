@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wittkit.errors import MissingVariable, NotAUnit, NotDivisible, SpecMismatch, ZeroDivisor
 from wittkit.rings import (
@@ -229,6 +229,86 @@ def test_power_of_a_single_term_matches_repeated_products():
         for e in range(5):
             assert P.pow(term, e) == product
             product = P.mul(product, term)
+
+
+def test_equal_polynomials_hash_alike_whatever_order_built_them():
+    P = parse_ring("Z[x,y]")
+    x, y = RingElement(P, P.var("x")), RingElement(P, P.var("y"))
+    assert x + y == y + x
+    assert len({x + y, y + x}) == 1
+    N = parse_ring("Z[x][y]")  # the coefficients are dicts too
+    x, y, one = RingElement(N, {(): N.base.var("x")}), RingElement(N, N.var("y")), RingElement(N, N.one)
+    assert (x + one) + y == y + (one + x)
+    assert len({(x + one) + y, y + (one + x)}) == 1
+
+
+# -- the packed product -----------------------------------------------------------
+
+MUL_VARS = ("x", "y", "z")
+# Exponents at and just under a power of two: 3+3 and 7+9 spill into the
+# next variable's field if the field is one bit too narrow.
+mul_monomials = st.dictionaries(
+    st.integers(0, len(MUL_VARS) - 1), st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31]), max_size=3
+).map(lambda exps: tuple(sorted(exps.items())))
+MUL_RINGS = [  # (ring, nonzero coefficients); in Z/8, 4+4 and 2*4 vanish
+    (PolynomialRing(Z, MUL_VARS), st.integers(-5, 5).filter(bool)),
+    (PolynomialRing(ModularRing(8), MUL_VARS), st.sampled_from([1, 2, 4, 6, 7])),
+    (PolynomialRing(Q, MUL_VARS), st.fractions(-3, 3, max_denominator=4).filter(bool)),
+    (parse_ring(f"Z[w][{','.join(MUL_VARS)}]"), st.dictionaries(
+        st.sampled_from([(), ((0, 1),), ((0, 3),)]), st.integers(-2, 2).filter(bool), min_size=1, max_size=2)),
+]
+
+
+@st.composite
+def mul_operands(draw):
+    ring, coefficients = draw(st.sampled_from(MUL_RINGS))
+    x, y = (draw(st.dictionaries(mul_monomials, coefficients, max_size=6)) for _ in "xy")
+    return ring, x, y
+
+
+def product_term_by_term(ring, x, y):
+    """x*y with each monomial product formed on a plain exponent dict."""
+    base = ring.base
+    acc = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            exps = dict(ma)
+            for v, e in mb:
+                exps[v] = exps.get(v, 0) + e
+            mono = tuple(sorted(exps.items()))
+            c = base.mul(ca, cb)
+            acc[mono] = base.add(acc[mono], c) if mono in acc else c
+    return {mono: c for mono, c in acc.items() if not base.is_zero(c)}
+
+
+def assert_canonical(ring, payload):
+    for mono, c in payload.items():
+        assert all(e >= 1 for _, e in mono)
+        indices = [v for v, _ in mono]
+        assert indices == sorted(set(indices)) and set(indices) <= set(range(len(ring.variables)))
+        assert not ring.base.is_zero(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mul_operands())
+@example((MUL_RINGS[0][0], {((0, 3),): 1, ((1, 1),): 2}, {((0, 3),): 1, ((2, 1),): 1}))  # 3+3
+@example((MUL_RINGS[0][0], {((0, 7),): 1, (): 1}, {((0, 9),): 1, ((1, 1),): 1}))  # 7+9
+@example((MUL_RINGS[1][0], {((0, 1),): 4, ((1, 1),): 2}, {((0, 1),): 2, ((1, 1),): 1}))  # x is y: 2*(4*2) = 0
+@example((MUL_RINGS[0][0], {((1, 2),): 3}, {((0, 1),): 1, ((1, 1),): -1, (): 2}))  # a one-term operand
+def test_packed_product_matches_term_by_term(operands):
+    ring, x, y = operands
+    for a, b in ((x, y), (y, x), (x, x), (x, dict(x))):  # a square, then equal but distinct operands
+        got = ring.mul(a, b)
+        assert got == product_term_by_term(ring, a, b)
+        assert_canonical(ring, got)
+
+
+def test_product_monomials_share_their_pairs():
+    P = PolynomialRing(Z, MUL_VARS)
+    x = {((0, 1),): 1, ((1, 1),): 1, ((2, 1),): 1}
+    got = P.mul(x, P.mul(x, x))  # (x + y + z)^3
+    pairs = [pair for mono in got for pair in mono]
+    assert len(got) == 10 and len({id(pair) for pair in pairs}) == len(set(pairs))
 
 
 # -- compiled polynomial evaluation ---------------------------------------------

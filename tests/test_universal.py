@@ -18,6 +18,8 @@ from wittkit.errors import (
     NotDivisible,
 )
 from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, Z
+from wittkit.truncation import divisors_of
+from wittkit.witt import teichmuller, witt_mul
 from wittkit.universal import (
     _CACHE_HEADER,
     DEFAULT_CEILING,
@@ -25,6 +27,7 @@ from wittkit.universal import (
     PolySource,
     UnivPolyKey,
     ghost_poly,
+    key_family,
     parse_key,
     poly_from_text,
     poly_to_text,
@@ -177,6 +180,19 @@ def test_ceiling():
         tiny.universal_poly(UnivPolyKey("frob", 3, 2))
     with pytest.raises(CeilingExceeded):
         PolySource(ceiling=1000)
+
+
+def test_a_kept_key_family_is_checked_by_each_source():
+    S = divisors_of(8)
+    x = teichmuller(3, S, ModularRing(8))
+    assert key_family("prod", 0, S) is key_family("prod", 0, S)
+    assert [(str(key), names, ds) for key, names, ds in key_family("prod", 0, S)][-1] == (
+        "prod:8", ("a1", "a2", "a4", "a8", "b1", "b2", "b4", "b8"), (1, 2, 4, 8))
+    witt_mul(x, x, "universal", PolySource())
+    tiny = PolySource(ceiling=4)
+    with pytest.raises(CeilingExceeded):
+        witt_mul(x, x, "universal", tiny)
+    assert not tiny._memo  # the heaviest key is refused before any is computed
 
 
 def test_term_budget():
@@ -490,6 +506,16 @@ def test_warm_cache_file_is_bit_for_bit(tmp_path):
     assert len(data) == 18_230
     assert hashlib.sha256(data).hexdigest() == (
         "16dc89d7c2d8072a7caf39eb491f906b03638edfb266bd547171a2413df7c790")
+
+
+# Recorded with the tuple-merging product that predates packed monomials.
+def test_warm_cache_file_is_bit_for_bit_to_weight_24(tmp_path):
+    path = tmp_path / "cache.txt"
+    warm_cache(24, PolySource(cache_path=str(path)))
+    data = path.read_bytes()
+    assert len(data) == 1_409_515
+    assert hashlib.sha256(data).hexdigest() == (
+        "e99001abdaa2660984421780d4f730caedd97e0161f400f34f46f9bcdfbc24e3")
 
 
 def test_frobenius_and_delta_polynomials_are_bit_for_bit():
