@@ -130,8 +130,7 @@ def _laws_check(a) -> Output:
         report = laws.check_comonad(S, T, parse_ring(a.base), trials=a.trials, seed=a.seed)
     else:
         report = laws.check_witt_ring(S, parse_ring(a.base), trials=a.trials, seed=a.seed)
-    as_json = a.json or a.format == "json"
-    text = laws.report_to_json_text(report) if as_json else report.summary()
+    text = laws.report_to_json_text(report) if a.format == "json" else report.summary()
     return Output(None, text, 0 if report.passed else 1)
 
 
@@ -232,7 +231,8 @@ VERBS = (
          (_arg("--suite", required=True, choices=tuple(laws.SUITES)), _set(),
           _arg("--target", help="inner truncation set for the comonad suite"),
           _arg("--base", default="Z"), _arg("--trials", type=int, default=200),
-          _arg("--seed", type=int, default=7), _arg("--json", action="store_true")),
+          _arg("--seed", type=int, default=7),
+          _arg("--json", dest="format", action="store_const", const="json", help="--format json")),
          _laws_check),
     Verb(("cache", "warm"),
          (_arg("--up-to", dest="up_to", type=int, required=True),

@@ -75,6 +75,8 @@ def binary_power(op, unit, x, k: int):
 
     The one power routine: ring powers, Witt multiples and powers, V-basis powers.
     """
+    if k < 0:  # the loop below would never end
+        raise ValueError(f"binary_power needs k >= 0: {k}")
     acc = None
     while k:
         if k & 1:

@@ -104,8 +104,6 @@ class Ring:
         return self.add(x, self.neg(y))
 
     def pow(self, x, e: int):
-        if e < 0:
-            raise WittkitError("negative exponent")
         return binary_power(self.mul, self.one, x, e)
 
     def scalar_mul(self, k: int, x):
@@ -734,10 +732,10 @@ class PolynomialRing(Construction):
                     raise SpecMismatch(f"{mono_data!r} is not a monomial: a variable twice or an exponent below 1")
                 exponents[name] = e
             mono = tuple(sorted((self._index[name], e) for name, e in exponents.items()))
-            c = self.base.from_json(c_data)
-            if not self.base.is_zero(c):
-                out[mono] = c
-        return dict(sorted(out.items()))
+            if mono in out:
+                raise SpecMismatch(f"{shape}, each monomial once: {mono_data!r} occurs twice")
+            out[mono] = self.base.from_json(c_data)
+        return {mono: c for mono, c in sorted(out.items()) if not self.base.is_zero(c)}
 
     def format(self, x) -> str:
         if not x:
@@ -923,6 +921,8 @@ class RingElement:
         return RingElement(self.ring, self.ring.mul(self.value, other.value))
 
     def __pow__(self, e: int):
+        if e < 0:  # refused here for every ring: pow over Z or Z/m gives a float or an inverse
+            raise WittkitError("negative exponent")
         return RingElement(self.ring, self.ring.pow(self.value, e))
 
     def to_json(self) -> dict:

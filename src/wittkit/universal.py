@@ -53,9 +53,10 @@ from .witt import WittVector, delta_component, frobenius, ghost, witt_add, witt_
 
 DEFAULT_CEILING = 64
 HARD_MAX_CEILING = 128
-# The most terms a polynomial may have a priori (`term_bound`) to be computed:
-# the cost depends on the divisors of the weight, not on its size.
+# The most terms (`term_bound`) and work (`work_bound`) a polynomial may have a
+# priori to be computed: both depend on the divisors of the weight, not its size.
 TERM_BUDGET = 5 * 10**6
+WORK_BUDGET = 2 * 10**8
 
 _CACHE_HEADER = "# wittkit universal polynomial cache v1"
 
@@ -143,8 +144,17 @@ def term_bound(op: str, w: int) -> int:
     return c[w]
 
 
-def _vars_for(weight: int, tags: str) -> list[str]:
-    return [f"{tag}{d}" for tag in tags for d in divisors(weight)]
+@lru_cache(maxsize=1024)  # checked on every read of a polynomial
+def work_bound(op: str, w: int) -> int:
+    """The work of computing a polynomial of operation `op` and weight `w`, a priori: the recursion
+    multiplies powers of the coordinates at the proper divisors of w, so their squared term bounds."""
+    return max((term_bound(op, d) ** 2 for d in divisors(w)[:-1]), default=0)
+
+
+@lru_cache(maxsize=1024)  # read by every universal-strategy operation
+def _var_names(tag: str, ds: tuple[int, ...]) -> tuple[str, ...]:
+    """The variables tag_d for d in ds: a_d name the coordinates of x, b_d those of y."""
+    return tuple(f"{tag}{d}" for d in ds)
 
 
 def _tags(op: str) -> str:
@@ -154,21 +164,13 @@ def _tags(op: str) -> str:
 
 @lru_cache(maxsize=512)  # one ring per (weight, tags), with its constants built once
 def _poly_ring(weight: int, tags: str) -> PolynomialRing:
-    return PolynomialRing(Z, _vars_for(weight, tags))
+    return PolynomialRing(Z, [name for tag in tags for name in _var_names(tag, divisors(weight))])
 
 
 @lru_cache(maxsize=1024)  # read by every universal-strategy operation
-def key_family(op: str, param: int, T: TruncationSet) -> tuple:
-    """(key, variable names, divisors d of the weight) for each UnivPolyKey(op, m, param), m in T.
-
-    The names are a_d for each d, then b_d for sum and prod, as in the
-    key's polynomial ring.
-    """
-    out = []
-    for m in T.members:
-        key = UnivPolyKey(op, m, param)
-        out.append((key, tuple(_vars_for(key.weight, _tags(op))), tuple(divisors(key.weight))))
-    return tuple(out)
+def key_family(op: str, param: int, T: TruncationSet) -> tuple[UnivPolyKey, ...]:
+    """UnivPolyKey(op, m, param) for each m in T, lightest first."""
+    return tuple(UnivPolyKey(op, m, param) for m in T.members)
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +178,8 @@ def key_family(op: str, param: int, T: TruncationSet) -> tuple:
 # --------------------------------------------------------------------------
 
 
-_TERM_RE = re.compile(r"^(-?\d+)((?:\*[ab]\d+(?:\^\d+)?)*)$")
+# a term of the canonical form: a nonzero coefficient, then factors with exponents above 0
+_TERM_RE = re.compile(r"^(-?[1-9]\d*)((?:\*[ab]\d+(?:\^[1-9]\d*)?)*)$")
 
 
 def poly_to_text(poly: RingElement) -> str:
@@ -198,25 +201,29 @@ def poly_to_text(poly: RingElement) -> str:
 
 
 def poly_from_text(text: str, ring: PolynomialRing) -> RingElement:
-    text = text.strip()
+    """The inverse of poly_to_text: any other text, a monomial twice included, is CacheCorrupt."""
+    parts = text.strip().split(" + ")
     payload: dict = {}
-    if text != "0":
-        try:
-            for part in text.split(" + "):
-                m = _TERM_RE.match(part)
-                if not m:
-                    raise CacheCorrupt(f"bad polynomial term: {part!r}")
-                coef = int(m.group(1))
-                mono = []
-                for factor in m.group(2).split("*")[1:]:
-                    if "^" in factor:
-                        name, e = factor.split("^")
-                        mono.append((ring._index[name], int(e)))
-                    else:
-                        mono.append((ring._index[factor], 1))
-                payload[tuple(sorted(mono))] = coef
-        except KeyError as exc:
-            raise CacheCorrupt(f"variable {exc.args[0]!r} is not in {ring}") from None
+    if parts == ["0"]:
+        return RingElement(ring, payload)
+    index = ring._index
+    try:
+        for part in parts:
+            m = _TERM_RE.match(part)
+            if not m:
+                raise CacheCorrupt(f"bad polynomial term: {part!r}")
+            mono = []
+            for factor in m.group(2).split("*")[1:]:
+                name, _, e = factor.partition("^")
+                v = index[name]
+                if mono and mono[-1][0] >= v:
+                    raise CacheCorrupt(f"factors out of order in the term {part!r}")
+                mono.append((v, int(e) if e else 1))
+            payload[tuple(mono)] = int(m.group(1))
+    except KeyError as exc:
+        raise CacheCorrupt(f"variable {exc.args[0]!r} is not in {ring}") from None
+    if len(payload) < len(parts):
+        raise CacheCorrupt(f"a monomial occurs twice in a polynomial of {ring}")
     return RingElement(ring, payload)
 
 
@@ -258,10 +265,31 @@ class PolySource:
 
     # -- public ------------------------------------------------------------
     def universal_poly(self, key: UnivPolyKey) -> RingElement:
-        poly = self._get(key)
+        self.check(key)
+        with self._lock:
+            poly = self._memo.get(key)
+        if poly is None:
+            poly = self._compute(key)
+            with self._lock:
+                if self._memo.setdefault(key, poly) is poly and self.cache_path:
+                    self._pending.append((key, poly))
         if self.cache_path:
             self.flush()
         return poly
+
+    def vector(self, op: str, param: int, T: TruncationSet, x: WittVector,
+               y: WittVector | None = None) -> WittVector:
+        """The vector over T whose coordinate at m is UnivPolyKey(op, m, param) at x (a_d) and y (b_d).
+
+        A key of weight w in x's divisor-closed set reads only a_d, b_d for d | w.
+        Every key is checked, heaviest first, before any is computed."""
+        keys = key_family(op, param, T)
+        for key in reversed(keys):
+            self.check(key)
+        values = dict(zip(_var_names("a", x.tset.members), x.coords))
+        if y is not None:
+            values.update(zip(_var_names("b", y.tset.members), y.coords))
+        return WittVector(T, x.ring, tuple(self.evaluate(key, values, x.ring) for key in keys))
 
     def evaluate(self, key: UnivPolyKey, values: dict, target: Ring):
         """Specialize the polynomial for `key` at `values` (names to payloads) in `target`.
@@ -280,27 +308,16 @@ class PolySource:
         return poly.ring.evaluate(poly.value, values, target, program)
 
     def check(self, key: UnivPolyKey):
-        """Refuse a key above the weight ceiling, then one past the term budget."""
+        """Refuse a key above the weight ceiling, then one past the term or the work budget."""
         weight = key.weight
         if weight > self.ceiling:
             raise CeilingExceeded(f"{key} has weight {weight}, above the ceiling {self.ceiling}")
         bound = term_bound(key.op, weight)
         if bound > TERM_BUDGET:
-            raise BudgetExceeded(
-                f"{key} may have {bound} terms, above the term budget {TERM_BUDGET}"
-            )
-
-    def _get(self, key: UnivPolyKey) -> RingElement:
-        self.check(key)
-        with self._lock:
-            got = self._memo.get(key)
-        if got is not None:
-            return got
-        poly = self._compute(key)
-        with self._lock:
-            if self._memo.setdefault(key, poly) is poly and self.cache_path:
-                self._pending.append((key, poly))
-        return poly
+            raise BudgetExceeded(f"{key} may have {bound} terms, above the term budget {TERM_BUDGET}")
+        work = work_bound(key.op, weight)
+        if work > WORK_BUDGET:
+            raise BudgetExceeded(f"{key} has the work bound {work}, above the work budget {WORK_BUDGET}")
 
     def flush(self):
         """Append the polynomials computed since the last flush to the cache file.
@@ -376,32 +393,26 @@ class PolySource:
                     raise CacheCorrupt(f"two different polynomials for {key} in {self.cache_path}")
                 continue
             texts[key] = poly_text
-            self._memo[key] = poly_from_text(poly_text, self._ring_for(key))
+            self._memo[key] = poly_from_text(poly_text, _poly_ring(key.weight, _tags(key.op)))
 
     # -- computation -------------------------------------------------------
-    @staticmethod
-    def _ring_for(key: UnivPolyKey) -> PolynomialRing:
-        return _poly_ring(key.weight, _tags(key.op))
-
     def _compute(self, key: UnivPolyKey) -> RingElement:
         """Coordinate key.index of the key's operation, run by the ghost kernel on the generic vectors."""
-        ring = self._ring_for(key)
         op = {"sum": witt_add, "prod": witt_mul, "neg": witt_neg,
               "frob": partial(frobenius, key.param),
               "delta": partial(delta_component, key.param)}[key.op]
         try:
-            out = op(*_generic(ring, key.weight), strategy="ghost")
+            out = op(*_generic(key.weight, _tags(key.op)), strategy="ghost")
         except NotInGhostImage as exc:
             raise IntegralityViolation(f"ghost recursion for {key}: {exc}") from exc
-        return RingElement(ring, out.coord(key.index))
+        return RingElement(out.ring, out.coord(key.index))
 
 
 @lru_cache(maxsize=512)  # immutable, like the rings of _poly_ring
-def _generic(ring: PolynomialRing, weight: int) -> tuple[WittVector, ...]:
-    """The generic vectors (a_d | d divides weight), then (b_d) if `ring` has those variables."""
-    S = divisors_of(weight)
-    coords = [ring.var(name) for name in ring.variables]  # a_d, then b_d, in the order of S
-    return tuple(WittVector(S, ring, tuple(coords[i:i + len(S)])) for i in range(0, len(coords), len(S)))
+def _generic(weight: int, tags: str) -> tuple[WittVector, ...]:
+    """The generic vectors (tag_d | d divides weight) over _poly_ring(weight, tags), one per tag."""
+    S, ring = divisors_of(weight), _poly_ring(weight, tags)
+    return tuple(WittVector(S, ring, tuple(map(ring.var, _var_names(tag, S.members)))) for tag in tags)
 
 
 def _complete_length(fh, size: int) -> int:
@@ -449,7 +460,7 @@ def ghost_poly(n: int, tag: str = "a") -> RingElement:
     """The ghost polynomial w_n in the variables tag_d, d | n: the top ghost component of (tag_d)."""
     if tag not in ("a", "b"):
         raise WittkitError(f"variable tag must be 'a' or 'b': {tag!r}")
-    (x,) = _generic(_poly_ring(n, tag), n)
+    (x,) = _generic(n, tag)
     return RingElement(x.ring, ghost(x).value(n))
 
 

@@ -10,7 +10,8 @@ given once as a ghost-side transform plus its universal form, and one
 kernel, `_apply`, runs it under one of three interchangeable strategies:
 
   "universal"  specialize the operation's universal polynomials at each
-               coordinate; works over every base ring.
+               coordinate (universal.PolySource.vector); works over every
+               base ring.
   "ghost"      map to ghost coordinates, apply the transform, and lift
                back by the divisor recursion; requires a torsion-free
                base (Z, Q, polynomial/series rings over them).
@@ -274,49 +275,30 @@ def _check_match(x: WittVector, y: WittVector):
         raise SpecMismatch(f"base rings differ: {x.ring} vs {y.ring}")
 
 
-def _universal_vector(
-    op: str, param: int, T: TruncationSet, x: WittVector, y: WittVector | None,
-    source: PolySource | None,
-) -> WittVector:
-    """The vector over T whose coordinate at m is UnivPolyKey(op, m, param) at x (a_d) and y (b_d).
+def _source(source: PolySource | None) -> PolySource:
+    """`source`, or the process-wide default PolySource."""
+    if source is not None:
+        return source
+    from .universal import default_source  # deferred: universal runs this kernel
 
-    A key of weight w reads the coordinates at the divisors of w, which lie
-    in the (divisor-closed) set of x whenever w does.  Every key is checked
-    against the source's ceiling and term budget, heaviest first, before
-    any is computed.
-    """
-    from .universal import default_source, key_family  # deferred: universal runs this kernel
-
-    src = source or default_source()
-    family = key_family(op, param, T)
-    for key, _, _ in reversed(family):
-        src.check(key)
-    a = dict(zip(x.tset.members, x.coords))
-    b = None if y is None else dict(zip(y.tset.members, y.coords))
-    coords = []
-    for key, names, ds in family:
-        args = [a[d] for d in ds]
-        if b is not None:
-            args += [b[d] for d in ds]
-        coords.append(src.evaluate(key, dict(zip(names, args)), x.ring))
-    return WittVector(T, x.ring, tuple(coords))
+    return default_source()
 
 
 def witt_add(x: WittVector, y: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
     _check_match(x, y)
     return _apply((x, y), strategy, lambda u, v: _ghostwise(u.ring.add, u, v),
-                  lambda: _universal_vector("sum", 0, x.tset, x, y, source))
+                  lambda: _source(source).vector("sum", 0, x.tset, x, y))
 
 
 def witt_mul(x: WittVector, y: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
     _check_match(x, y)
     return _apply((x, y), strategy, lambda u, v: _ghostwise(u.ring.mul, u, v),
-                  lambda: _universal_vector("prod", 0, x.tset, x, y, source))
+                  lambda: _source(source).vector("prod", 0, x.tset, x, y))
 
 
 def witt_neg(x: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
     return _apply((x,), strategy, lambda u: _ghostwise(u.ring.neg, u),
-                  lambda: _universal_vector("neg", 0, x.tset, x, None, source))
+                  lambda: _source(source).vector("neg", 0, x.tset, x))
 
 
 def witt_scalar_mul(k: int, x: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:
@@ -357,7 +339,7 @@ def frobenius(n: int, x: WittVector, strategy: str = "auto", source: PolySource 
         g = ghost(u)
         return GhostVector(T, u.ring, tuple(g.value(n * d) for d in T.members))
 
-    return _apply((x,), strategy, transform, lambda: _universal_vector("frob", n, T, x, None, source))
+    return _apply((x,), strategy, transform, lambda: _source(source).vector("frob", n, T, x))
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +364,7 @@ def delta_component(e: int, x: WittVector, strategy: str = "auto", source: PolyS
             for m in T.members
         ))
 
-    return _apply((x,), strategy, transform, lambda: _universal_vector("delta", e, T, x, None, source))
+    return _apply((x,), strategy, transform, lambda: _source(source).vector("delta", e, T, x))
 
 
 def delta(x: WittVector, T: TruncationSet, strategy: str = "auto", source: PolySource | None = None) -> WittVector:

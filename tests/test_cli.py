@@ -140,6 +140,16 @@ def test_laws_verb(capsys):
     assert report["passed"] is True and report["seed"] == 3
 
 
+def test_laws_json_flag_is_format_json(capsys, monkeypatch):
+    monkeypatch.setattr("wittkit.laws.time.monotonic", lambda: 0.0)  # elapsed_s reads 0
+    args = ("laws", "check", "--suite", "wittring", "--set", "div4", "--trials", "5")
+    printed = []
+    for spelling in (("--json",), ("--format", "json")):
+        assert main([*args, *spelling]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and json.loads(printed[0])["passed"] is True
+
+
 def test_laws_seed_reproducible(capsys):
     args = ("laws", "check", "--suite", "wittcomplex", "--set", "div8",
             "--trials", "20", "--seed", "11", "--json")

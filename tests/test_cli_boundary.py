@@ -188,10 +188,12 @@ def test_junk_json_never_escapes(case, junk):
      "NotInGhostImage", 1),
     ({}, ("laws", "check", "--suite", "wittring", "--set", "div4", "--trials", "0"),
      "WittkitError", 1),
+    ({}, ("witt", "teich", '[[[["x",1]],2],[[["x",1]],3]]', "--set", "{1}", "--ring", "Z[x]"),
+     "SpecMismatch", 1),
 ], ids=["json-integer-digits", "q-text", "q-list", "q-zero-denominator", "series-empty-object",
         "series-list", "series-spec-number", "set-divabc", "set-div", "set-seg1.5",
         "ring-bracket", "ceiling-env", "comonad-target-above-set", "from-ghost-huge-remainder",
-        "trials-zero"])
+        "trials-zero", "poly-repeated-monomial"])
 def test_boundary_regressions(monkeypatch, tmp_path, env, argv, name, code):
     monkeypatch.setenv("WITTKIT_CACHE", str(tmp_path / "cache.txt"))
     for key, value in env.items():
@@ -213,6 +215,8 @@ def z8_vector(n):
 # prod:60 may have 73155^2 terms; prod:96 is above the default weight ceiling 64,
 # and its family also holds prod:48, past the term budget
 UNIVERSAL_DIV60 = ("witt", "mul", z8_vector(60), z8_vector(60), "--strategy", "universal")
+# prod:64 passes the term budget but not the work budget
+UNIVERSAL_DIV64 = ("witt", "mul", z8_vector(64), z8_vector(64), "--strategy", "universal")
 UNIVERSAL_DIV96 = ("witt", "mul", z8_vector(96), z8_vector(96), "--strategy", "universal")
 
 
@@ -227,10 +231,11 @@ UNIVERSAL_DIV96 = ("witt", "mul", z8_vector(96), z8_vector(96), "--strategy", "u
     ("ptypical", "decompose", V2, "--prime", PRIME),
     ("laws", "check", "--suite", "wittring", "--set", "div4", "--trials", "1" * 20),
     UNIVERSAL_DIV60,
+    UNIVERSAL_DIV64,
     UNIVERSAL_DIV96,
 ], ids=["div-large", "seg-large", "member-large", "ptyp-large-prime", "ptyp-long",
         "q-exponent", "tau-large-prime", "decompose-large-prime", "trials-large",
-        "universal-div60", "universal-div96"])
+        "universal-div60", "universal-div64", "universal-div96"])
 def test_budgets_fail_fast(argv, tmp_path):
     # in a subprocess, so that an input past its budget that hangs fails the
     # test by the timeout instead of hanging the suite

@@ -1,5 +1,6 @@
 from math import gcd, prod
 
+import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.numtheory import binary_power, bezout, divisors, factorize, is_prime, mobius
@@ -50,3 +51,9 @@ def test_binary_power_matches_repeated_op(word, k, x, modulus):
     for _ in range(k):
         acc = acc * x % modulus
     assert binary_power(lambda a, b: a * b % modulus, 1, x, k) == acc
+
+
+def test_binary_power_refuses_a_negative_count():
+    # its loop would never end: -1 >> 1 is -1
+    with pytest.raises(ValueError):
+        binary_power(str.__add__, "", "ab", -1)

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wittkit.errors import MissingVariable, NotAUnit, NotDivisible, SpecMismatch, ZeroDivisor
+from wittkit.errors import (
+    MissingVariable,
+    NotAUnit,
+    NotDivisible,
+    SpecMismatch,
+    WittkitError,
+    ZeroDivisor,
+)
 from wittkit.rings import (
     ModularRing,
     PolynomialRing,
@@ -229,6 +236,17 @@ def test_power_of_a_single_term_matches_repeated_products():
         for e in range(5):
             assert P.pow(term, e) == product
             product = P.mul(product, term)
+
+
+@pytest.mark.parametrize("spec, value", [("Z", 2), ("Z/8", 2), ("Z/8", 3), ("Q", "1/2"),
+                                         ("Z[x]", [[[["x", 1]], 1]]), ("series(Z,3)", [1, 1, 0])])
+def test_negative_powers_are_refused_in_every_ring(spec, value):
+    # no float over Z, no inverse of a unit mod 8 and no ValueError for a non-unit
+    ring = parse_ring(spec)
+    el = RingElement(ring, ring.from_json(value))
+    with pytest.raises(WittkitError, match="negative exponent"):
+        el ** -1
+    assert el ** 0 == RingElement(ring, ring.one)
 
 
 def test_equal_polynomials_hash_alike_whatever_order_built_them():

@@ -24,6 +24,7 @@ from wittkit.universal import (
     _CACHE_HEADER,
     DEFAULT_CEILING,
     TERM_BUDGET,
+    WORK_BUDGET,
     PolySource,
     UnivPolyKey,
     ghost_poly,
@@ -34,6 +35,7 @@ from wittkit.universal import (
     specialize,
     term_bound,
     warm_cache,
+    work_bound,
 )
 
 
@@ -186,8 +188,7 @@ def test_a_kept_key_family_is_checked_by_each_source():
     S = divisors_of(8)
     x = teichmuller(3, S, ModularRing(8))
     assert key_family("prod", 0, S) is key_family("prod", 0, S)
-    assert [(str(key), names, ds) for key, names, ds in key_family("prod", 0, S)][-1] == (
-        "prod:8", ("a1", "a2", "a4", "a8", "b1", "b2", "b4", "b8"), (1, 2, 4, 8))
+    assert [str(key) for key in key_family("prod", 0, S)] == ["prod:1", "prod:2", "prod:4", "prod:8"]
     witt_mul(x, x, "universal", PolySource())
     tiny = PolySource(ceiling=4)
     with pytest.raises(CeilingExceeded):
@@ -206,6 +207,19 @@ def test_term_budget():
     assert refused == ["sum:48", "prod:48", "prod:54", "prod:56", "sum:60", "prod:60"]
     with pytest.raises(BudgetExceeded):
         PolySource().universal_poly(UnivPolyKey("prod", 48))
+
+
+def test_work_budget():
+    # the recursion for a key raises the coordinates below it to powers, so
+    # its cost follows their squared term bounds: prod:64 passes the term
+    # budget and had not finished after 10 minutes, while sum:56 takes ~30 s
+    assert work_bound("prod", 40) == term_bound("prod", 20) ** 2 and work_bound("sum", 1) == 0
+    source = PolySource()
+    source.check(UnivPolyKey("sum", 56))
+    for key in [UnivPolyKey("sum", 64), UnivPolyKey("prod", 64)]:
+        assert term_bound(key.op, key.weight) <= TERM_BUDGET < WORK_BUDGET < work_bound(key.op, key.weight)
+        with pytest.raises(BudgetExceeded, match="work budget"):
+            source.check(key)
 
 
 def test_text_round_trip(src):
@@ -438,7 +452,9 @@ def test_duplicate_keys_must_agree(tmp_path):
         PolySource(cache_path=str(path))
 
 
-@pytest.mark.parametrize("line", ["sum:x\t1*a1", "sum:0\t1*a1", "sum:1\t1*a7", "sum:1\t1*a1 + "])
+@pytest.mark.parametrize("line", ["sum:x\t1*a1", "sum:0\t1*a1", "sum:1\t1*a7", "sum:1\t1*a1 + ",
+                                  "sum:1\t1*a1^0", "sum:1\t1*a1*a1", "sum:1\t0*a1",
+                                  "sum:1\t2*a1 + 3*a1", "sum:1\t1*b1*a1"])
 def test_bad_entries_are_corrupt(tmp_path, line):
     path = tmp_path / "cache.txt"
     path.write_text(f"{_CACHE_HEADER}\n{line}\n")

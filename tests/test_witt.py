@@ -4,10 +4,19 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittkit.errors import NotInGhostImage, NotSubset, SetMismatch, UnsupportedRing
-from wittkit.rings import ModularRing, PolynomialRing, Q, SeriesRing, SquareZeroRing, Z
+from oracles import FourElementField
+from wittkit.errors import (
+    NotDivisible,
+    NotInGhostImage,
+    NotSubset,
+    SetMismatch,
+    UnsupportedRing,
+    ZeroDivisor,
+)
+from wittkit.laws import check_witt_ring
+from wittkit.rings import ModularRing, PolynomialRing, Q, Ring, SeriesRing, SquareZeroRing, Z
 from wittkit.numtheory import divisors
-from wittkit.truncation import divisors_of, truncation_set
+from wittkit.truncation import divisors_of, p_typical, truncation_set
 from wittkit.universal import PolySource
 from wittkit.witt import (
     GhostVector,
@@ -150,6 +159,67 @@ def test_strategies_agree():
             assert witt_mul(x, y, "lift") == witt_mul(x, y, "universal")
             assert frobenius(2, x, "lift") == frobenius(2, x, "universal")
             assert delta_component(2, x, "lift") == delta_component(2, x, "universal")
+
+
+class GF4(Ring):
+    """F_4 by the table of the oracle field: a ring with torsion and no torsion-free cover."""
+
+    field = FourElementField()
+
+    def add(self, x, y):
+        return self.field.add(x, y)
+
+    def neg(self, x):
+        return x
+
+    def mul(self, x, y):
+        return self.field.mul(x, y)
+
+    def of_int(self, k):
+        return k % 2
+
+    def exact_div(self, x, n):
+        if n % 2 == 0:
+            raise NotDivisible(f"{n} is 0 in {self}")
+        return x
+
+    def sample(self, rng, size=9):
+        return rng.choice(self.field.elements)
+
+    def __str__(self):
+        return "GF(4)"
+
+
+def test_auto_falls_back_to_universal_without_a_cover():
+    F4 = GF4()
+    x = teichmuller(2, S12, F4)
+    for strategy in ("ghost", "lift"):
+        with pytest.raises(UnsupportedRing):
+            witt_mul(x, x, strategy)
+    source = PolySource(None)
+    assert witt_mul(x, x, "auto", source) == witt_mul(x, x, "universal")
+    assert source._memo  # "auto" read universal polynomials from the source it was given
+    assert check_witt_ring(divisors_of(6), F4, trials=20).passed
+    # W(F_4) = Z_2[zeta_3]: over ptyp(2, n) it is Z/2^n[zeta_3], where the
+    # Teichmuller lift of a root w of t^2 + t + 1 is a root too
+    for n in range(1, 5):
+        S = p_typical(2, n)
+        w, one, zero = teichmuller(2, S, F4), witt_one(S, F4), witt_zero(S, F4)
+        assert witt_add(witt_add(witt_mul(w, w), w), one) == zero
+        assert witt_of_int(2**n, S, F4) == zero != witt_of_int(2 ** (n - 1), S, F4)
+
+
+def test_exact_div_over_a_base_with_torsion():
+    # the triangular solve of WittRing.exact_div: n is a unit of W(Z/9) exactly when 3 does not divide it
+    R = WittRing(ModularRing(9), S12)
+    rng = random.Random(4)
+    for _ in range(5):
+        x = R.sample(rng)
+        for n in (2, 4, 5):
+            assert R.scalar_mul(n, R.exact_div(x, n)) == x
+        for n in (3, 6, 0):
+            with pytest.raises((NotDivisible, ZeroDivisor)):
+                R.exact_div(x, n)
 
 
 @pytest.mark.parametrize("ring", [Z, ModularRing(8), ModularRing(9), SeriesRing(ModularRing(2), 3)],
