@@ -67,7 +67,6 @@ from .wittint import (
 from .series import gamma, gamma_inverse
 from .ptypical import idempotents, ptypical_projection, reassemble, tau_iso
 from .drwz import (
-    CrtClass,
     DrwComplex,
     DrwElement,
     crt_bracket,

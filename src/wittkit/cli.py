@@ -29,7 +29,7 @@ from . import drwz, laws, ptypical, series, universal, wittint
 from .errors import WittkitError
 from .rings import element_from_json, parse_ring
 from .truncation import parse_truncation_set
-from .universal import HARD_MAX_CEILING, PolySource
+from .universal import PolySource
 from .witt import (
     delta,
     from_ghost,
@@ -135,7 +135,7 @@ def _laws_check(a) -> Output:
 
 
 def _cache_warm(a) -> Output:
-    source = PolySource(cache_path=a.cache or universal.default_cache_path(), ceiling=a.ceiling)
+    source = PolySource(cache_path=a.cache or universal.default_cache_path())
     count = universal.warm_cache(a.up_to, source)
     return Output({"entries": count, "path": source.cache_path},
                   f"computed {count} polynomials -> {source.cache_path}")
@@ -236,9 +236,7 @@ VERBS = (
          _laws_check),
     Verb(("cache", "warm"),
          (_arg("--up-to", dest="up_to", type=int, required=True),
-          _arg("--cache", help="cache file path override"),
-          _arg("--ceiling", type=int, default=None,
-               help=f"weight ceiling override (hard maximum {HARD_MAX_CEILING})")),
+          _arg("--cache", help="cache file path override")),
          _cache_warm),
 )
 

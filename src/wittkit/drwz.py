@@ -53,34 +53,17 @@ from .wittint import (
     frobenius_basis,
     from_coords,
     restrict_basis,
-    teich_basis,
     verschiebung_basis,
 )
 
 
-@dataclass(frozen=True)
-class CrtClass:
-    """The class (m,n]: 0 mod m and gcd(m,n) mod n, stored in [0, lcm)."""
-
-    m: int
-    n: int
-    value: int
-
-    def __post_init__(self):
-        g = gcd(self.m, self.n)
-        if not (0 <= self.value < lcm(self.m, self.n)):
-            raise SpecMismatch(f"({self.m},{self.n}] out of range: {self.value}")
-        if self.value % self.m != 0 or self.value % self.n != g % self.n:
-            raise SpecMismatch(f"{self.value} is not the class ({self.m},{self.n}]")
-
-
-def crt_bracket(m: int, n: int) -> CrtClass:
-    """Solve x = 0 mod m, x = gcd(m,n) mod n inside [0, lcm(m,n))."""
+def crt_bracket(m: int, n: int) -> int:
+    """The class (m,n]: x = 0 mod m, x = gcd(m,n) mod n, inside [0, lcm(m,n))."""
     if m < 1 or n < 1:
         raise SpecMismatch(f"indices must be positive: ({m},{n}]")
     g = gcd(m, n)
     t = pow(m // g, -1, n // g) if n // g > 1 else 0
-    return CrtClass(m, n, (m * t) % lcm(m, n))
+    return (m * t) % lcm(m, n)
 
 
 def curly(m: int, n: int) -> int:
@@ -192,7 +175,7 @@ class DrwComplex:
     """
 
     def _crt_value(self, m: int, n: int) -> int:
-        return crt_bracket(m, n).value
+        return crt_bracket(m, n)
 
     def _curly(self, m: int, n: int) -> int:
         return curly(m, n)
@@ -268,9 +251,6 @@ class DrwComplex:
         raw: dict[int, int] = {}
         _add_dyadic(S, raw, 1, 1)
         return DrwElement(S, basis_zero(S), _reduce_deg1(S, raw))
-
-    def eta_teich(self, a: int, S: TruncationSet) -> DrwElement:
-        return drw_eta(teich_basis(a, S))
 
 
 _DEFAULT = DrwComplex()

@@ -47,13 +47,9 @@ def prime_to_p_part(S: TruncationSet, p: int) -> list[int]:
     return [k for k in S.members if k % p != 0]
 
 
-def _v_one_over(k: int, S: TruncationSet, ring: Ring) -> WittVector:
-    """(1/k) * V_k([1]), as a vector over S (zero when S/k is empty)."""
-    T = S.quotient(k)
-    if not T.members:
-        return witt_zero(S, ring)
-    spread = verschiebung(k, witt_one(T, ring), S)
-    return WittVector(S, ring, ring_exact_div_coordinates(spread, k))
+def _one_over_k_v(k: int, y: WittVector, S: TruncationSet) -> WittVector:
+    """(1/k) * V_k(y) as a vector over S, for y over S/k."""
+    return WittVector(S, y.ring, ring_exact_div_coordinates(verschiebung(k, y, S), k))
 
 
 def ring_exact_div_coordinates(x: WittVector, k: int) -> tuple:
@@ -76,21 +72,19 @@ def idempotents(S: TruncationSet, p: int, ring: Ring) -> dict[int, WittVector]:
 
 
 def _idempotent(k: int, I: list[int], S: TruncationSet, ring: Ring) -> WittVector:
-    factors = []
+    """(1/k)V_k[1] times (1/k)V_k[1] - (1/kl)V_kl[1] for every l > 1 in I.
+
+    The first factor is idempotent and fixes each of the others, as
+    (1/k)V_k[1] * (1/kl)V_kl[1] = (1/kl)V_kl[1]; every kl is a unit.
+    """
+    def one_over_v_one(j):
+        return _one_over_k_v(j, witt_one(S.quotient(j), ring), S)
+
+    e_k = first = one_over_v_one(k)
     for l in I:
-        if l == 1:
-            continue
-        term = witt_add(
-            _v_one_over(k, S, ring),
-            witt_scalar_mul(-1, _v_one_over(k * l, S, ring)),
-        )
-        factors.append(term)
-    if not factors:
-        return _v_one_over(k, S, ring)
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = witt_mul(acc, f)
-    return acc
+        if l != 1:
+            e_k = witt_mul(e_k, witt_add(first, witt_scalar_mul(-1, one_over_v_one(k * l))))
+    return e_k
 
 
 def ptypical_component_set(S: TruncationSet, p: int, k: int) -> TruncationSet:
@@ -120,9 +114,7 @@ def ptypical_section(k: int, y: WittVector, S: TruncationSet, p: int, e_k: WittV
     padded = WittVector(
         T, ring, tuple(y.coord(n) if n in y.tset else ring.zero for n in T.members)
     )
-    lifted = verschiebung(k, padded, S)
-    lifted = WittVector(S, ring, ring_exact_div_coordinates(lifted, k))
-    return witt_mul(lifted, e_k)
+    return witt_mul(_one_over_k_v(k, padded, S), e_k)
 
 
 def reassemble(components: dict[int, WittVector], S: TruncationSet, p: int, ring: Ring) -> WittVector:

@@ -53,6 +53,9 @@ from .numtheory import binary_power
 # The largest decimal exponent a Q coordinate may carry: "1e999999999"
 # would build 10**999999999 before anything else looks at it.
 EXPONENT_BUDGET = 4300
+# The largest series precision: a product mod t^k costs O(k^2) base
+# operations, and gamma or gamma_inverse at this precision takes about a second.
+PRECISION_BUDGET = 800
 _EXPONENT_RE = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
 
@@ -768,6 +771,8 @@ class SeriesRing(Construction):
     def __init__(self, base: Ring, precision: int):
         if precision < 1:
             raise WittkitError(f"precision must be >= 1: {precision}")
+        if precision > PRECISION_BUDGET:
+            raise BudgetExceeded(f"precision {precision} exceeds the budget {PRECISION_BUDGET}")
         super().__init__(base)
         self.precision = precision
 
@@ -783,6 +788,7 @@ class SeriesRing(Construction):
         return tuple(self.base.add(a, b) for a, b in zip(x, y))
 
     def mul(self, x, y):
+        """Skips the zero coefficients of x, so pass the sparser factor first."""
         base = self.base
         is_zero, add, mul = base.is_zero, base.add, base.mul
         n = self.precision

@@ -30,7 +30,7 @@ def gamma(x: WittVector, precision: int) -> RingElement:
         for k in range(0, precision // n + 1):
             coeffs[n * k] = power
             power = base.mul(power, a)
-        out = ring.mul(out, tuple(coeffs))
+        out = ring.mul(tuple(coeffs), out)  # the sparse factor first
     return RingElement(ring, out)
 
 
@@ -39,6 +39,8 @@ def gamma_inverse(f: RingElement, length: int) -> WittVector:
     ring = f.ring
     if not isinstance(ring, SeriesRing):
         raise SpecMismatch(f"gamma_inverse needs a series, got {ring}")
+    S = initial_segment(length)
+    work = SeriesRing(ring.base, length + 1)
     if ring.precision < length + 1:
         raise UnsupportedRing(
             f"need the series mod t^{length + 1}, have precision {ring.precision}"
@@ -46,8 +48,6 @@ def gamma_inverse(f: RingElement, length: int) -> WittVector:
     base = ring.base
     if f.value[0] != base.one:
         raise NotAUnit("gamma_inverse requires constant term 1")
-    S = initial_segment(length)
-    work = SeriesRing(base, length + 1)
     h = work.from_coefficients(f.value)
     coords = []
     for j in range(1, length + 1):
@@ -58,5 +58,5 @@ def gamma_inverse(f: RingElement, length: int) -> WittVector:
             factor = [base.zero] * (length + 1)
             factor[0] = base.one
             factor[j] = base.neg(a_j)
-            h = work.mul(h, tuple(factor))
+            h = work.mul(tuple(factor), h)  # the sparse factor first
     return WittVector(S, base, tuple(coords))

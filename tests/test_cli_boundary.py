@@ -19,12 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from wittkit import errors
 from wittkit.cli import VERBS, main
+from wittkit.rings import PRECISION_BUDGET
 
 JSON_ARGS = {"x", "y", "value", "series"}
 SET_ARGS = {"--set", "--target", "target"}
 RING_ARGS = {"--ring", "--base"}
 OTHER_ARGS = {"n", "m", "--precision", "--length", "--prime", "--value", "--suite", "--trials",
-              "--seed", "--json", "--strategy", "--up-to", "--cache", "--ceiling"}
+              "--seed", "--json", "--strategy", "--up-to", "--cache"}
 
 V2 = json.dumps({"set": [1, 2], "base": "Z", "coords": {"1": 1, "2": 0}})
 B2 = json.dumps({"set": [1, 2], "coeffs": {"2": 1}})
@@ -233,9 +234,14 @@ UNIVERSAL_DIV96 = ("witt", "mul", z8_vector(96), z8_vector(96), "--strategy", "u
     UNIVERSAL_DIV60,
     UNIVERSAL_DIV64,
     UNIVERSAL_DIV96,
+    ("witt", "teich", "[1,2]", "--set", "{1,2}", "--ring", f"series(Z,{PRECISION_BUDGET + 1})"),
+    ("gamma", V2, "--precision", str(PRECISION_BUDGET + 1)),
+    ("gamma-inv", json.dumps({"spec": "series(Z,3)", "value": [1, 1, 0]}),
+     "--length", str(PRECISION_BUDGET + 1)),
 ], ids=["div-large", "seg-large", "member-large", "ptyp-large-prime", "ptyp-long",
         "q-exponent", "tau-large-prime", "decompose-large-prime", "trials-large",
-        "universal-div60", "universal-div64", "universal-div96"])
+        "universal-div60", "universal-div64", "universal-div96",
+        "series-precision", "gamma-precision", "gamma-inv-length"])
 def test_budgets_fail_fast(argv, tmp_path):
     # in a subprocess, so that an input past its budget that hangs fails the
     # test by the timeout instead of hanging the suite

@@ -1,9 +1,10 @@
 import random
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wittkit.drwz import (
-    CrtClass,
     DrwElement,
     crt_bracket,
     curly,
@@ -20,7 +21,7 @@ from wittkit.drwz import (
     generator_tables,
 )
 from wittkit.errors import NotSubset, SetMismatch, SpecMismatch
-from wittkit.truncation import divisors_of, truncation_set
+from wittkit.truncation import MEMBER_BUDGET, divisors_of, truncation_set
 from wittkit.witt import witt_mul
 from wittkit.wittint import (
     BasisWittInt,
@@ -49,24 +50,31 @@ def rand_drw(S, rng):
     return DrwElement(S, deg0, tuple(rng.randrange(n) for n in S.members))
 
 
-def test_crt_bracket():
-    assert crt_bracket(2, 3).value == 4
-    assert crt_bracket(3, 2).value == 3
-    assert crt_bracket(2, 2).value == 0
-    for m in range(1, 13):
-        for n in range(1, 13):
-            c = crt_bracket(m, n)
-            from math import gcd, lcm
+def _assert_crt_class(m, n):
+    c, g, l = crt_bracket(m, n), gcd(m, n), lcm(m, n)
+    assert isinstance(c, int)
+    assert 0 <= c < l
+    assert c % m == 0
+    assert c % n == g % n
+    # the two brackets assemble to the gcd
+    assert (c + crt_bracket(n, m)) % l == g % l
 
-            assert c.value % m == 0
-            assert c.value % n == gcd(m, n) % n
-            assert 0 <= c.value < lcm(m, n)
-            # the two brackets assemble to the gcd
-            assert (crt_bracket(m, n).value + crt_bracket(n, m).value) % lcm(m, n) == gcd(
-                m, n
-            ) % lcm(m, n)
+
+def test_crt_bracket():
+    assert crt_bracket(2, 3) == 4
+    assert crt_bracket(3, 2) == 3
+    assert crt_bracket(2, 2) == 0
+    # every pair the CLI examples, the law suites and the benchmark use
+    for m in range(1, 129):
+        for n in range(1, 129):
+            _assert_crt_class(m, n)
     with pytest.raises(SpecMismatch):
-        CrtClass(2, 3, 2)
+        crt_bracket(0, 3)
+
+
+@given(st.integers(1, MEMBER_BUDGET), st.integers(1, MEMBER_BUDGET))
+def test_crt_bracket_up_to_the_member_budget(m, n):
+    _assert_crt_class(m, n)
 
 
 def test_curly():
