@@ -460,8 +460,9 @@ class PolynomialRing(Construction):
             raise WittkitError(f"duplicate variable names: {self.variables}")
         self._index = {v: i for i, v in enumerate(self.variables)}
         # Decoding tables of the packed product, filled as products need them:
-        # each (v, e) pair once, and per field width w the (low, high) halves
-        # of monomials decoded so far.  Equal entries are all a race can add.
+        # each (v, e) pair once (the cache reader of universal.py interns its
+        # pairs here too), and per field width w the (low, high) halves of
+        # monomials decoded so far.  Equal entries are all a race can add.
         self._pairs: dict = {}
         self._halves: dict = {}
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittkit.errors import (
     BudgetExceeded,
@@ -27,6 +28,7 @@ from wittkit.universal import (
     WORK_BUDGET,
     PolySource,
     UnivPolyKey,
+    _poly_ring,
     ghost_poly,
     key_family,
     parse_key,
@@ -196,6 +198,17 @@ def test_a_kept_key_family_is_checked_by_each_source():
     assert not tiny._memo  # the heaviest key is refused before any is computed
 
 
+def test_the_read_path_checks_each_key_once(monkeypatch):
+    S = divisors_of(12)
+    x = teichmuller(3, S, ModularRing(8))
+    source = PolySource()
+    witt_mul(x, x, "universal", source)  # computes, so checks each key before computing it
+    checked = []
+    monkeypatch.setattr(PolySource, "check", lambda self, key: checked.append(key))
+    witt_mul(x, x, "universal", source)
+    assert checked == list(reversed(key_family("prod", 0, S)))
+
+
 def test_term_budget():
     # c(w), the partitions of w into divisors of w, bounds a key of weight w
     for w, c in [(24, 458), (36, 2234), (48, 9676), (60, 73155), (64, 1828)]:
@@ -230,6 +243,44 @@ def test_text_round_trip(src):
         assert back.value == poly.value
     assert parse_key("frob:2:3") == UnivPolyKey("frob", 3, 2)
     assert parse_key("sum:7") == UnivPolyKey("sum", 7)
+
+
+def reference_text(poly):
+    """The canonical rendering, term by term: the oracle of poly_to_text."""
+    ring = poly.ring
+    if not poly.value:
+        return "0"
+    parts = []
+    for mono, c in sorted(poly.value.items()):
+        factors = [str(c)]
+        for v, e in mono:
+            name = ring.variables[v]
+            factors.append(name if e == 1 else f"{name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+@st.composite
+def integer_polys(draw):
+    """A polynomial over the ring of a key's weight and tags: random exponents, big signed coefficients."""
+    ring = _poly_ring(draw(st.sampled_from([1, 2, 6, 12, 24, 36])), draw(st.sampled_from(["a", "ab"])))
+    exponents = st.lists(st.integers(0, 300), min_size=len(ring.variables), max_size=len(ring.variables))
+    coefs = st.integers(-10**80, 10**80).filter(bool)
+    monos = draw(st.lists(exponents.map(lambda es: tuple((v, e) for v, e in enumerate(es) if e)),
+                          unique=True, max_size=30))
+    return RingElement(ring, {mono: draw(coefs) for mono in monos})
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_polys())
+def test_the_codec_writes_the_reference_text_and_reads_it_back(poly):
+    text = poly_to_text(poly)
+    assert text == reference_text(poly)
+    back = poly_from_text(text, poly.ring)
+    assert back.value == poly.value
+    assert list(map(type, back.value.values())) == [int] * len(poly.value)
+    pairs = poly.ring._pairs  # read pairs are the ring's interned ones
+    assert all(pairs[pair] is pair for mono in back.value for pair in mono)
 
 
 def test_disk_cache_round_trip(tmp_path):
@@ -454,7 +505,16 @@ def test_duplicate_keys_must_agree(tmp_path):
 
 @pytest.mark.parametrize("line", ["sum:x\t1*a1", "sum:0\t1*a1", "sum:1\t1*a7", "sum:1\t1*a1 + ",
                                   "sum:1\t1*a1^0", "sum:1\t1*a1*a1", "sum:1\t0*a1",
-                                  "sum:1\t2*a1 + 3*a1", "sum:1\t1*b1*a1"])
+                                  "sum:1\t2*a1 + 3*a1", "sum:1\t1*b1*a1",
+                                  # keys that int() reads but str() does not write
+                                  "sum:3_0\t1*a1", "sum:+3\t1*a1", "sum:03\t1*a1", "sum: 3\t1*a1",
+                                  "neg:1 \t1*a1", "frob:02:1\t1*a1",
+                                  # coefficients, exponents and factors out of the canonical form
+                                  "sum:1\t01*a1", "sum:1\t-0*a1", "sum:1\t+1*a1",
+                                  "sum:1\t1*a1^01", "sum:1\t1*a1^1", "sum:1\t1*a1^", "sum:1\t1**a1",
+                                  "sum:1\t1*c1", "sum:1\t1*a1 +  1*b1",
+                                  # out of index order: b1 comes after a2, and a10 after a2
+                                  "sum:2\t1*b1*a2", "sum:10\t1*a10*a2"])
 def test_bad_entries_are_corrupt(tmp_path, line):
     path = tmp_path / "cache.txt"
     path.write_text(f"{_CACHE_HEADER}\n{line}\n")
@@ -524,14 +584,30 @@ def test_warm_cache_file_is_bit_for_bit(tmp_path):
         "16dc89d7c2d8072a7caf39eb491f906b03638edfb266bd547171a2413df7c790")
 
 
+@pytest.fixture(scope="module")
+def warm24(tmp_path_factory):
+    """A cache file warmed to weight 24, and the source that computed it."""
+    path = tmp_path_factory.mktemp("warm24") / "cache.txt"
+    source = PolySource(cache_path=str(path))
+    warm_cache(24, source)
+    return path, source
+
+
 # Recorded with the tuple-merging product that predates packed monomials.
-def test_warm_cache_file_is_bit_for_bit_to_weight_24(tmp_path):
-    path = tmp_path / "cache.txt"
-    warm_cache(24, PolySource(cache_path=str(path)))
+def test_warm_cache_file_is_bit_for_bit_to_weight_24(warm24):
+    path, _ = warm24
     data = path.read_bytes()
     assert len(data) == 1_409_515
     assert hashlib.sha256(data).hexdigest() == (
         "e99001abdaa2660984421780d4f730caedd97e0161f400f34f46f9bcdfbc24e3")
+
+
+def test_the_warm_cache_file_reads_back_as_computed(warm24):
+    path, source = warm24
+    loaded = PolySource(cache_path=str(path))._memo
+    assert len(loaded) == 72 and loaded.keys() == source._memo.keys()
+    for key, poly in source._memo.items():
+        assert loaded[key].ring is poly.ring and loaded[key].value == poly.value
 
 
 def test_frobenius_and_delta_polynomials_are_bit_for_bit():
