@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
@@ -162,11 +163,16 @@ class Ring:
     def __repr__(self) -> str:
         return f"<ring {self}>"
 
+    # Rings never change, so the spec string that is their identity is built once.
+    @cached_property
+    def _spec(self) -> str:
+        return str(self)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ring) and str(self) == str(other)
+        return self is other or (isinstance(other, Ring) and self._spec == other._spec)
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(self._spec)
 
 
 class IntegerRing(Ring):
@@ -357,29 +363,38 @@ class Construction(Ring):
 
 
 # Opcodes of an EvalProgram; an instruction is `argument << 2 | opcode`.
-_PUSH, _MUL, _MULADD = 0, 1, 2
+_PUSH, _MUL, _MULADD, _ROW = 0, 1, 2, 3
 
 
 class EvalProgram:
     """A polynomial compiled for one target ring into a straight-line program.
 
-    `code` is a flat array of instructions run on a small stack:
+    A run first fills its slots: x^1 .. x^top for each (name, top) of
+    `powers` in turn (the power slots), then one slot per entry (s, t) of
+    `links`, the product of slot s and power slot t, so the monomials in
+    the high variables of `PolynomialRing.compile` share their prefixes.
+    `code` is then a flat array of instructions run on a small stack:
 
         _PUSH k     push consts[k]
-        _MUL s      multiply the top by power slot s
-        _MULADD s   pop t, then add t times power slot s to the new top
+        _MUL s      multiply the top by slot s
+        _MULADD s   pop t, then add t times slot s to the new top
+        _ROW r      the sum of c times slot s over the pairs of rows[r >> 1],
+                    each row flat as (c, s, c, s, ...) with c a constant
+                    payload: pushed, or added to the top when r is odd
 
-    Power slots hold x^1 .. x^top for each (name, top) of `rows` in turn.
     `names` lists every variable of the polynomial, including those that
     occur only in terms vanishing in the target: each needs a value.
     """
 
-    __slots__ = ("target", "code", "consts", "rows", "names")
+    __slots__ = ("target", "code", "consts", "powers", "links", "rows", "names")
 
-    def __init__(self, target: Ring, code: array, consts: list, rows: tuple, names: tuple):
+    def __init__(self, target: Ring, code: array, consts: list, powers: tuple, links: tuple,
+                 rows: tuple, names: tuple):
         self.target = target
         self.code = code
         self.consts = consts
+        self.powers = powers
+        self.links = links
         self.rows = rows
         self.names = names
 
@@ -391,14 +406,16 @@ class EvalProgram:
         if not self.code:
             return target.zero
         mul, add = target.mul, target.add
-        powers = []
-        for name, top in self.rows:
+        slots = []
+        for name, top in self.powers:
             x = p = values[name]
-            powers.append(x)
+            slots.append(x)
             for _ in range(top - 1):
                 p = mul(p, x)
-                powers.append(p)
-        consts = self.consts
+                slots.append(p)
+        for s, t in self.links:
+            slots.append(mul(slots[s], slots[t]))
+        consts, rows = self.consts, self.rows
         stack: list = []
         push, pop = stack.append, stack.pop
         for ins in self.code:
@@ -406,10 +423,17 @@ class EvalProgram:
             if op == _PUSH:
                 push(consts[ins >> 2])
             elif op == _MUL:
-                stack[-1] = mul(stack[-1], powers[ins >> 2])
-            else:
+                stack[-1] = mul(stack[-1], slots[ins >> 2])
+            elif op == _MULADD:
                 t = pop()
-                stack[-1] = add(stack[-1], mul(t, powers[ins >> 2]))
+                stack[-1] = add(stack[-1], mul(t, slots[ins >> 2]))
+            else:
+                r = ins >> 2
+                terms = iter(rows[r >> 1])
+                acc = pop() if r & 1 else mul(next(terms), slots[next(terms)])
+                for c, s in zip(terms, terms):
+                    acc = add(acc, mul(c, slots[s]))
+                push(acc)
         return stack[0]
 
 
@@ -614,13 +638,21 @@ class PolynomialRing(Construction):
             out[new] = c
         return out
 
-    def compile(self, payload: dict, target: Ring) -> EvalProgram:
+    def compile(self, payload: dict, target: Ring, split: int | None = None) -> EvalProgram:
         """Compile an integer-coefficient payload for evaluation in `target`.
 
-        Monomials are walked in sorted order, so those sharing a prefix of
-        (variable, exponent) factors are adjacent; each shared prefix is
-        factored out once (a Horner trie) and emitted as postfix code
-        without building the trie itself.
+        Each monomial splits into a low part, its factors in the variables
+        below index `split` (all variables by default), and a high part, the
+        rest.  Monomials are walked in sorted order, so those whose low parts
+        share a prefix of (variable, exponent) factors are adjacent; each
+        shared prefix is factored out once (a Horner trie over the low
+        parts) and emitted as postfix code without building the trie itself.
+        Each distinct high part is one slot, computed once per run from the
+        slot of its prefix (the program's `links`), and the terms of one low
+        part that have a high part are summed by one `_ROW` instruction, or,
+        when there is only one, multiplied in like a leaf.  A term without
+        high part stays a `_PUSH`, so with the default split the program has
+        no links and no rows.
         """
         variables = self.variables
         top: dict[int, int] = {}  # per variable of a surviving term
@@ -648,14 +680,30 @@ class PolynomialRing(Construction):
                 names.add(variables[v])
                 if k >= 0 and e > top.get(v, 0):
                     top[v] = e
-        offset, rows, slots = {}, [], 0
+        offset, powers, n_powers = {}, [], 0
         for v in sorted(top):
-            offset[v] = slots
-            slots += top[v]
-            rows.append((variables[v], top[v]))
+            offset[v] = n_powers
+            n_powers += top[v]
+            powers.append((variables[v], top[v]))
+
+        links: list[tuple[int, int]] = []
+        slot_of: dict[tuple, int] = {}  # high part -> its slot
+
+        def high_slot(high):
+            s = slot_of.get(high)
+            if s is None:
+                if len(high) == 1:
+                    s = offset[high[0][0]] + high[0][1] - 1
+                else:
+                    links.append((high_slot(high[:-1]), high_slot(high[-1:])))
+                    s = n_powers + len(links) - 1
+                slot_of[high] = s
+            return s
 
         code = array("i")
         emit = code.append
+        rows: list[tuple] = []
+        row: list = []  # the high terms of the current node, not yet emitted
         path: list[int] = []  # power slot of each edge from the root to the current node
         live = [False]  # live[d]: the node at depth d has its value on the stack
 
@@ -666,25 +714,50 @@ class PolynomialRing(Construction):
                 emit(slot << 2 | (_MULADD if live[-1] else _MUL))
                 live[-1] = True
 
+        def flush():  # emit the pending high terms of the current node
+            if len(row) == 1:  # a leaf, as the unsplit trie has it: cheaper than a row
+                (k, s), = row
+                emit(k << 2 | _PUSH)
+                emit(s << 2 | (_MULADD if live[-1] else _MUL))
+            else:
+                rows.append(tuple(chain.from_iterable((consts[k], s) for k, s in row)))
+                emit(((len(rows) - 1) << 1 | live[-1]) << 2 | _ROW)
+            live[-1] = True
+            row.clear()
+
+        # A node's term without high part sorts first in its subtree and its
+        # terms with one sort last, after its children's, so each row is one
+        # run of the walk, and is added to the node's value once it ends.
+        cut = (split if split is not None else len(variables),)
         prev: tuple = ()
         for mono in sorted(payload):
             k = const_of[payload[mono]]
             if k < 0:
                 continue
+            i = bisect_left(mono, cut)
+            low = mono[:i]
+            if row and low != prev:
+                flush()
             shared = 0
-            for a, b in zip(prev, mono):
+            for a, b in zip(prev, low):
                 if a != b:
                     break
                 shared += 1
             close(shared)
-            for v, e in mono[shared:]:
+            for v, e in low[shared:]:
                 path.append(offset[v] + e - 1)
                 live.append(False)
-            emit(k << 2 | _PUSH)
-            live[-1] = True
-            prev = mono
+            if i < len(mono):
+                row.append((k, high_slot(mono[i:])))
+            else:
+                emit(k << 2 | _PUSH)
+                live[-1] = True
+            prev = low
+        if row:
+            flush()
         close(0)
-        return EvalProgram(target, code, consts, tuple(rows), tuple(sorted(names)))
+        return EvalProgram(target, code, consts, tuple(powers), tuple(links), tuple(rows),
+                           tuple(sorted(names)))
 
     def evaluate(
         self, payload: dict, values: dict, target: Ring, program: EvalProgram | None = None

@@ -26,7 +26,9 @@ once.  An append interrupted by a crash leaves a final fragment without
 its newline; loading skips it and the next flush cuts it away, with a
 warning on the "wittkit" logger each time.  PolySource.evaluate compiles
 a polynomial once per target ring and keeps the program for later
-evaluations.
+evaluations; a sum or product program computes each monomial in the b_d
+once per evaluation and sums the terms under each monomial in the a_d as
+one row (PolynomialRing.compile with the split at the first b_d).
 
 The text codec renders each (variable, exponent) pair once per variable
 list and reads each distinct factor text once per polynomial, so a term
@@ -308,6 +310,8 @@ class PolySource:
         self._memo: dict[UnivPolyKey, RingElement] = {}
         # (key, target ring) -> compiled program, filled lazily by evaluate
         self._programs: dict[tuple[UnivPolyKey, Ring], EvalProgram] = {}
+        # (op, param, T) of each key family `vector` has checked and passed
+        self._checked: set[tuple[str, int, TruncationSet]] = set()
         self._lock = threading.Lock()
         # (key, polynomial) computed here and not yet appended to the file
         self._pending: list[tuple[UnivPolyKey, RingElement]] = []
@@ -339,10 +343,15 @@ class PolySource:
         """The vector over T whose coordinate at m is UnivPolyKey(op, m, param) at x (a_d) and y (b_d).
 
         A key of weight w in x's divisor-closed set reads only a_d, b_d for d | w.
-        Every key is checked, heaviest first, before any is computed."""
+        Every key is checked, heaviest first, before any is computed.  The
+        ceiling and the budgets never change, so a family that passed is
+        not checked again; a refused one is refused on every call."""
         keys = key_family(op, param, T)
-        for key in reversed(keys):
-            self.check(key)
+        family = (op, param, T)
+        if family not in self._checked:
+            for key in reversed(keys):
+                self.check(key)
+            self._checked.add(family)
         values = dict(zip(_var_names("a", x.tset.members), x.coords))
         if y is not None:
             values.update(zip(_var_names("b", y.tset.members), y.coords))
@@ -352,14 +361,16 @@ class PolySource:
         """Specialize the polynomial for `key` at `values` (names to payloads) in `target`.
 
         The polynomial is compiled for `target` on first use and the program
-        is kept for later calls.
+        is kept for later calls.  Sum and product programs split at the
+        first b_d, so each monomial in the b_d is computed once per call.
         """
         poly = self.universal_poly(key)
         slot = (key, target)
         with self._lock:
             program = self._programs.get(slot)
         if program is None:
-            program = poly.ring.compile(poly.value, target)
+            split = len(divisors(key.weight)) if _tags(key.op) == "ab" else None
+            program = poly.ring.compile(poly.value, target, split)
             with self._lock:
                 program = self._programs.setdefault(slot, program)
         return poly.ring.evaluate(poly.value, values, target, program)

@@ -402,3 +402,82 @@ def test_evaluate_needs_integer_coefficients():
         P.evaluate({((0, 1),): Fraction(1, 2)}, {"a1": Fraction(1)}, Q)
     with pytest.raises(SpecMismatch):
         P.evaluate({(): Fraction(3)}, {}, Q)
+
+
+# a node (a1) with its own term, a child (a1*a2) and terms with a high part
+# (b-factors) on both sides of it; a constant, pure-b terms and a vanishing one
+SPLIT_EXAMPLE = {
+    (): 3, ((0, 1),): 5, ((0, 1), (1, 1)): 7, ((0, 1), (2, 1)): 11, ((0, 1), (2, 1), (3, 2)): 72,
+    ((0, 1), (1, 1), (3, 1)): -2, ((2, 2),): 13, ((2, 2), (3, 1)): 6, ((1, 2), (3, 1)): -4,
+    ((1, 2), (2, 1)): 5,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials, st.sampled_from(EVAL_TARGETS), st.integers(0, len(EVAL_VARS)),
+       st.randoms(use_true_random=False))
+@example(SPLIT_EXAMPLE, parse_ring("Z/8"), 2, random.Random(0))
+@example(SPLIT_EXAMPLE, parse_ring("Z/3[x]"), 2, random.Random(1))
+@example({((2, 1),): 1, ((3, 2),): 72, ((2, 1), (3, 1)): 2}, parse_ring("Z/9"), 2, random.Random(2))
+def test_split_program_matches_term_by_term(payload, target, split, rng):
+    values = {name: target.sample(rng, 4) for name in EVAL_VARS}
+    program = EVAL_RING.compile(payload, target, split)
+    assert program.run(values) == term_by_term(payload, values, target)
+    if split == len(EVAL_VARS):
+        assert not program.links and not program.rows
+
+
+def test_split_program_checks_every_variable():
+    Z8 = ModularRing(8)
+    # a1 and b1 occur only in a term whose coefficient vanishes mod 8
+    program = EVAL_RING.compile({((0, 1), (2, 1)): 8, ((1, 2), (3, 1)): 3}, Z8, 2)
+    with pytest.raises(MissingVariable):
+        program.run({"a2": 1, "b2": 1})
+    assert program.run({"a1": 5, "a2": 3, "b1": 2, "b2": 3}) == 1
+
+
+class CountingZ8(ModularRing):
+    """Z/8, counting its multiplications."""
+
+    def __init__(self):
+        super().__init__(8)
+        self.muls = 0
+
+    def mul(self, x, y):
+        self.muls += 1
+        return super().mul(x, y)
+
+
+def test_binary_programs_compute_each_b_monomial_once():
+    target, src, rng = CountingZ8(), PolySource(), random.Random(5)
+    for key in (UnivPolyKey("prod", 12), UnivPolyKey("sum", 12)):
+        poly = src.universal_poly(key)
+        values = {name: rng.randrange(8) for name in poly.ring.variables}
+        src.evaluate(key, values, target)  # compiles
+        target.muls = 0
+        got = src.evaluate(key, values, target)
+        split_muls, target.muls = target.muls, 0
+        assert got == poly.ring.compile(poly.value, target).run(values)
+        assert split_muls < target.muls
+
+
+def test_unary_programs_are_not_split():
+    target, src = CountingZ8(), PolySource()
+    for key in (UnivPolyKey("neg", 12), UnivPolyKey("frob", 4, 3), UnivPolyKey("delta", 6, 2)):
+        poly = src.universal_poly(key)
+        src.evaluate(key, dict.fromkeys(poly.ring.variables, 3), target)
+        program = src._programs[key, target]
+        assert not program.links and not program.rows
+        assert program.code == poly.ring.compile(poly.value, target).code
+
+
+@pytest.mark.parametrize("spec", ["Z/8", "Z/9", "Z/3[x]", "series(Z/2,3)"])
+def test_split_binary_programs_match_the_unsplit_ones(spec):
+    target, src, rng = parse_ring(spec), PolySource(), random.Random(spec)
+    for n in range(1, 13):
+        for op in ("sum", "prod"):
+            key = UnivPolyKey(op, n)
+            poly = src.universal_poly(key)
+            for _ in range(3):
+                values = {name: target.sample(rng, 4) for name in poly.ring.variables}
+                assert src.evaluate(key, values, target) == poly.ring.compile(poly.value, target).run(values)

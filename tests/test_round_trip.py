@@ -60,6 +60,15 @@ def test_specs_parse_back_to_the_same_structure(ring, S):
     assert parse_truncation_set(str(S)) == S
 
 
+@settings(max_examples=150, deadline=None)
+@given(rings(), rings())
+def test_rings_are_equal_and_hash_alike_exactly_when_their_specs_agree(a, b):
+    for other in (b, parse_ring(str(a))):
+        same = str(a) == str(other)
+        assert (a == other) == same and (other == a) == same
+        assert (hash(a) == hash(other)) == same
+
+
 @settings(max_examples=100, deadline=None)
 @given(rings(), truncation_sets(), st.randoms(use_true_random=False))
 def test_elements_read_back_from_their_json(ring, S, rng):

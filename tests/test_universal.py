@@ -202,11 +202,29 @@ def test_the_read_path_checks_each_key_once(monkeypatch):
     S = divisors_of(12)
     x = teichmuller(3, S, ModularRing(8))
     source = PolySource()
-    witt_mul(x, x, "universal", source)  # computes, so checks each key before computing it
+    for key in key_family("prod", 0, S):
+        source.universal_poly(key)  # computes, so checks each key before computing it
     checked = []
     monkeypatch.setattr(PolySource, "check", lambda self, key: checked.append(key))
     witt_mul(x, x, "universal", source)
     assert checked == list(reversed(key_family("prod", 0, S)))
+    witt_mul(x, x, "universal", source)
+    assert checked == list(reversed(key_family("prod", 0, S)))  # the family passed: not checked again
+
+
+def test_a_refused_key_family_stays_refused(monkeypatch):
+    S = divisors_of(8)
+    x = teichmuller(3, S, ModularRing(8))
+    tiny = PolySource(ceiling=4)
+    checked = []
+    check = PolySource.check
+    monkeypatch.setattr(PolySource, "check", lambda self, key: checked.append(key) or check(self, key))
+    for _ in range(2):
+        with pytest.raises(CeilingExceeded):
+            witt_mul(x, x, "universal", tiny)
+    assert [str(key) for key in checked] == ["prod:8", "prod:8"]  # heaviest first, every call
+    assert not tiny._memo
+    witt_mul(x, x, "universal", PolySource())  # another source with the default ceiling passes
 
 
 def test_term_budget():
