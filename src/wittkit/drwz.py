@@ -31,12 +31,20 @@ source of every dyadic correction term.
 DrwComplex bundles the operations behind overridable structure-constant
 hooks so that law suites can be run against deliberately broken
 variants; the module-level functions delegate to a default instance.
+An instance reads its hooks at most once per set and index pair: the
+row of (S, m) has a slot per n in S, which the first product or F_m that
+needs the pair (m, n) fills with the target positions and integer factors
+of the formulas above; later calls only index the row.  V_m indexes a
+position map.  The rows live in a table of the instance with a bounded
+budget (wittint.RowTable), so one instance's constants never serve
+another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import add, mod, neg
 
 from .errors import NotSubset, SetMismatch, SpecMismatch
 from .rings import json_int
@@ -44,6 +52,7 @@ from .truncation import TruncationSet
 from .witt import WittVector, fields_from_json
 from .wittint import (
     BasisWittInt,
+    RowTable,
     basis_add,
     basis_generator,
     basis_mul,
@@ -54,6 +63,7 @@ from .wittint import (
     from_coords,
     restrict_basis,
     verschiebung_basis,
+    verschiebung_positions,
 )
 
 
@@ -125,20 +135,27 @@ def drw_from_json(data) -> DrwElement:
     return DrwElement(tset, BasisWittInt(tset, c0), c1)
 
 
-def _reduce_deg1(S: TruncationSet, raw: dict[int, int]) -> tuple[int, ...]:
-    return tuple(raw.get(n, 0) % n for n in S.members)
+def _reduce_deg1(S: TruncationSet, raw) -> tuple[int, ...]:
+    """Degree-1 coefficients, aligned with S, each reduced mod its index."""
+    return tuple(map(mod, raw, S.members))
 
 
-def _add_dyadic(S: TruncationSet, raw: dict[int, int], l: int, w: int):
-    """Add w times sum over r >= 1 of 2^(r-1) l dV_(2^r l) e([1]) to raw, inside S."""
-    idx, step = 2 * l, w * l
+def _dyadic_chain(S: TruncationSet, l: int) -> list[tuple[int, int]]:
+    """(position, factor) of sum over r >= 1 of 2^(r-1) l dV_(2^r l) e([1]), inside S."""
+    chain = []
+    idx, step = 2 * l, l
     while idx in S:
-        raw[idx] = raw.get(idx, 0) + step
+        chain.append((S.index(idx), step))
         idx, step = 2 * idx, 2 * step
+    return chain
+
+
+def _nonzero(pairs: list[tuple[int, int]]) -> tuple:
+    return tuple((t, f) for t, f in pairs if f)
 
 
 def drw_zero(S: TruncationSet) -> DrwElement:
-    return DrwElement(S, basis_zero(S), tuple(0 for _ in S))
+    return DrwElement(S, basis_zero(S), (0,) * len(S.members))
 
 
 def drw_eta(x) -> DrwElement:
@@ -147,23 +164,23 @@ def drw_eta(x) -> DrwElement:
         x = from_coords(x)
     if not isinstance(x, BasisWittInt):
         raise SpecMismatch(f"eta expects a Witt vector over Z, got {type(x).__name__}")
-    return DrwElement(x.tset, x, tuple(0 for _ in x.tset))
+    return DrwElement(x.tset, x, (0,) * len(x.tset.members))
 
 
 def drw_add(x: DrwElement, y: DrwElement) -> DrwElement:
     if x.tset != y.tset:
         raise SetMismatch(f"truncation sets differ: {x.tset} vs {y.tset}")
-    deg1 = tuple((a + b) % n for n, a, b in zip(x.tset.members, x.deg1, y.deg1))
+    deg1 = _reduce_deg1(x.tset, map(add, x.deg1, y.deg1))
     return DrwElement(x.tset, basis_add(x.deg0, y.deg0), deg1)
 
 
 def drw_neg(x: DrwElement) -> DrwElement:
-    deg1 = tuple((-a) % n for n, a in zip(x.tset.members, x.deg1))
+    deg1 = _reduce_deg1(x.tset, map(neg, x.deg1))
     return DrwElement(x.tset, basis_neg(x.deg0), deg1)
 
 
 def drw_scalar_mul(k: int, x: DrwElement) -> DrwElement:
-    deg1 = tuple((k * a) % n for n, a in zip(x.tset.members, x.deg1))
+    deg1 = _reduce_deg1(x.tset, [k * a for a in x.deg1])
     return DrwElement(x.tset, basis_scalar_mul(k, x.deg0), deg1)
 
 
@@ -171,8 +188,13 @@ class DrwComplex:
     """Structure maps of the complex, with overridable constants.
 
     Subclasses used in mutation testing may override _crt_value or
-    _curly; everything else routes through these two hooks.
+    _curly; everything else routes through these two hooks.  The hooks
+    are read once per set and (m, n) pair, when the instance fills the
+    slot of n in the row of (S, m); mul and frobenius then index rows.
     """
+
+    def __init__(self):
+        self._table = RowTable()
 
     def _crt_value(self, m: int, n: int) -> int:
         return crt_bracket(m, n)
@@ -180,36 +202,65 @@ class DrwComplex:
     def _curly(self, m: int, n: int) -> int:
         return curly(m, n)
 
+    # -- tables ------------------------------------------------------------
+    def _row(self, kind: str, S: TruncationSet, m: int) -> list:
+        return self._table.row((kind, S, m), len(S.members))
+
+    def _mul_entry(self, S: TruncationSet, m: int, n: int) -> tuple:
+        """V_m e * dV_n e as (position, factor) pairs."""
+        l = lcm(m, n)
+        if l not in S:  # then 2l is not in S either, and the term vanishes
+            return ()
+        pairs = [(S.index(l), self._crt_value(m, n))]
+        if self._curly(m, n):
+            pairs += _dyadic_chain(S, l)
+        return _nonzero(pairs)
+
+    def _frobenius_entry(self, T: TruncationSet, m: int, n: int) -> tuple:
+        """F_m dV_n e over T = S/m as (position, factor) pairs."""
+        tgt = n // gcd(m, n)
+        if tgt not in T:  # then 2 tgt is not in T either
+            return ()
+        # the canonical representative of (m,n] is divisible by m
+        pairs = [(T.index(tgt), self._crt_value(m, n) // m)]
+        if self._curly(m, n):
+            pairs += _dyadic_chain(T, tgt)
+        return _nonzero(pairs)
+
     # -- product -----------------------------------------------------------
     def mul(self, x: DrwElement, y: DrwElement) -> DrwElement:
         if x.tset != y.tset:
             raise SetMismatch(f"truncation sets differ: {x.tset} vs {y.tset}")
         S = x.tset
         deg0 = basis_mul(x.deg0, y.deg0)
-        raw: dict[int, int] = {}
+        raw = [0] * len(S.members)
         self._mul_deg0_deg1(S, x.deg0, y.deg1, raw)
         self._mul_deg0_deg1(S, y.deg0, x.deg1, raw)
         return DrwElement(S, deg0, _reduce_deg1(S, raw))
 
-    def _mul_deg0_deg1(self, S, a: BasisWittInt, c1: tuple, raw: dict[int, int]):
-        for m, cm in zip(S.members, a.coeffs):
+    def _mul_deg0_deg1(self, S, a: BasisWittInt, c1: tuple, raw: list[int]):
+        nonzero = [(j, c) for j, c in enumerate(c1) if c]
+        if not nonzero:
+            return
+        members = S.members
+        for m, cm in zip(members, a.coeffs):
             if not cm:
                 continue
-            for n, cn in zip(S.members, c1):
-                if not cn:
-                    continue
-                l = lcm(m, n)
-                w = cm * cn
-                if l in S:
-                    raw[l] = raw.get(l, 0) + w * self._crt_value(m, n)
-                if self._curly(m, n):
-                    _add_dyadic(S, raw, l, w)
+            row = self._row("mul", S, m)
+            for j, cn in nonzero:
+                pairs = row[j]
+                if pairs is None:
+                    pairs = row[j] = self._mul_entry(S, m, members[j])
+                if pairs:
+                    w = cm * cn
+                    for t, f in pairs:
+                        raw[t] += w * f
 
     # -- derivation ----------------------------------------------------------
     def d(self, x: DrwElement) -> DrwElement:
         """Send each degree-0 coefficient to its residue in degree 1."""
         S = x.tset
-        deg1 = tuple(c % n for n, c in zip(S.members, x.deg0.coeffs))
+        deg1 = _reduce_deg1(S, x.deg0.coeffs)
         return DrwElement(S, basis_zero(S), deg1)
 
     # -- Frobenius and Verschiebung -------------------------------------------
@@ -217,25 +268,25 @@ class DrwComplex:
         S = x.tset
         T = S.quotient(m)
         deg0 = frobenius_basis(m, x.deg0)
-        raw: dict[int, int] = {}
-        for n, c in zip(S.members, x.deg1):
-            if not c:
-                continue
-            g = gcd(m, n)
-            tgt = n // g
-            # the canonical representative of (m,n] is divisible by m
-            over_m = self._crt_value(m, n) // m
-            if tgt in T:
-                raw[tgt] = raw.get(tgt, 0) + c * over_m
-            if self._curly(m, n):
-                _add_dyadic(T, raw, tgt, c)
+        raw = [0] * len(T.members)
+        if any(x.deg1):
+            row = self._row("frob", S, m)
+            for j, c in enumerate(x.deg1):
+                if c:
+                    pairs = row[j]
+                    if pairs is None:
+                        pairs = row[j] = self._frobenius_entry(T, m, S.members[j])
+                    for t, f in pairs:
+                        raw[t] += c * f
         return DrwElement(T, deg0, _reduce_deg1(T, raw))
 
     def verschiebung(self, m: int, x: DrwElement, S: TruncationSet) -> DrwElement:
         if S.quotient(m) != x.tset:
             raise SetMismatch(f"operand lives over {x.tset}, expected {S}/{m}")
         deg0 = verschiebung_basis(m, x.deg0, S)
-        raw = {m * n: m * c for n, c in zip(x.tset.members, x.deg1)}
+        raw = [0] * len(S.members)
+        for t, c in zip(verschiebung_positions(m, x.tset, S), x.deg1):
+            raw[t] = m * c
         return DrwElement(S, deg0, _reduce_deg1(S, raw))
 
     # -- restriction and units -------------------------------------------------
@@ -248,8 +299,9 @@ class DrwComplex:
 
     def dlog_minus_one(self, S: TruncationSet) -> DrwElement:
         """The class sum_r 2^(r-1) dV_(2^r) e([1]); zero on odd-only sets."""
-        raw: dict[int, int] = {}
-        _add_dyadic(S, raw, 1, 1)
+        raw = [0] * len(S.members)
+        for t, f in _dyadic_chain(S, 1):
+            raw[t] = f
         return DrwElement(S, basis_zero(S), _reduce_deg1(S, raw))
 
 

@@ -45,6 +45,7 @@ class TruncationSet:
 
     The position map, the member set and the quotients are built on first
     use and kept with the set; they are not part of its equality or hash.
+    The hash is computed once, so tables keyed by a set look it up cheaply.
     """
 
     members: tuple[int, ...]
@@ -60,6 +61,20 @@ class TruncationSet:
         for n in mem:
             if not self._memberset.issuperset(divisors(n)):
                 raise InvalidTruncationSet(f"{n} in set but a divisor of it is missing")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.members)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
 
     @cached_property
     def _memberset(self) -> frozenset[int]:

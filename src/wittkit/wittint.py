@@ -13,8 +13,12 @@ Frobenius, Verschiebung and restriction act on generators by
     V_m V_n([1]) = V_{mn}([1])
     R_T V_n([1]) = V_n([1]) if n in T else 0
 
-and extend linearly.  The Teichmuller representative of an integer m
-expands with necklace coefficients (1/n) * sum over d|n of mu(d)*m^(n/d).
+and extend linearly.  Each map reads its constants from rows of a table
+(see RowTable): the row of (S, m) has a slot per generator position,
+filled the first time a nonzero coefficient needs it, so a product or a
+Frobenius mostly adds coefficient times constant into a position list.  The Teichmuller representative of
+an integer m expands with necklace coefficients
+(1/n) * sum over d|n of mu(d)*m^(n/d).
 
 Formal 1-forms sum terms a*db with both sides basis elements; the
 divided Frobenius maps them using the comonad components of b.
@@ -22,8 +26,10 @@ divided Frobenius maps them using the comonad components of b.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
+from operator import add, neg
 
 from .errors import NotDivisible, NotSubset, SetMismatch, SpecMismatch, WittkitError
 from .numtheory import binary_power, divisors, mobius
@@ -39,6 +45,59 @@ from .witt import (
     ghost,
     restrict as witt_restrict,
 )
+
+ROW_BUDGET = 1 << 16
+
+
+class RowTable:
+    """Rows of structure constants keyed by (kind, set, index), under a budget.
+
+    A row has one slot per generator position; the rows kept have at most
+    `budget` slots in all, and the oldest rows go first, so a long-lived
+    table that sees many sets or many indices stays bounded.
+    """
+
+    def __init__(self, budget: int = ROW_BUDGET):
+        self.budget = budget
+        self.entries = 0
+        self._rows: OrderedDict = OrderedDict()
+
+    def row(self, key, size: int) -> list:
+        """The row under key; a new one has `size` slots, each None until its caller fills it."""
+        row = self._rows.get(key)
+        if row is None:
+            row = [None] * size
+            if size <= self.budget:
+                while self.entries + size > self.budget:
+                    self.entries -= len(self._rows.popitem(last=False)[1])
+                self._rows[key] = row
+                self.entries += size
+        return row
+
+
+_TABLE = RowTable()
+
+
+def _mul_entry(S: TruncationSet, m: int, n: int) -> tuple:
+    """(position of lcm(m,n), gcd(m,n)), or () if the lcm leaves S."""
+    g = gcd(m, n)
+    l = m // g * n
+    return (S.index(l), g) if l in S else ()
+
+
+def _frobenius_entry(T: TruncationSet, m: int, n: int) -> tuple:
+    """(position of n/gcd(m,n) in T = S/m, gcd(m,n)), or () if it is not in T."""
+    g = gcd(m, n)
+    return (T.index(n // g), g) if n // g in T else ()
+
+
+def verschiebung_positions(m: int, T: TruncationSet, S: TruncationSet) -> list[int]:
+    """Per position of n in T = S/m, the position of m*n in S."""
+    row = _TABLE.row(("versch", S, m), len(T.members))
+    if row and row[0] is None:  # V_m reads every slot, so all are filled at once
+        row[:] = [S.index(m * n) for n in T.members]
+    return row
+
 
 @dataclass(frozen=True, eq=True)
 class BasisWittInt:
@@ -90,7 +149,7 @@ def basis_from_json(data) -> BasisWittInt:
 
 
 def basis_zero(S: TruncationSet) -> BasisWittInt:
-    return BasisWittInt(S, tuple(0 for _ in S))
+    return BasisWittInt(S, (0,) * len(S.members))
 
 
 def basis_one(S: TruncationSet) -> BasisWittInt:
@@ -111,11 +170,11 @@ def _check_set(x: BasisWittInt, y: BasisWittInt):
 
 def basis_add(x: BasisWittInt, y: BasisWittInt) -> BasisWittInt:
     _check_set(x, y)
-    return BasisWittInt(x.tset, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+    return BasisWittInt(x.tset, tuple(map(add, x.coeffs, y.coeffs)))
 
 
 def basis_neg(x: BasisWittInt) -> BasisWittInt:
-    return BasisWittInt(x.tset, tuple(-a for a in x.coeffs))
+    return BasisWittInt(x.tset, tuple(map(neg, x.coeffs)))
 
 
 def basis_scalar_mul(k: int, x: BasisWittInt) -> BasisWittInt:
@@ -124,42 +183,50 @@ def basis_scalar_mul(k: int, x: BasisWittInt) -> BasisWittInt:
 
 def basis_mul(x: BasisWittInt, y: BasisWittInt) -> BasisWittInt:
     _check_set(x, y)
-    members = x.tset.members
-    acc = dict.fromkeys(members, 0)
-    for m, cm in zip(members, x.coeffs):
-        if not cm:
-            continue
-        for n, cn in zip(members, y.coeffs):
-            if not cn:
+    S = x.tset
+    members = S.members
+    acc = [0] * len(members)
+    ys = [(j, c) for j, c in enumerate(y.coeffs) if c]
+    if ys:
+        for m, cm in zip(members, x.coeffs):
+            if not cm:
                 continue
-            g = gcd(m, n)
-            l = m // g * n
-            if l in acc:
-                acc[l] += cm * cn * g
-    return BasisWittInt(x.tset, tuple(acc.values()))
+            row = _TABLE.row(("mul", S, m), len(members))
+            for j, cn in ys:
+                entry = row[j]
+                if entry is None:
+                    entry = row[j] = _mul_entry(S, m, members[j])
+                if entry:
+                    t, g = entry
+                    acc[t] += cm * cn * g
+    return BasisWittInt(S, tuple(acc))
 
 
 def frobenius_basis(m: int, x: BasisWittInt) -> BasisWittInt:
     """F_m in basis form, landing over S/m."""
-    T = x.tset.quotient(m)
-    tgt = {n: 0 for n in T.members}
-    for n, c in zip(x.tset.members, x.coeffs):
-        if not c:
-            continue
-        g = gcd(m, n)
-        if n // g in tgt:
-            tgt[n // g] += c * g
-    return BasisWittInt(T, tuple(tgt[n] for n in T.members))
+    S = x.tset
+    T = S.quotient(m)
+    acc = [0] * len(T.members)
+    row = _TABLE.row(("frob", S, m), len(S.members))
+    for j, c in enumerate(x.coeffs):
+        if c:
+            entry = row[j]
+            if entry is None:
+                entry = row[j] = _frobenius_entry(T, m, S.members[j])
+            if entry:
+                t, g = entry
+                acc[t] += c * g
+    return BasisWittInt(T, tuple(acc))
 
 
 def verschiebung_basis(m: int, x: BasisWittInt, S: TruncationSet) -> BasisWittInt:
     """V_m from basis form over S/m into S."""
     if S.quotient(m) != x.tset:
         raise SetMismatch(f"operand lives over {x.tset}, expected {S}/{m} = {S.quotient(m)}")
-    tgt = {n: 0 for n in S.members}
-    for n, c in zip(x.tset.members, x.coeffs):
-        tgt[m * n] = c
-    return BasisWittInt(S, tuple(tgt[n] for n in S.members))
+    out = [0] * len(S.members)
+    for t, c in zip(verschiebung_positions(m, x.tset, S), x.coeffs):
+        out[t] = c
+    return BasisWittInt(S, tuple(out))
 
 
 def restrict_basis(T: TruncationSet, x: BasisWittInt) -> BasisWittInt:

@@ -2,9 +2,10 @@ import random
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wittkit.drwz import (
+    DrwComplex,
     DrwElement,
     crt_bracket,
     curly,
@@ -21,14 +22,33 @@ from wittkit.drwz import (
     generator_tables,
 )
 from wittkit.errors import NotSubset, SetMismatch, SpecMismatch
-from wittkit.truncation import MEMBER_BUDGET, divisors_of, truncation_set
+from wittkit.truncation import (
+    MEMBER_BUDGET,
+    divisors_of,
+    initial_segment,
+    parse_truncation_set,
+    truncation_set,
+)
 from wittkit.witt import witt_mul
 from wittkit.wittint import (
+    ROW_BUDGET,
     BasisWittInt,
+    RowTable,
     basis_generator,
     basis_mul,
     basis_scalar_mul,
     to_coords,
+)
+
+from test_laws import CurlyKilled, WrongCrt
+from test_wittint import (
+    basis_elements,
+    coefficients,
+    indices,
+    reference_basis_mul,
+    reference_frobenius_basis,
+    reference_verschiebung_basis,
+    structure_sets,
 )
 
 S6 = divisors_of(6)
@@ -179,3 +199,149 @@ def test_generator_tables():
     assert tables["mul"]["V2*V3"] == "1·V6η([1])"
     assert tables["d"]["d(V2)"] == "1·dV2η([1])"
     assert "F2(dV2)" in tables["frobenius"]
+
+
+# --------------------------------------------------------------------------
+# the table-driven maps against the loops they replaced
+# --------------------------------------------------------------------------
+
+
+def _reference_dyadic(S, raw, l, w):
+    idx, step = 2 * l, w * l
+    while idx in S:
+        raw[idx] = raw.get(idx, 0) + step
+        idx, step = 2 * idx, 2 * step
+
+
+def _reference_reduce(S, raw):
+    return tuple(raw.get(n, 0) % n for n in S.members)
+
+
+def reference_mul(ops, x, y):
+    """The product summed pair by pair through the hooks: the oracle of DrwComplex.mul."""
+    S = x.tset
+    raw = {}
+    for a, c1 in ((x.deg0, y.deg1), (y.deg0, x.deg1)):
+        for m, cm in zip(S.members, a.coeffs):
+            if not cm:
+                continue
+            for n, cn in zip(S.members, c1):
+                if not cn:
+                    continue
+                l = lcm(m, n)
+                w = cm * cn
+                if l in S:
+                    raw[l] = raw.get(l, 0) + w * ops._crt_value(m, n)
+                if ops._curly(m, n):
+                    _reference_dyadic(S, raw, l, w)
+    return DrwElement(S, reference_basis_mul(x.deg0, y.deg0), _reference_reduce(S, raw))
+
+
+def reference_frobenius(ops, m, x):
+    """F_m generator by generator through the hooks: the oracle of DrwComplex.frobenius."""
+    S = x.tset
+    T = S.quotient(m)
+    raw = {}
+    for n, c in zip(S.members, x.deg1):
+        if not c:
+            continue
+        tgt = n // gcd(m, n)
+        if tgt in T:
+            raw[tgt] = raw.get(tgt, 0) + c * (ops._crt_value(m, n) // m)
+        if ops._curly(m, n):
+            _reference_dyadic(T, raw, tgt, c)
+    return DrwElement(T, reference_frobenius_basis(m, x.deg0), _reference_reduce(T, raw))
+
+
+def reference_verschiebung(m, x, S):
+    """V_m generator by generator: the oracle of DrwComplex.verschiebung."""
+    raw = {m * n: m * c for n, c in zip(x.tset.members, x.deg1)}
+    return DrwElement(S, reference_verschiebung_basis(m, x.deg0, S), _reference_reduce(S, raw))
+
+
+def drw_elements(S):
+    return st.tuples(basis_elements(S), coefficients(S, residues=True)).map(
+        lambda parts: DrwElement(S, *parts)
+    )
+
+
+def _small_budget():
+    ops = DrwComplex()
+    ops._table = RowTable(budget=48)  # evicts rows all the time
+    return ops
+
+
+# One instance of each kind for the whole run, each given every example in
+# turn, so rows built for one set are looked up again under every later set
+# and one instance's rows would show if they served another.
+HOOKS = [DrwComplex(), _small_budget(), CurlyKilled(), WrongCrt()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), S=structure_sets())
+def test_table_driven_maps_match_the_pairwise_loops(data, S):
+    m = data.draw(indices(S))
+    x, y = data.draw(drw_elements(S)), data.draw(drw_elements(S))
+    z = data.draw(drw_elements(S.quotient(m)))
+    for ops in HOOKS:
+        assert ops.mul(x, y) == reference_mul(ops, x, y)
+        assert ops.frobenius(m, x) == reference_frobenius(ops, m, x)
+        assert ops.verschiebung(m, z, S) == reference_verschiebung(m, z, S)
+        assert ops._table.entries <= ops._table.budget
+
+
+@pytest.mark.parametrize("spec", ["div24", "seg16", "div64", "ptyp(2,6)", "{1,2,3,4,6,8,12,16}"])
+def test_table_driven_maps_match_the_pairwise_loops_on_every_generator(spec):
+    S = parse_truncation_set(spec)
+    gens = [gen(S, n) for n in S.members] + [dgen(S, n) for n in S.members]
+    for ops in HOOKS:
+        for x in gens:
+            for y in gens:
+                assert ops.mul(x, y) == reference_mul(ops, x, y)
+            for m in S.members:
+                assert ops.frobenius(m, x) == reference_frobenius(ops, m, x)
+        for m in S.members:
+            T = S.quotient(m)
+            for z in [gen(T, n) for n in T.members] + [dgen(T, n) for n in T.members]:
+                assert ops.verschiebung(m, z, S) == reference_verschiebung(m, z, S)
+
+
+class CountingComplex(DrwComplex):
+    def __init__(self):
+        super().__init__()
+        self.crt_calls = 0
+
+    def _crt_value(self, m, n):
+        self.crt_calls += 1
+        return super()._crt_value(m, n)
+
+
+def test_a_first_product_reads_the_hooks_at_most_once_per_member():
+    S = initial_segment(2000)
+    ops = CountingComplex()
+    got = ops.mul(gen(S, 6), dgen(S, 10))
+    assert ops.crt_calls <= len(S)
+    assert got == reference_mul(DrwComplex(), gen(S, 6), dgen(S, 10))
+    # (6,10] = 0 mod 6 and 2 mod 10: 12 at dV30, then the dyadic chain from dV60
+    assert {n: c for n, c in zip(S.members, got.deg1) if c} == {
+        30: 12, 60: 30, 120: 60, 240: 120, 480: 240, 960: 480, 1920: 960
+    }
+    calls = ops.crt_calls
+    assert ops.mul(gen(S, 6), dgen(S, 10)) == got
+    assert ops.crt_calls == calls  # the constants are read from the row, not again
+
+
+def test_the_row_table_stays_in_budget():
+    ops = DrwComplex()
+    # more distinct sets than the budget holds rows of ...
+    for N in range(1, 400):
+        S = initial_segment(N)
+        ops.mul(gen(S, 1), dgen(S, N))
+        assert ops._table.entries <= ROW_BUDGET
+    # ... and more distinct indices on one set
+    S = initial_segment(2000)
+    x = dgen(S, 2)
+    for m in range(1, 2 * ROW_BUDGET // len(S)):
+        assert ops.frobenius(m, x) == reference_frobenius(ops, m, x)
+        assert ops._table.entries <= ROW_BUDGET
+    assert sum(len(row) for row in ops._table._rows.values()) == ops._table.entries

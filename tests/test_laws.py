@@ -147,3 +147,16 @@ def test_reports_are_pinned():
     data = [{k: v for k, v in r.to_json().items() if k != "elapsed_s"} for r in reports]
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
     assert digest == "8b9cc0360a2f13b3634da32b98879e618490d8e576a3e749171e4ecce0769a2a"
+
+
+def test_each_complex_reads_only_its_own_tables():
+    # three instances in a row over one set: if the structure constants of
+    # one served another, the passing and the failing verdicts would mix
+    S = divisors_of(24)
+    killed = check_witt_complex(S, trials=5, seed=7, ops=CurlyKilled())
+    plain = check_witt_complex(S, trials=5, seed=7)
+    wrong = check_witt_complex(S, trials=5, seed=7, ops=WrongCrt())
+    assert plain.passed, plain.summary()
+    assert "axiom-iv" in {r.name for r in killed.failures()}
+    assert {r.name for r in wrong.failures()} & {"axiom-i-leibniz", "graded-associativity"}
+    assert [r.counterexample for r in killed.results] != [r.counterexample for r in wrong.results]

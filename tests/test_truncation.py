@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import InvalidTruncationSet, NotPrime
+from wittkit.numtheory import divisors
 from wittkit.truncation import (
     TruncationSet,
     divisors_of,
@@ -51,6 +52,23 @@ def test_divisor_closure_enforced():
 def test_quotient_composes(k, m, n):
     S = divisors_of(k)
     assert S.quotient(m).quotient(n) == S.quotient(m * n)
+
+
+def _closure(tops):
+    return truncation_set(d for n in tops for d in divisors(n))
+
+
+@given(st.sets(st.integers(1, 12), max_size=3), st.sets(st.integers(1, 12), max_size=3))
+def test_sets_are_equal_and_hash_alike_exactly_when_their_members_agree(a, b):
+    # the 136 sets drawn here have 136 distinct hashes
+    S, T = _closure(a), _closure(b)
+    S.quotient(2)  # the caches a set builds on use stay out of equality and hash
+    same = S.members == T.members
+    assert (S == T) is same
+    assert (S != T) is not same
+    assert (hash(S) == hash(T)) is same
+    assert ({S: "S"}.get(T) == "S") is same
+    assert hash(S) == hash(TruncationSet(S.members))
 
 
 @given(st.integers(1, 100))

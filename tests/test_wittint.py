@@ -1,13 +1,17 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittkit.errors import SetMismatch, WittkitError
-from wittkit.numtheory import factorize, mobius
+from wittkit.numtheory import divisors, factorize, mobius
 from wittkit.rings import Z
-from wittkit.truncation import divisors_of, truncation_set
+from wittkit.truncation import divisors_of, initial_segment, p_typical, truncation_set
 from wittkit.witt import frobenius, restrict, teichmuller, verschiebung, witt_mul
+from wittkit import wittint
 from wittkit.wittint import (
+    ROW_BUDGET,
     BasisWittInt,
     basis_generator,
     basis_mul,
@@ -185,3 +189,106 @@ def test_divided_frobenius_prime_shape():
         d2 = from_coords(restrict(delta_component(2, to_coords(b)), T))
         expected = one_form(T, [(b_T, b_T), (basis_one(T), d2)])
         assert got == expected
+
+
+# --------------------------------------------------------------------------
+# the table-driven maps against the loops they replaced
+# --------------------------------------------------------------------------
+
+
+def reference_basis_mul(x, y):
+    """The product summed pair by pair: the oracle of basis_mul."""
+    members = x.tset.members
+    acc = dict.fromkeys(members, 0)
+    for m, cm in zip(members, x.coeffs):
+        if not cm:
+            continue
+        for n, cn in zip(members, y.coeffs):
+            if not cn:
+                continue
+            g = gcd(m, n)
+            l = m // g * n
+            if l in acc:
+                acc[l] += cm * cn * g
+    return BasisWittInt(x.tset, tuple(acc.values()))
+
+
+def reference_frobenius_basis(m, x):
+    """F_m generator by generator: the oracle of frobenius_basis."""
+    T = x.tset.quotient(m)
+    tgt = {n: 0 for n in T.members}
+    for n, c in zip(x.tset.members, x.coeffs):
+        if not c:
+            continue
+        g = gcd(m, n)
+        if n // g in tgt:
+            tgt[n // g] += c * g
+    return BasisWittInt(T, tuple(tgt[n] for n in T.members))
+
+
+def reference_verschiebung_basis(m, x, S):
+    """V_m generator by generator: the oracle of verschiebung_basis."""
+    tgt = {n: 0 for n in S.members}
+    for n, c in zip(x.tset.members, x.coeffs):
+        tgt[m * n] = c
+    return BasisWittInt(S, tuple(tgt[n] for n in S.members))
+
+
+@st.composite
+def structure_sets(draw):
+    """Divisor closures of subsets of 1..60, and div, seg and ptyp sets."""
+    kind = draw(st.sampled_from(["closure", "div", "seg", "ptyp"]))
+    if kind == "closure":
+        tops = draw(st.sets(st.integers(1, 60), max_size=5))
+        return truncation_set(d for n in tops for d in divisors(n))
+    if kind == "div":
+        return divisors_of(draw(st.sampled_from([1, 8, 12, 24, 30, 36, 60, 64, 120, 360])))
+    if kind == "seg":
+        return initial_segment(draw(st.integers(0, 40)))
+    return p_typical(draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 6)))
+
+
+def indices(S):
+    """Half the time a member of S, where F_m and V_m do the most; else any m up to 130."""
+    if not S.members:
+        return st.integers(1, 130)
+    return st.sampled_from(S.members) | st.integers(1, 130)
+
+
+@st.composite
+def coefficients(draw, S, residues=False):
+    """Dense or sparse coefficients on S; residues lie in [0, n) at n."""
+    dense = draw(st.booleans())
+    coeffs = []
+    for n in S.members:
+        if not dense and draw(st.integers(0, 4)):
+            coeffs.append(0)
+        elif residues:
+            coeffs.append(draw(st.integers(0, n - 1)))
+        else:
+            coeffs.append(draw(st.integers(-10**6, 10**6) | st.integers(-10**30, 10**30)))
+    return tuple(coeffs)
+
+
+def basis_elements(S):
+    return coefficients(S).map(lambda c: BasisWittInt(S, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), S=structure_sets())
+def test_table_driven_basis_maps_match_the_pairwise_loops(data, S):
+    m = data.draw(indices(S))
+    x, y = data.draw(basis_elements(S)), data.draw(basis_elements(S))
+    assert basis_mul(x, y) == reference_basis_mul(x, y)
+    assert frobenius_basis(m, x) == reference_frobenius_basis(m, x)
+    z = data.draw(basis_elements(S.quotient(m)))
+    assert verschiebung_basis(m, z, S) == reference_verschiebung_basis(m, z, S)
+
+
+def test_the_module_table_stays_in_budget():
+    S = initial_segment(2000)
+    x = basis_generator(S, 1)
+    for m in range(1, 2 * ROW_BUDGET // len(S)):
+        assert frobenius_basis(m, x) == reference_frobenius_basis(m, x)
+        assert wittint._TABLE.entries <= ROW_BUDGET
+    assert sum(len(row) for row in wittint._TABLE._rows.values()) == wittint._TABLE.entries
