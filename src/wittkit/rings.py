@@ -32,7 +32,6 @@ Internal algorithms work on payloads directly through the ring methods.
 from __future__ import annotations
 
 import re
-from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, partial
@@ -362,37 +361,26 @@ class Construction(Ring):
         return self._map(self.base.reduce_from_lift, x)
 
 
-# Opcodes of an EvalProgram; an instruction is `argument << 2 | opcode`.
-_PUSH, _MUL, _MULADD, _ROW = 0, 1, 2, 3
-
-
 class EvalProgram:
     """A polynomial compiled for one target ring into a straight-line program.
 
-    A run first fills its slots: x^1 .. x^top for each (name, top) of
-    `powers` in turn (the power slots), then one slot per entry (s, t) of
-    `links`, the product of slot s and power slot t, so the monomials in
-    the high variables of `PolynomialRing.compile` share their prefixes.
-    `code` is then a flat array of instructions run on a small stack:
-
-        _PUSH k     push consts[k]
-        _MUL s      multiply the top by slot s
-        _MULADD s   pop t, then add t times slot s to the new top
-        _ROW r      the sum of c times slot s over the pairs of rows[r >> 1],
-                    each row flat as (c, s, c, s, ...) with c a constant
-                    payload: pushed, or added to the top when r is odd
+    A run first fills its slots: slot 0 is one, then x^1 .. x^top for each
+    (name, top) of `powers` in turn (the power slots), then one slot per
+    entry (s, t) of `links`, the product of slot s and power slot t, so the
+    parts of monomials that `PolynomialRing.compile` makes share their
+    prefixes.  Each of `rows` is (low, groups), groups a tuple of pairs
+    (c, parts): its value is slot low times the sum over its groups of the
+    constant payload c (None when c is one) times the sum of the slots in
+    parts.  The program's value is the sum of its rows.
 
     `names` lists every variable of the polynomial, including those that
     occur only in terms vanishing in the target: each needs a value.
     """
 
-    __slots__ = ("target", "code", "consts", "powers", "links", "rows", "names")
+    __slots__ = ("target", "powers", "links", "rows", "names")
 
-    def __init__(self, target: Ring, code: array, consts: list, powers: tuple, links: tuple,
-                 rows: tuple, names: tuple):
+    def __init__(self, target: Ring, powers: tuple, links: tuple, rows: tuple, names: tuple):
         self.target = target
-        self.code = code
-        self.consts = consts
         self.powers = powers
         self.links = links
         self.rows = rows
@@ -403,10 +391,10 @@ class EvalProgram:
         if missing:
             raise MissingVariable(f"no value for {missing}")
         target = self.target
-        if not self.code:
+        if not self.rows:
             return target.zero
         mul, add = target.mul, target.add
-        slots = []
+        slots = [target.one]
         for name, top in self.powers:
             x = p = values[name]
             slots.append(x)
@@ -415,26 +403,20 @@ class EvalProgram:
                 slots.append(p)
         for s, t in self.links:
             slots.append(mul(slots[s], slots[t]))
-        consts, rows = self.consts, self.rows
-        stack: list = []
-        push, pop = stack.append, stack.pop
-        for ins in self.code:
-            op = ins & 3
-            if op == _PUSH:
-                push(consts[ins >> 2])
-            elif op == _MUL:
-                stack[-1] = mul(stack[-1], slots[ins >> 2])
-            elif op == _MULADD:
-                t = pop()
-                stack[-1] = add(stack[-1], mul(t, slots[ins >> 2]))
-            else:
-                r = ins >> 2
-                terms = iter(rows[r >> 1])
-                acc = pop() if r & 1 else mul(next(terms), slots[next(terms)])
-                for c, s in zip(terms, terms):
-                    acc = add(acc, mul(c, slots[s]))
-                push(acc)
-        return stack[0]
+        total = None
+        for low, groups in self.rows:
+            row = None
+            for c, parts in groups:
+                acc = None
+                for s in parts:
+                    acc = slots[s] if acc is None else add(acc, slots[s])
+                if c is not None:
+                    acc = mul(c, acc)
+                row = acc if row is None else add(row, acc)
+            if low:
+                row = mul(slots[low], row)
+            total = row if total is None else add(total, row)
+        return total
 
 
 def _packed(p: dict, w: int) -> list[int]:
@@ -642,17 +624,14 @@ class PolynomialRing(Construction):
         """Compile an integer-coefficient payload for evaluation in `target`.
 
         Each monomial splits into a low part, its factors in the variables
-        below index `split` (all variables by default), and a high part, the
-        rest.  Monomials are walked in sorted order, so those whose low parts
-        share a prefix of (variable, exponent) factors are adjacent; each
-        shared prefix is factored out once (a Horner trie over the low
-        parts) and emitted as postfix code without building the trie itself.
-        Each distinct high part is one slot, computed once per run from the
-        slot of its prefix (the program's `links`), and the terms of one low
-        part that have a high part are summed by one `_ROW` instruction, or,
-        when there is only one, multiplied in like a leaf.  A term without
-        high part stays a `_PUSH`, so with the default split the program has
-        no links and no rows.
+        below index `split` (none by default), and a high part, the rest.
+        Each distinct part is one slot, the product of the slot of its
+        prefix and one power slot (the program's `links`), so parts share
+        their prefixes.  The terms of one low part are one row, and the
+        high parts of a row's terms with the same constant are summed
+        before that constant multiplies them, so a constant costs one
+        product per row.  Constants are mapped into `target` once and
+        de-duplicated by their image; terms that vanish there are dropped.
         """
         variables = self.variables
         top: dict[int, int] = {}  # per variable of a surviving term
@@ -660,6 +639,7 @@ class PolynomialRing(Construction):
         const_of: dict[int, int] = {}  # integer coefficient -> const index, -1 if it vanishes
         consts: list = []
         by_image: dict = {}
+        one = target.one
         for mono, c in payload.items():
             if not isinstance(c, int):
                 raise SpecMismatch("evaluation requires integer coefficients")
@@ -674,90 +654,45 @@ class PolynomialRing(Construction):
                     except TypeError:  # unhashable payload, e.g. a polynomial
                         k = len(consts)
                     if k == len(consts):
-                        consts.append(image)
+                        consts.append(None if image == one else image)
                 const_of[c] = k
             for v, e in mono:
                 names.add(variables[v])
                 if k >= 0 and e > top.get(v, 0):
                     top[v] = e
-        offset, powers, n_powers = {}, [], 0
+        offset, powers, n_slots = {}, [], 1
         for v in sorted(top):
-            offset[v] = n_powers
-            n_powers += top[v]
+            offset[v] = n_slots
+            n_slots += top[v]
             powers.append((variables[v], top[v]))
 
         links: list[tuple[int, int]] = []
-        slot_of: dict[tuple, int] = {}  # high part -> its slot
+        slot_of: dict[tuple, int] = {(): 0}  # part -> its slot
 
-        def high_slot(high):
-            s = slot_of.get(high)
+        def part_slot(part):
+            s = slot_of.get(part)
             if s is None:
-                if len(high) == 1:
-                    s = offset[high[0][0]] + high[0][1] - 1
+                if len(part) == 1:
+                    s = offset[part[0][0]] + part[0][1] - 1
                 else:
-                    links.append((high_slot(high[:-1]), high_slot(high[-1:])))
-                    s = n_powers + len(links) - 1
-                slot_of[high] = s
+                    links.append((part_slot(part[:-1]), part_slot(part[-1:])))
+                    s = n_slots + len(links) - 1
+                slot_of[part] = s
             return s
 
-        code = array("i")
-        emit = code.append
-        rows: list[tuple] = []
-        row: list = []  # the high terms of the current node, not yet emitted
-        path: list[int] = []  # power slot of each edge from the root to the current node
-        live = [False]  # live[d]: the node at depth d has its value on the stack
-
-        def close(depth):
-            while len(path) > depth:
-                slot = path.pop()
-                live.pop()
-                emit(slot << 2 | (_MULADD if live[-1] else _MUL))
-                live[-1] = True
-
-        def flush():  # emit the pending high terms of the current node
-            if len(row) == 1:  # a leaf, as the unsplit trie has it: cheaper than a row
-                (k, s), = row
-                emit(k << 2 | _PUSH)
-                emit(s << 2 | (_MULADD if live[-1] else _MUL))
-            else:
-                rows.append(tuple(chain.from_iterable((consts[k], s) for k, s in row)))
-                emit(((len(rows) - 1) << 1 | live[-1]) << 2 | _ROW)
-            live[-1] = True
-            row.clear()
-
-        # A node's term without high part sorts first in its subtree and its
-        # terms with one sort last, after its children's, so each row is one
-        # run of the walk, and is added to the node's value once it ends.
-        cut = (split if split is not None else len(variables),)
-        prev: tuple = ()
-        for mono in sorted(payload):
-            k = const_of[payload[mono]]
-            if k < 0:
-                continue
-            i = bisect_left(mono, cut)
-            low = mono[:i]
-            if row and low != prev:
-                flush()
-            shared = 0
-            for a, b in zip(prev, low):
-                if a != b:
-                    break
-                shared += 1
-            close(shared)
-            for v, e in low[shared:]:
-                path.append(offset[v] + e - 1)
-                live.append(False)
-            if i < len(mono):
-                row.append((k, high_slot(mono[i:])))
-            else:
-                emit(k << 2 | _PUSH)
-                live[-1] = True
-            prev = low
-        if row:
-            flush()
-        close(0)
-        return EvalProgram(target, code, consts, tuple(powers), tuple(links), tuple(rows),
-                           tuple(sorted(names)))
+        rows: dict[int, dict[int, list[int]]] = {}  # low slot -> const index -> high slots
+        cut = (split or 0,)
+        for mono, c in payload.items():
+            k = const_of[c]
+            if k >= 0:
+                i = bisect_left(mono, cut)
+                groups = rows.setdefault(part_slot(mono[:i]), {})
+                groups.setdefault(k, []).append(part_slot(mono[i:]))
+        return EvalProgram(
+            target, tuple(powers), tuple(links),
+            tuple((low, tuple((consts[k], tuple(parts)) for k, parts in groups.items()))
+                  for low, groups in rows.items()),
+            tuple(sorted(names)))
 
     def evaluate(
         self, payload: dict, values: dict, target: Ring, program: EvalProgram | None = None

@@ -26,9 +26,12 @@ once.  An append interrupted by a crash leaves a final fragment without
 its newline; loading skips it and the next flush cuts it away, with a
 warning on the "wittkit" logger each time.  PolySource.evaluate compiles
 a polynomial once per target ring and keeps the program for later
-evaluations; a sum or product program computes each monomial in the b_d
-once per evaluation and sums the terms under each monomial in the a_d as
-one row (PolynomialRing.compile with the split at the first b_d).
+evaluations.  A program computes each distinct monomial once per
+evaluation and multiplies each constant once per row, after adding the
+monomials it multiplies.  A sum or product program has one row per
+monomial in the a_d, the sum over the terms with that a-part
+(PolynomialRing.compile with the split at the first b_d); any other
+program is one row.
 
 The text codec renders each (variable, exponent) pair once per variable
 list and reads each distinct factor text once per polynomial, so a term
@@ -362,7 +365,8 @@ class PolySource:
 
         The polynomial is compiled for `target` on first use and the program
         is kept for later calls.  Sum and product programs split at the
-        first b_d, so each monomial in the b_d is computed once per call.
+        first b_d, so they have one row per monomial in the a_d, and each
+        constant in a row multiplies the sum of its monomials in the b_d.
         """
         poly = self.universal_poly(key)
         slot = (key, target)

@@ -423,8 +423,7 @@ def test_split_program_matches_term_by_term(payload, target, split, rng):
     values = {name: target.sample(rng, 4) for name in EVAL_VARS}
     program = EVAL_RING.compile(payload, target, split)
     assert program.run(values) == term_by_term(payload, values, target)
-    if split == len(EVAL_VARS):
-        assert not program.links and not program.rows
+    assert len(set(program.links)) == len(program.links)
 
 
 def test_split_program_checks_every_variable():
@@ -467,8 +466,28 @@ def test_unary_programs_are_not_split():
         poly = src.universal_poly(key)
         src.evaluate(key, dict.fromkeys(poly.ring.variables, 3), target)
         program = src._programs[key, target]
-        assert not program.links and not program.rows
-        assert program.code == poly.ring.compile(poly.value, target).code
+        default = poly.ring.compile(poly.value, target)
+        assert (program.links, program.rows) == (default.links, default.rows)
+        assert [low for low, _ in program.rows] == [0]
+
+
+@pytest.mark.parametrize("key", [UnivPolyKey("prod", 24), UnivPolyKey("sum", 24), UnivPolyKey("neg", 24)])
+def test_programs_multiply_once_per_part_and_per_constant_in_a_row(key):
+    # each power and each part is built once, a row multiplies each constant
+    # other than one once and its low part once, and sums cost no products
+    target, src, rng = CountingZ8(), PolySource(), random.Random(key.weight)
+    poly = src.universal_poly(key)
+    values = {name: rng.randrange(8) for name in poly.ring.variables}
+    src.evaluate(key, values, target)  # compiles
+    program = src._programs[key, target]
+    target.muls = 0
+    got = src.evaluate(key, values, target)
+    assert target.muls == (
+        sum(top - 1 for _, top in program.powers)
+        + len(program.links)
+        + sum(sum(c is not None for c, _ in groups) + (low != 0) for low, groups in program.rows)
+    )
+    assert got == term_by_term(poly.value, values, ModularRing(8), poly.ring.variables)
 
 
 @pytest.mark.parametrize("spec", ["Z/8", "Z/9", "Z/3[x]", "series(Z/2,3)"])
