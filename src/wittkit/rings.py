@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import gcd
+from operator import not_
 from typing import Any
 
 from .errors import (
@@ -362,37 +363,37 @@ class Construction(Ring):
 
 
 class EvalProgram:
-    """A polynomial compiled for one target ring into a straight-line program.
+    """Integer polynomials compiled for one target ring into one straight-line program.
 
     A run first fills its slots: slot 0 is one, then x^1 .. x^top for each
     (name, top) of `powers` in turn (the power slots), then one slot per
     entry (s, t) of `links`, the product of slot s and power slot t, so the
-    parts of monomials that `PolynomialRing.compile` makes share their
-    prefixes.  Each of `rows` is (low, groups), groups a tuple of pairs
-    (c, parts): its value is slot low times the sum over its groups of the
-    constant payload c (None when c is one) times the sum of the slots in
-    parts.  The program's value is the sum of its rows.
+    parts of monomials that `compile_program` makes share their prefixes,
+    within one polynomial and across all of them.  `outputs` holds one
+    tuple of rows per polynomial.  Each row is (low, groups), groups a
+    tuple of pairs (c, parts): its value is slot low times the sum over its
+    groups of the constant payload c (None when c is one) times the sum of
+    the slots in parts.  An output's value is the sum of its rows, and
+    `run` returns the list of the outputs' values.
 
-    `names` lists every variable of the polynomial, including those that
+    `names` lists every variable of the polynomials, including those that
     occur only in terms vanishing in the target: each needs a value.
     """
 
-    __slots__ = ("target", "powers", "links", "rows", "names")
+    __slots__ = ("target", "powers", "links", "outputs", "names")
 
-    def __init__(self, target: Ring, powers: tuple, links: tuple, rows: tuple, names: tuple):
+    def __init__(self, target: Ring, powers: tuple, links: tuple, outputs: tuple, names: tuple):
         self.target = target
         self.powers = powers
         self.links = links
-        self.rows = rows
+        self.outputs = outputs
         self.names = names
 
-    def run(self, values: dict):
+    def run(self, values: dict) -> list:
         missing = [name for name in self.names if name not in values]
         if missing:
             raise MissingVariable(f"no value for {missing}")
         target = self.target
-        if not self.rows:
-            return target.zero
         mul, add = target.mul, target.add
         slots = [target.one]
         for name, top in self.powers:
@@ -403,20 +404,109 @@ class EvalProgram:
                 slots.append(p)
         for s, t in self.links:
             slots.append(mul(slots[s], slots[t]))
-        total = None
-        for low, groups in self.rows:
-            row = None
-            for c, parts in groups:
-                acc = None
-                for s in parts:
-                    acc = slots[s] if acc is None else add(acc, slots[s])
-                if c is not None:
-                    acc = mul(c, acc)
-                row = acc if row is None else add(row, acc)
-            if low:
-                row = mul(slots[low], row)
-            total = row if total is None else add(total, row)
-        return total
+        out = []
+        for rows in self.outputs:
+            total = None
+            for low, groups in rows:
+                row = None
+                for c, parts in groups:
+                    acc = None
+                    for s in parts:
+                        acc = slots[s] if acc is None else add(acc, slots[s])
+                    if c is not None:
+                        acc = mul(c, acc)
+                    row = acc if row is None else add(row, acc)
+                if low:
+                    row = mul(slots[low], row)
+                total = row if total is None else add(total, row)
+            out.append(target.zero if total is None else total)
+        return out
+
+
+def compile_program(variables: tuple, outputs: list, target: Ring, split: int = 0) -> EvalProgram:
+    """Compile integer-coefficient polynomial payloads into one program for `target`, one output each.
+
+    `variables` names the program's variables.  Each of `outputs` is a pair
+    (payload, index): variable v of the payload is variable index[v] of the
+    program, and index increases, so a mapped monomial stays sorted.  Each
+    monomial splits into a low part, its factors in the variables below
+    `split`, and a high part, the rest.  Each distinct part, over all the
+    payloads, is one slot, the product of the slot of its prefix and one
+    power slot (the program's `links`), so parts share their prefixes.  The
+    terms of one low part are one row of their output, and the high parts
+    of a row's terms with the same constant are summed before that
+    constant multiplies them, so a constant costs one product per row.
+    Constants are mapped into `target` once and de-duplicated by their
+    image; terms that vanish there are dropped.
+    """
+    top: dict[int, int] = {}  # per program variable of a surviving term
+    names = set()
+    const_of: dict[int, int] = {}  # integer coefficient -> const index, -1 if it vanishes
+    consts: list = []
+    by_image: dict = {}
+    one = target.one
+    for payload, index in outputs:
+        seen: dict[int, int] = {}  # payload variable -> largest exponent in a surviving term, 0 if none
+        for mono, c in payload.items():
+            if not isinstance(c, int):
+                raise SpecMismatch("evaluation requires integer coefficients")
+            k = const_of.get(c)
+            if k is None:
+                image = target.of_int(c)
+                if target.is_zero(image):
+                    k = -1
+                else:
+                    try:
+                        k = by_image.setdefault(image, len(consts))
+                    except TypeError:  # unhashable payload, e.g. a polynomial
+                        k = len(consts)
+                    if k == len(consts):
+                        consts.append(None if image == one else image)
+                const_of[c] = k
+            for v, e in mono:
+                if k < 0:
+                    e = 0
+                if e > seen.get(v, -1):
+                    seen[v] = e
+        for v, e in seen.items():
+            v = index[v]
+            names.add(variables[v])
+            if e > top.get(v, 0):
+                top[v] = e
+    offset, powers, n_slots = {}, [], 1
+    for v in sorted(top):
+        offset[v] = n_slots
+        n_slots += top[v]
+        powers.append((variables[v], top[v]))
+
+    links: list[tuple[int, int]] = []
+    slot_of: dict[tuple, int] = {(): 0}  # part -> its slot
+
+    def part_slot(part):
+        s = slot_of.get(part)
+        if s is None:
+            if len(part) == 1:
+                s = offset[part[0][0]] + part[0][1] - 1
+            else:
+                links.append((part_slot(part[:-1]), part_slot(part[-1:])))
+                s = n_slots + len(links) - 1
+            slot_of[part] = s
+        return s
+
+    cut = (split,)
+    output_rows = []
+    for payload, index in outputs:
+        rows: dict[int, dict[int, list[int]]] = {}  # low slot -> const index -> high slots
+        for mono, c in payload.items():
+            k = const_of[c]
+            if k >= 0:
+                mono = tuple([(index[v], e) for v, e in mono])
+                i = bisect_left(mono, cut)
+                groups = rows.setdefault(part_slot(mono[:i]), {})
+                groups.setdefault(k, []).append(part_slot(mono[i:]))
+        output_rows.append(tuple((low, tuple((consts[k], tuple(parts)) for k, parts in groups.items()))
+                                 for low, groups in rows.items()))
+    return EvalProgram(target, tuple(powers), tuple(links), tuple(output_rows), tuple(sorted(names)))
 
 
 def _packed(p: dict, w: int) -> list[int]:
@@ -456,7 +546,11 @@ class PolynomialRing(Construction):
     `mul` packs internally: a product of two polynomials of two terms or
     more turns each monomial into one int with a field per variable
     (Kronecker packing), multiplies monomials by adding ints, and unpacks
-    the result into the payload format above.
+    the result into the payload format above.  Over a base of exactly the
+    class IntegerRing or ModularRing, whose arithmetic is Z's followed by
+    `of_int`, it adds the coefficient products as plain ints and reduces
+    each coefficient once while unpacking; any other base, a subclass of
+    those included, multiplies through its own `mul` and `add`.
     """
 
     def __init__(self, base: Ring, variables):
@@ -543,17 +637,32 @@ class PolynomialRing(Construction):
                     top = e
         w = (2 * top).bit_length()
         kx, cx = _packed(x, w), list(x.values())
-        acc: dict = {}
-        get = acc.get
         if x is y:  # a square: each cross term once, its second factor doubled
             cd = [add(c, c) for c in cx]
+        else:
+            ky, cy = _packed(y, w), list(y.values())
+        acc: dict = {}
+        get = acc.get
+        cls = type(base)
+        if cls is IntegerRing or cls is ModularRing:  # Z's sums and products, reduced once in _unpacked
+            if x is y:
+                for i, (ka, ca) in enumerate(zip(kx, cx)):
+                    for kb, cb in zip(kx[i:], [ca, *cd[i + 1:]]):
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+            else:
+                for ka, ca in zip(kx, cx):
+                    for kb, cb in zip(ky, cy):
+                        k = ka + kb
+                        acc[k] = get(k, 0) + ca * cb
+            return self._unpacked(acc, w, base.m if cls is ModularRing else 0)
+        if x is y:
             for i, (ka, ca) in enumerate(zip(kx, cx)):
                 for kb, cb in zip(kx[i:], [ca, *cd[i + 1:]]):
                     k = ka + kb
                     c = get(k)
                     acc[k] = mul(ca, cb) if c is None else add(c, mul(ca, cb))
         else:
-            ky, cy = _packed(y, w), list(y.values())
             for ka, ca in zip(kx, cx):
                 for kb, cb in zip(ky, cy):
                     k = ka + kb
@@ -561,8 +670,12 @@ class PolynomialRing(Construction):
                     acc[k] = mul(ca, cb) if c is None else add(c, mul(ca, cb))
         return self._unpacked(acc, w)
 
-    def _unpacked(self, acc: dict, w: int) -> dict:
+    def _unpacked(self, acc: dict, w: int, modulus: int | None = None) -> dict:
         """The payload of the packed monomials of `acc` (field width w), zero coefficients dropped.
+
+        With a `modulus`, the values of `acc` are plain ints, each reduced
+        here mod `modulus` unless it is 0 (the base Z); without one they are
+        coefficients already.
 
         A monomial is cut into the fields of the low and the high half of the
         variables.  Each half is decoded once per ring and width, so the
@@ -571,7 +684,7 @@ class PolynomialRing(Construction):
         split = (len(self.variables) + 1) // 2
         shift = split * w
         low = (1 << shift) - 1
-        is_zero = self.base.is_zero
+        is_zero = self.base.is_zero if modulus is None else not_
         pairs = self._pairs
         tables = self._halves.get(w)
         if tables is None:
@@ -579,6 +692,8 @@ class PolynomialRing(Construction):
         lows, highs = tables
         out = {}
         for k, c in acc.items():
+            if modulus:
+                c %= modulus
             if is_zero(c):
                 continue
             lo, hi = k & low, k >> shift
@@ -623,76 +738,11 @@ class PolynomialRing(Construction):
     def compile(self, payload: dict, target: Ring, split: int | None = None) -> EvalProgram:
         """Compile an integer-coefficient payload for evaluation in `target`.
 
-        Each monomial splits into a low part, its factors in the variables
-        below index `split` (none by default), and a high part, the rest.
-        Each distinct part is one slot, the product of the slot of its
-        prefix and one power slot (the program's `links`), so parts share
-        their prefixes.  The terms of one low part are one row, and the
-        high parts of a row's terms with the same constant are summed
-        before that constant multiplies them, so a constant costs one
-        product per row.  Constants are mapped into `target` once and
-        de-duplicated by their image; terms that vanish there are dropped.
+        The program of `compile_program` with the one output `payload`, on
+        the variables of this ring; the low part of a monomial is its
+        factors in the variables below index `split` (none by default).
         """
-        variables = self.variables
-        top: dict[int, int] = {}  # per variable of a surviving term
-        names = set()
-        const_of: dict[int, int] = {}  # integer coefficient -> const index, -1 if it vanishes
-        consts: list = []
-        by_image: dict = {}
-        one = target.one
-        for mono, c in payload.items():
-            if not isinstance(c, int):
-                raise SpecMismatch("evaluation requires integer coefficients")
-            k = const_of.get(c)
-            if k is None:
-                image = target.of_int(c)
-                if target.is_zero(image):
-                    k = -1
-                else:
-                    try:
-                        k = by_image.setdefault(image, len(consts))
-                    except TypeError:  # unhashable payload, e.g. a polynomial
-                        k = len(consts)
-                    if k == len(consts):
-                        consts.append(None if image == one else image)
-                const_of[c] = k
-            for v, e in mono:
-                names.add(variables[v])
-                if k >= 0 and e > top.get(v, 0):
-                    top[v] = e
-        offset, powers, n_slots = {}, [], 1
-        for v in sorted(top):
-            offset[v] = n_slots
-            n_slots += top[v]
-            powers.append((variables[v], top[v]))
-
-        links: list[tuple[int, int]] = []
-        slot_of: dict[tuple, int] = {(): 0}  # part -> its slot
-
-        def part_slot(part):
-            s = slot_of.get(part)
-            if s is None:
-                if len(part) == 1:
-                    s = offset[part[0][0]] + part[0][1] - 1
-                else:
-                    links.append((part_slot(part[:-1]), part_slot(part[-1:])))
-                    s = n_slots + len(links) - 1
-                slot_of[part] = s
-            return s
-
-        rows: dict[int, dict[int, list[int]]] = {}  # low slot -> const index -> high slots
-        cut = (split or 0,)
-        for mono, c in payload.items():
-            k = const_of[c]
-            if k >= 0:
-                i = bisect_left(mono, cut)
-                groups = rows.setdefault(part_slot(mono[:i]), {})
-                groups.setdefault(k, []).append(part_slot(mono[i:]))
-        return EvalProgram(
-            target, tuple(powers), tuple(links),
-            tuple((low, tuple((consts[k], tuple(parts)) for k, parts in groups.items()))
-                  for low, groups in rows.items()),
-            tuple(sorted(names)))
+        return compile_program(self.variables, [(payload, range(len(self.variables)))], target, split or 0)
 
     def evaluate(
         self, payload: dict, values: dict, target: Ring, program: EvalProgram | None = None
@@ -704,7 +754,7 @@ class PolynomialRing(Construction):
         """
         if program is None:
             program = self.compile(payload, target)
-        return program.run(values)
+        return program.run(values)[0]
 
     def sample(self, rng, size=9):
         out = {}

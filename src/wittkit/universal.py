@@ -24,14 +24,15 @@ across platforms).  The file is append-only: a flush appends the lines of
 the polynomials computed since the previous flush, so each is written
 once.  An append interrupted by a crash leaves a final fragment without
 its newline; loading skips it and the next flush cuts it away, with a
-warning on the "wittkit" logger each time.  PolySource.evaluate compiles
-a polynomial once per target ring and keeps the program for later
-evaluations.  A program computes each distinct monomial once per
-evaluation and multiplies each constant once per row, after adding the
-monomials it multiplies.  A sum or product program has one row per
-monomial in the a_d, the sum over the terms with that a-part
-(PolynomialRing.compile with the split at the first b_d); any other
-program is one row.
+warning on the "wittkit" logger each time.  PolySource.vector compiles
+the family {op:m : m in T} once per target ring into one program with
+one output per key (rings.compile_program) and keeps it for later calls;
+PolySource.evaluate does the same for the family of one key.  A program
+computes each variable power and each distinct monomial once per run,
+for all its keys, and multiplies each constant once per row, after adding
+the monomials it multiplies.  A sum or product output has one row per
+monomial in the a_d, the sum over the terms with that a-part (the split
+at the first b_d); any other output is one row.
 
 The text codec renders each (variable, exponent) pair once per variable
 list and reads each distinct factor text once per polynomial, so a term
@@ -58,7 +59,7 @@ from .errors import (
     WittkitError,
 )
 from .numtheory import divisors
-from .rings import EvalProgram, PolynomialRing, Ring, RingElement, Z
+from .rings import EvalProgram, PolynomialRing, Ring, RingElement, Z, compile_program
 from .truncation import TruncationSet, divisors_of
 from .witt import WittVector, delta_component, frobenius, ghost, witt_add, witt_mul, witt_neg
 
@@ -291,6 +292,10 @@ def poly_from_text(text: str, ring: PolynomialRing) -> RingElement:
 class PolySource:
     """Computes and memoizes universal polynomials up to a weight ceiling.
 
+    `vector` evaluates a whole key family with one program per family and
+    target ring, compiled on first use from the polynomials `universal_poly`
+    returns, so a subclass that overrides it changes what `vector` computes.
+
     Thread-safe: a lock guards the memo, program and pending tables.  The
     cache file is append-only: every flush appends the polynomials
     computed since the last one, in one write under an exclusive flock, so
@@ -311,8 +316,10 @@ class PolySource:
         self.ceiling = ceiling
         self.cache_path = cache_path
         self._memo: dict[UnivPolyKey, RingElement] = {}
-        # (key, target ring) -> compiled program, filled lazily by evaluate
-        self._programs: dict[tuple[UnivPolyKey, Ring], EvalProgram] = {}
+        # (op, param, T, target ring) of a family `vector` reads, or (key,
+        # target ring) of a key `evaluate` reads -> its program, one output
+        # per key, compiled on first use
+        self._programs: dict[tuple, EvalProgram] = {}
         # (op, param, T) of each key family `vector` has checked and passed
         self._checked: set[tuple[str, int, TruncationSet]] = set()
         self._lock = threading.Lock()
@@ -348,7 +355,9 @@ class PolySource:
         A key of weight w in x's divisor-closed set reads only a_d, b_d for d | w.
         Every key is checked, heaviest first, before any is computed.  The
         ceiling and the budgets never change, so a family that passed is
-        not checked again; a refused one is refused on every call."""
+        not checked again; a refused one is refused on every call.  Then one
+        lookup finds the family's program for x's ring and one run of it
+        gives every coordinate."""
         keys = key_family(op, param, T)
         family = (op, param, T)
         if family not in self._checked:
@@ -358,26 +367,42 @@ class PolySource:
         values = dict(zip(_var_names("a", x.tset.members), x.coords))
         if y is not None:
             values.update(zip(_var_names("b", y.tset.members), y.coords))
-        return WittVector(T, x.ring, tuple(self.evaluate(key, values, x.ring) for key in keys))
+        program = self._program((op, param, T, x.ring), op, keys, x.ring)
+        return WittVector(T, x.ring, tuple(program.run(values)))
 
     def evaluate(self, key: UnivPolyKey, values: dict, target: Ring):
         """Specialize the polynomial for `key` at `values` (names to payloads) in `target`.
 
-        The polynomial is compiled for `target` on first use and the program
-        is kept for later calls.  Sum and product programs split at the
-        first b_d, so they have one row per monomial in the a_d, and each
-        constant in a row multiplies the sum of its monomials in the b_d.
+        The polynomial is compiled for `target` on first use, as the family
+        of the one key, and the program is kept for later calls.
         """
-        poly = self.universal_poly(key)
-        slot = (key, target)
+        return self._program((key, target), key.op, (key,), target).run(values)[0]
+
+    def _program(self, slot: tuple, op: str, keys: tuple[UnivPolyKey, ...], target: Ring) -> EvalProgram:
+        """The program of `keys`, all of operation `op`, for `target`: one output per key, kept under `slot`.
+
+        On first use each polynomial is fetched through `universal_poly` and
+        its variables are mapped onto the family's, the union of its keys'
+        variables: a_d before b_d, each in increasing d.  Sum and product
+        programs split at the first b_d, so they have one row per monomial
+        in the a_d, and each constant in a row multiplies the sum of its
+        monomials in the b_d; any other program is one row per output.
+        """
         with self._lock:
             program = self._programs.get(slot)
         if program is None:
-            split = len(divisors(key.weight)) if _tags(key.op) == "ab" else None
-            program = poly.ring.compile(poly.value, target, split)
+            tags = _tags(op)
+            ds = tuple(sorted({d for key in keys for d in divisors(key.weight)}))
+            variables = tuple(name for tag in tags for name in _var_names(tag, ds))
+            place = {name: i for i, name in enumerate(variables)}
+            outputs = []
+            for key in keys:
+                poly = self.universal_poly(key)
+                outputs.append((poly.value, [place[name] for name in poly.ring.variables]))
+            program = compile_program(variables, outputs, target, len(ds) if tags == "ab" else 0)
             with self._lock:
                 program = self._programs.setdefault(slot, program)
-        return poly.ring.evaluate(poly.value, values, target, program)
+        return program
 
     def check(self, key: UnivPolyKey):
         """Refuse a key above the weight ceiling, then one past the term or the work budget."""

@@ -26,7 +26,9 @@ from wittkit.rings import (
     parse_ring,
     series_inverse,
 )
-from wittkit.universal import PolySource, UnivPolyKey
+from wittkit.truncation import divisors_of
+from wittkit.universal import PolySource, UnivPolyKey, key_family
+from wittkit.witt import WittVector, delta_component, frobenius, witt_neg
 
 from oracles import series_long_division
 
@@ -329,6 +331,57 @@ def test_product_monomials_share_their_pairs():
     assert len(got) == 10 and len({id(pair) for pair in pairs}) == len(set(pairs))
 
 
+@st.composite
+def integer_operands(draw):
+    """A polynomial ring over Z (m = 0) or Z/m, 2 <= m <= 12, and two of its payloads."""
+    m = draw(st.sampled_from([0, *range(2, 13)]))
+    ring = PolynomialRing(ModularRing(m) if m else Z, MUL_VARS)
+    coefficients = st.integers(1, m - 1) if m else st.integers(-9, 9).filter(bool)
+    x, y = (draw(st.dictionaries(mul_monomials, coefficients, max_size=6)) for _ in "xy")
+    return ring, x, y
+
+
+X, Y = ((0, 1),), ((1, 1),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_operands())
+@example((PolynomialRing(ModularRing(2), MUL_VARS), {(): 1, X: 1}, {(): 1, X: 1}))  # (1+x)^2 = 1+x^2 over Z/2
+@example((PolynomialRing(ModularRing(4), MUL_VARS), {(): 2, X: 2}, {(): 2, Y: 2}))  # every coefficient 4 = 0
+@example((PolynomialRing(Z, MUL_VARS), {X: 1, Y: -1}, {X: 1, Y: 1}))  # (x-y)(x+y): the cross terms cancel
+@example((PolynomialRing(ModularRing(12), MUL_VARS), {X: 5}, {(): 7, X: 11, Y: 6}))  # a one-term operand
+def test_integer_coefficients_are_accumulated_as_in_the_schoolbook_product(operands):
+    ring, x, y = operands
+    for a, b in ((x, y), (x, x), (x, dict(x))):  # a square, then equal but distinct operands
+        got = ring.mul(a, b)
+        assert got == product_term_by_term(ring, a, b)
+        assert_canonical(ring, got)
+        if ring.base is not Z:  # each coefficient reduced
+            assert all(0 < c < ring.base.m for c in got.values())
+
+
+class CountingZ8(ModularRing):
+    """Z/8, counting its multiplications."""
+
+    def __init__(self):
+        super().__init__(8)
+        self.muls = 0
+
+    def mul(self, x, y):
+        self.muls += 1
+        return super().mul(x, y)
+
+
+def test_a_modular_subclass_multiplies_through_its_own_mul():
+    target = CountingZ8()
+    ring, plain = PolynomialRing(target, MUL_VARS), PolynomialRing(ModularRing(8), MUL_VARS)
+    x, y = {(): 3, X: 5, Y: 7}, {X: 2, Y: 6}
+    for a, b, products in ((x, y, 6), (x, x, 6)):  # 3x2 term pairs; a square of 3 terms, each cross term once
+        target.muls = 0
+        assert ring.mul(a, b) == plain.mul(a, b)
+        assert target.muls == products
+
+
 # -- compiled polynomial evaluation ---------------------------------------------
 
 EVAL_VARS = ("a1", "a2", "b1", "b2")
@@ -422,7 +475,7 @@ SPLIT_EXAMPLE = {
 def test_split_program_matches_term_by_term(payload, target, split, rng):
     values = {name: target.sample(rng, 4) for name in EVAL_VARS}
     program = EVAL_RING.compile(payload, target, split)
-    assert program.run(values) == term_by_term(payload, values, target)
+    assert program.run(values) == [term_by_term(payload, values, target)]
     assert len(set(program.links)) == len(program.links)
 
 
@@ -432,19 +485,7 @@ def test_split_program_checks_every_variable():
     program = EVAL_RING.compile({((0, 1), (2, 1)): 8, ((1, 2), (3, 1)): 3}, Z8, 2)
     with pytest.raises(MissingVariable):
         program.run({"a2": 1, "b2": 1})
-    assert program.run({"a1": 5, "a2": 3, "b1": 2, "b2": 3}) == 1
-
-
-class CountingZ8(ModularRing):
-    """Z/8, counting its multiplications."""
-
-    def __init__(self):
-        super().__init__(8)
-        self.muls = 0
-
-    def mul(self, x, y):
-        self.muls += 1
-        return super().mul(x, y)
+    assert program.run({"a1": 5, "a2": 3, "b1": 2, "b2": 3}) == [1]
 
 
 def test_binary_programs_compute_each_b_monomial_once():
@@ -456,38 +497,72 @@ def test_binary_programs_compute_each_b_monomial_once():
         target.muls = 0
         got = src.evaluate(key, values, target)
         split_muls, target.muls = target.muls, 0
-        assert got == poly.ring.compile(poly.value, target).run(values)
+        assert [got] == poly.ring.compile(poly.value, target).run(values)
         assert split_muls < target.muls
 
 
 def test_unary_programs_are_not_split():
-    target, src = CountingZ8(), PolySource()
+    target, src, S = CountingZ8(), PolySource(), divisors_of(12)
     for key in (UnivPolyKey("neg", 12), UnivPolyKey("frob", 4, 3), UnivPolyKey("delta", 6, 2)):
         poly = src.universal_poly(key)
         src.evaluate(key, dict.fromkeys(poly.ring.variables, 3), target)
         program = src._programs[key, target]
         default = poly.ring.compile(poly.value, target)
-        assert (program.links, program.rows) == (default.links, default.rows)
-        assert [low for low, _ in program.rows] == [0]
+        assert (program.links, program.outputs) == (default.links, default.outputs)
+        assert [low for low, _ in program.outputs[0]] == [0]
+    x = WittVector(S, target, (3,) * len(S))
+    for family, run in ((("neg", 0, S), lambda: witt_neg(x, "universal", src)),
+                        (("frob", 3, S.quotient(3)), lambda: frobenius(3, x, "universal", src)),
+                        (("delta", 2, S.quotient(2)), lambda: delta_component(2, x, "universal", src))):
+        run()
+        program = src._programs[(*family, target)]
+        assert [[low for low, _ in rows] for rows in program.outputs] == [[0]] * len(family[2])
+
+
+def powers_and_links(program) -> int:
+    return sum(top - 1 for _, top in program.powers) + len(program.links)
+
+
+def products_of(program) -> int:
+    """The multiplications of one run: each power and each part once, and per row of each
+    output its constants other than one and its low part; sums cost no products."""
+    return (powers_and_links(program)
+            + sum(sum(c is not None for c, _ in groups) + (low != 0)
+                  for rows in program.outputs for low, groups in rows))
 
 
 @pytest.mark.parametrize("key", [UnivPolyKey("prod", 24), UnivPolyKey("sum", 24), UnivPolyKey("neg", 24)])
 def test_programs_multiply_once_per_part_and_per_constant_in_a_row(key):
-    # each power and each part is built once, a row multiplies each constant
-    # other than one once and its low part once, and sums cost no products
+    # the program of key's family over the divisors of its weight
+    op, S = key.op, divisors_of(key.weight)
     target, src, rng = CountingZ8(), PolySource(), random.Random(key.weight)
-    poly = src.universal_poly(key)
-    values = {name: rng.randrange(8) for name in poly.ring.variables}
-    src.evaluate(key, values, target)  # compiles
-    program = src._programs[key, target]
+    coords = {tag: tuple(rng.randrange(8) for _ in S.members) for tag in "ab"}
+    x, y = (WittVector(S, target, coords[tag]) for tag in "ab")
+    if op == "neg":
+        y = None
+    got = src.vector(op, 0, S, x, y)  # compiles
+    program = src._programs[op, 0, S, target]
     target.muls = 0
-    got = src.evaluate(key, values, target)
-    assert target.muls == (
-        sum(top - 1 for _, top in program.powers)
-        + len(program.links)
-        + sum(sum(c is not None for c, _ in groups) + (low != 0) for low, groups in program.rows)
-    )
-    assert got == term_by_term(poly.value, values, ModularRing(8), poly.ring.variables)
+    assert src.vector(op, 0, S, x, y) == got
+    assert target.muls == products_of(program)
+    values = {f"{tag}{d}": c for tag in "ab" for d, c in zip(S.members, coords[tag])}
+    for m, coord in zip(S.members, got.coords):
+        poly = src.universal_poly(UnivPolyKey(op, m))
+        assert coord == term_by_term(poly.value, values, ModularRing(8), poly.ring.variables)
+
+
+@pytest.mark.parametrize("op, N, spec, shared, key_by_key", [
+    ("sum", 12, "Z/3[x]", 170, 198), ("prod", 24, "Z/8", 1212, 1406)])
+def test_a_family_program_builds_each_power_and_part_once(op, N, spec, shared, key_by_key):
+    target, src, S = parse_ring(spec), PolySource(), divisors_of(N)
+    x = WittVector(S, target, (target.one,) * len(S))
+    src.vector(op, 0, S, x, x)
+    family = src._programs[op, 0, S, target]
+    singles = []
+    for key in key_family(op, 0, S):
+        src.evaluate(key, dict.fromkeys(src.universal_poly(key).ring.variables, target.one), target)
+        singles.append(src._programs[key, target])
+    assert (powers_and_links(family), sum(map(powers_and_links, singles))) == (shared, key_by_key)
 
 
 @pytest.mark.parametrize("spec", ["Z/8", "Z/9", "Z/3[x]", "series(Z/2,3)"])
@@ -499,4 +574,4 @@ def test_split_binary_programs_match_the_unsplit_ones(spec):
             poly = src.universal_poly(key)
             for _ in range(3):
                 values = {name: target.sample(rng, 4) for name in poly.ring.variables}
-                assert src.evaluate(key, values, target) == poly.ring.compile(poly.value, target).run(values)
+                assert [src.evaluate(key, values, target)] == poly.ring.compile(poly.value, target).run(values)

@@ -18,9 +18,9 @@ from wittkit.errors import (
     MissingVariable,
     NotDivisible,
 )
-from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, Z
-from wittkit.truncation import divisors_of
-from wittkit.witt import teichmuller, witt_mul
+from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, Z, parse_ring
+from wittkit.truncation import divisors_of, parse_truncation_set
+from wittkit.witt import WittVector, teichmuller, witt_mul
 from wittkit.universal import (
     _CACHE_HEADER,
     DEFAULT_CEILING,
@@ -39,6 +39,9 @@ from wittkit.universal import (
     warm_cache,
     work_bound,
 )
+
+from test_laws import SumMutated
+from test_rings import term_by_term
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +176,44 @@ def test_specialize(src):
     assert specialize(s2, zeros, Q) == RingElement(Q, Fraction(0))
     with pytest.raises(MissingVariable):
         specialize(s2, {"a1": RingElement(Z, 1)}, Z)
+
+
+FAMILY_SETS = st.one_of(
+    st.integers(1, 12).map(lambda n: f"div{n}"),
+    st.integers(0, 8).map(lambda n: f"seg{n}"),
+    st.sampled_from([(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]).map(lambda pk: "ptyp(%d,%d)" % pk),
+).map(parse_truncation_set)
+FAMILY_RINGS = [parse_ring(spec) for spec in ("Z", "Z/8", "Z/9", "Z/3[x]", "series(Z/2,3)")]
+
+
+def _family_agrees(source, op, param, S, x, y):
+    T = S.quotient(param) if op in ("frob", "delta") else S
+    values = {f"a{d}": c for d, c in zip(S.members, x.coords)}
+    if y is not None:
+        values.update((f"b{d}", c) for d, c in zip(S.members, y.coords))
+    got = source.vector(op, param, T, x, y)
+    assert got.tset == T and len(got.coords) == len(T)
+    for m, coord in zip(T.members, got.coords):
+        poly = source.universal_poly(UnivPolyKey(op, m, param))
+        assert coord == term_by_term(poly.value, values, x.ring, poly.ring.variables)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(FAMILY_SETS, st.sampled_from(FAMILY_RINGS), st.sampled_from(["sum", "prod", "neg", "frob", "delta"]),
+       st.data(), st.randoms(use_true_random=False))
+def test_a_family_program_evaluates_each_key_as_term_by_term(src, S, ring, op, data, rng):
+    param = data.draw(st.sampled_from(S.members[1:] or (1,)) | st.integers(1, 3)) if op in ("frob", "delta") else 0
+    x, y = (WittVector(S, ring, tuple(ring.sample(rng, 4) for _ in S.members)) for _ in "xy")
+    _family_agrees(src, op, param, S, x, y if op in ("sum", "prod") else None)
+
+
+def test_a_family_program_reads_each_polynomial_through_universal_poly():
+    S = divisors_of(4)
+    x = WittVector(S, Z, (1, 0, 0))
+    plain = _family_agrees(PolySource(), "sum", 0, S, x, x)
+    mutated = _family_agrees(SumMutated(), "sum", 0, S, x, x)
+    assert mutated.coords[1] == plain.coords[1] + 1  # SumMutated adds a1*b1 to sum:2
 
 
 def test_ceiling():
