@@ -378,6 +378,8 @@ class EvalProgram:
 
     `names` lists every variable of the polynomials, including those that
     occur only in terms vanishing in the target: each needs a value.
+    `PolySource.vector` keeps one program per key family and ring;
+    `PolynomialRing.evaluate` compiles a program of one output per call.
     """
 
     __slots__ = ("target", "powers", "links", "outputs", "names")
@@ -735,26 +737,13 @@ class PolynomialRing(Construction):
             out[new] = c
         return out
 
-    def compile(self, payload: dict, target: Ring, split: int | None = None) -> EvalProgram:
-        """Compile an integer-coefficient payload for evaluation in `target`.
-
-        The program of `compile_program` with the one output `payload`, on
-        the variables of this ring; the low part of a monomial is its
-        factors in the variables below index `split` (none by default).
-        """
-        return compile_program(self.variables, [(payload, range(len(self.variables)))], target, split or 0)
-
-    def evaluate(
-        self, payload: dict, values: dict, target: Ring, program: EvalProgram | None = None
-    ):
+    def evaluate(self, payload: dict, values: dict, target: Ring):
         """Evaluate in `target` with `values` mapping variable names to payloads.
 
-        `program`, when given, is `self.compile(payload, target)` kept from
-        an earlier call.
+        The payload is compiled (`compile_program`, one output, no split) on
+        every call; `PolySource.vector` keeps the programs it runs.
         """
-        if program is None:
-            program = self.compile(payload, target)
-        return program.run(values)[0]
+        return compile_program(self.variables, [(payload, range(len(self.variables)))], target).run(values)[0]
 
     def sample(self, rng, size=9):
         out = {}

@@ -27,7 +27,7 @@ its newline; loading skips it and the next flush cuts it away, with a
 warning on the "wittkit" logger each time.  PolySource.vector compiles
 the family {op:m : m in T} once per target ring into one program with
 one output per key (rings.compile_program) and keeps it for later calls;
-PolySource.evaluate does the same for the family of one key.  A program
+no other code keeps a program.  A program
 computes each variable power and each distinct monomial once per run,
 for all its keys, and multiplies each constant once per row, after adding
 the monomials it multiplies.  A sum or product output has one row per
@@ -183,7 +183,6 @@ def _poly_ring(weight: int, tags: str) -> PolynomialRing:
     return PolynomialRing(Z, [name for tag in tags for name in _var_names(tag, divisors(weight))])
 
 
-@lru_cache(maxsize=1024)  # read by every universal-strategy operation
 def key_family(op: str, param: int, T: TruncationSet) -> tuple[UnivPolyKey, ...]:
     """UnivPolyKey(op, m, param) for each m in T, lightest first."""
     return tuple(UnivPolyKey(op, m, param) for m in T.members)
@@ -293,8 +292,9 @@ class PolySource:
     """Computes and memoizes universal polynomials up to a weight ceiling.
 
     `vector` evaluates a whole key family with one program per family and
-    target ring, compiled on first use from the polynomials `universal_poly`
-    returns, so a subclass that overrides it changes what `vector` computes.
+    target ring (its class and spec), compiled on first use from the
+    polynomials `universal_poly` returns, so a subclass that overrides it
+    changes what `vector` computes.  It is the only cache of programs.
 
     Thread-safe: a lock guards the memo, program and pending tables.  The
     cache file is append-only: every flush appends the polynomials
@@ -316,12 +316,10 @@ class PolySource:
         self.ceiling = ceiling
         self.cache_path = cache_path
         self._memo: dict[UnivPolyKey, RingElement] = {}
-        # (op, param, T, target ring) of a family `vector` reads, or (key,
-        # target ring) of a key `evaluate` reads -> its program, one output
-        # per key, compiled on first use
+        # (op, param, T, ring class, ring) of a family `vector` reads -> its
+        # program, one output per key, compiled on first use: rings compare
+        # by spec, so the class keeps a subclass from running another's program
         self._programs: dict[tuple, EvalProgram] = {}
-        # (op, param, T) of each key family `vector` has checked and passed
-        self._checked: set[tuple[str, int, TruncationSet]] = set()
         self._lock = threading.Lock()
         # (key, polynomial) computed here and not yet appended to the file
         self._pending: list[tuple[UnivPolyKey, RingElement]] = []
@@ -334,7 +332,8 @@ class PolySource:
 
         The check bounds computation, so a memoized key, computed here or
         read from the cache file, is returned unchecked.  `vector` checks its
-        keys itself, so the read path checks each key once.
+        keys itself when it compiles a program, so the read path checks each
+        key once per family and ring.
         """
         with self._lock:
             poly = self._memo.get(key)
@@ -353,56 +352,47 @@ class PolySource:
         """The vector over T whose coordinate at m is UnivPolyKey(op, m, param) at x (a_d) and y (b_d).
 
         A key of weight w in x's divisor-closed set reads only a_d, b_d for d | w.
-        Every key is checked, heaviest first, before any is computed.  The
-        ceiling and the budgets never change, so a family that passed is
-        not checked again; a refused one is refused on every call.  Then one
-        lookup finds the family's program for x's ring and one run of it
-        gives every coordinate."""
-        keys = key_family(op, param, T)
-        family = (op, param, T)
-        if family not in self._checked:
-            for key in reversed(keys):
-                self.check(key)
-            self._checked.add(family)
-        values = dict(zip(_var_names("a", x.tset.members), x.coords))
-        if y is not None:
-            values.update(zip(_var_names("b", y.tset.members), y.coords))
-        program = self._program((op, param, T, x.ring), op, keys, x.ring)
-        return WittVector(T, x.ring, tuple(program.run(values)))
-
-    def evaluate(self, key: UnivPolyKey, values: dict, target: Ring):
-        """Specialize the polynomial for `key` at `values` (names to payloads) in `target`.
-
-        The polynomial is compiled for `target` on first use, as the family
-        of the one key, and the program is kept for later calls.
-        """
-        return self._program((key, target), key.op, (key,), target).run(values)[0]
-
-    def _program(self, slot: tuple, op: str, keys: tuple[UnivPolyKey, ...], target: Ring) -> EvalProgram:
-        """The program of `keys`, all of operation `op`, for `target`: one output per key, kept under `slot`.
-
-        On first use each polynomial is fetched through `universal_poly` and
-        its variables are mapped onto the family's, the union of its keys'
-        variables: a_d before b_d, each in increasing d.  Sum and product
-        programs split at the first b_d, so they have one row per monomial
-        in the a_d, and each constant in a row multiplies the sum of its
-        monomials in the b_d; any other program is one row per output.
-        """
+        One lookup finds the family's program for x's ring and one run of it
+        gives every coordinate; a miss compiles the program (`_compile`)."""
+        ring = x.ring
+        slot = (op, param, T, type(ring), ring)
         with self._lock:
             program = self._programs.get(slot)
         if program is None:
-            tags = _tags(op)
-            ds = tuple(sorted({d for key in keys for d in divisors(key.weight)}))
-            variables = tuple(name for tag in tags for name in _var_names(tag, ds))
-            place = {name: i for i, name in enumerate(variables)}
-            outputs = []
-            for key in keys:
-                poly = self.universal_poly(key)
-                outputs.append((poly.value, [place[name] for name in poly.ring.variables]))
-            program = compile_program(variables, outputs, target, len(ds) if tags == "ab" else 0)
+            program = self._compile(op, param, T, ring)
             with self._lock:
                 program = self._programs.setdefault(slot, program)
-        return program
+        values = dict(zip(_var_names("a", x.tset.members), x.coords))
+        if y is not None:
+            values.update(zip(_var_names("b", y.tset.members), y.coords))
+        return WittVector(T, ring, tuple(program.run(values)))
+
+    def _compile(self, op: str, param: int, T: TruncationSet, target: Ring) -> EvalProgram:
+        """The program of the family {UnivPolyKey(op, m, param) : m in T} for `target`, one output per key.
+
+        Every key is checked, heaviest first, before any is computed.  The
+        ceiling and the budgets never change, so a family with a program is
+        not checked again for its ring, and a refused one never gets a
+        program: it is refused on every call.  Each polynomial is fetched
+        through `universal_poly` and its variables are mapped onto the
+        family's, the union of its keys' variables: a_d before b_d, each in
+        increasing d.  Sum and product programs split at the first b_d, so
+        they have one row per monomial in the a_d, and each constant in a
+        row multiplies the sum of its monomials in the b_d; any other
+        program is one row per output.
+        """
+        keys = key_family(op, param, T)
+        for key in reversed(keys):
+            self.check(key)
+        tags = _tags(op)
+        ds = tuple(sorted({d for key in keys for d in divisors(key.weight)}))
+        variables = tuple(name for tag in tags for name in _var_names(tag, ds))
+        place = {name: i for i, name in enumerate(variables)}
+        outputs = []
+        for key in keys:
+            poly = self.universal_poly(key)
+            outputs.append((poly.value, [place[name] for name in poly.ring.variables]))
+        return compile_program(variables, outputs, target, len(ds) if tags == "ab" else 0)
 
     def check(self, key: UnivPolyKey):
         """Refuse a key above the weight ceiling, then one past the term or the work budget."""

@@ -20,6 +20,7 @@ from wittkit.rings import (
     SeriesRing,
     SquareZeroRing,
     Z,
+    compile_program,
     element_from_json,
     element_to_json,
     exact_div,
@@ -28,7 +29,7 @@ from wittkit.rings import (
 )
 from wittkit.truncation import divisors_of
 from wittkit.universal import PolySource, UnivPolyKey, key_family
-from wittkit.witt import WittVector, delta_component, frobenius, witt_neg
+from wittkit.witt import WittVector, delta_component, frobenius, witt_mul, witt_neg
 
 from oracles import series_long_division
 
@@ -416,6 +417,11 @@ def term_by_term(payload, values, target, variables=EVAL_VARS):
     return acc
 
 
+def compiled(payload, target, split=0, variables=EVAL_VARS):
+    """The program of the one output `payload` on `variables`."""
+    return compile_program(variables, [(payload, range(len(variables)))], target, split)
+
+
 @settings(max_examples=60, deadline=None)
 @given(polynomials, st.sampled_from(EVAL_TARGETS), st.randoms(use_true_random=False))
 def test_evaluate_matches_term_by_term(payload, target, rng):
@@ -424,17 +430,35 @@ def test_evaluate_matches_term_by_term(payload, target, rng):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.integers(-50, 50), min_size=8, max_size=8))
+@given(st.lists(st.integers(-50, 50), min_size=6, max_size=6))
 def test_programs_are_kept_per_target_ring(raw):
-    src = PolySource()
-    key = UnivPolyKey("prod", 4)
-    poly = src.universal_poly(key)
+    src, S = PolySource(), divisors_of(4)
+    kept = {}
     for m in (8, 9, 8):
         target = ModularRing(m)
-        values = {name: r % m for name, r in zip(poly.ring.variables, raw)}
-        want = term_by_term(poly.value, values, target, poly.ring.variables)
-        assert src.evaluate(key, values, target) == want
-        assert src.evaluate(key, values, target) == want
+        x, y = (WittVector(S, target, tuple(r % m for r in part)) for part in (raw[:3], raw[3:]))
+        values = {f"{tag}{d}": c for tag, v in zip("ab", (x, y)) for d, c in zip(S.members, v.coords)}
+        for _ in range(2):
+            for n, coord in zip(S.members, src.vector("prod", 0, S, x, y).coords):
+                poly = src.universal_poly(UnivPolyKey("prod", n))
+                assert coord == term_by_term(poly.value, values, target, poly.ring.variables)
+        program = src._programs["prod", 0, S, ModularRing, target]
+        assert kept.setdefault(m, program) is program
+    assert len(src._programs) == 2
+
+
+def test_a_program_is_kept_per_ring_class():
+    # rings compare by spec, so CountingZ8 equals ModularRing(8), but it
+    # multiplies through its own mul: a program compiled for Z/8 must not serve it
+    S = divisors_of(6)
+    plain = WittVector(S, ModularRing(8), (3, 5, 7, 2))
+    served = PolySource()
+    want = witt_mul(plain, plain, "universal", served).coords
+    for src in (PolySource(), served):
+        target = CountingZ8()
+        x = WittVector(S, target, plain.coords)
+        assert witt_mul(x, x, "universal", src).coords == want
+        assert target.muls == 50
 
 
 def test_evaluate_checks_every_variable():
@@ -474,7 +498,7 @@ SPLIT_EXAMPLE = {
 @example({((2, 1),): 1, ((3, 2),): 72, ((2, 1), (3, 1)): 2}, parse_ring("Z/9"), 2, random.Random(2))
 def test_split_program_matches_term_by_term(payload, target, split, rng):
     values = {name: target.sample(rng, 4) for name in EVAL_VARS}
-    program = EVAL_RING.compile(payload, target, split)
+    program = compiled(payload, target, split)
     assert program.run(values) == [term_by_term(payload, values, target)]
     assert len(set(program.links)) == len(program.links)
 
@@ -482,7 +506,7 @@ def test_split_program_matches_term_by_term(payload, target, split, rng):
 def test_split_program_checks_every_variable():
     Z8 = ModularRing(8)
     # a1 and b1 occur only in a term whose coefficient vanishes mod 8
-    program = EVAL_RING.compile({((0, 1), (2, 1)): 8, ((1, 2), (3, 1)): 3}, Z8, 2)
+    program = compiled({((0, 1), (2, 1)): 8, ((1, 2), (3, 1)): 3}, Z8, 2)
     with pytest.raises(MissingVariable):
         program.run({"a2": 1, "b2": 1})
     assert program.run({"a1": 5, "a2": 3, "b1": 2, "b2": 3}) == [1]
@@ -492,30 +516,25 @@ def test_binary_programs_compute_each_b_monomial_once():
     target, src, rng = CountingZ8(), PolySource(), random.Random(5)
     for key in (UnivPolyKey("prod", 12), UnivPolyKey("sum", 12)):
         poly = src.universal_poly(key)
-        values = {name: rng.randrange(8) for name in poly.ring.variables}
-        src.evaluate(key, values, target)  # compiles
+        variables = poly.ring.variables
+        values = {name: rng.randrange(8) for name in variables}
+        # split at the first b_d, as a sum or product family program is
+        split = compiled(poly.value, target, len(variables) // 2, variables)
         target.muls = 0
-        got = src.evaluate(key, values, target)
+        got = split.run(values)
         split_muls, target.muls = target.muls, 0
-        assert [got] == poly.ring.compile(poly.value, target).run(values)
+        assert got == compiled(poly.value, target, 0, variables).run(values)
         assert split_muls < target.muls
 
 
 def test_unary_programs_are_not_split():
     target, src, S = CountingZ8(), PolySource(), divisors_of(12)
-    for key in (UnivPolyKey("neg", 12), UnivPolyKey("frob", 4, 3), UnivPolyKey("delta", 6, 2)):
-        poly = src.universal_poly(key)
-        src.evaluate(key, dict.fromkeys(poly.ring.variables, 3), target)
-        program = src._programs[key, target]
-        default = poly.ring.compile(poly.value, target)
-        assert (program.links, program.outputs) == (default.links, default.outputs)
-        assert [low for low, _ in program.outputs[0]] == [0]
     x = WittVector(S, target, (3,) * len(S))
     for family, run in ((("neg", 0, S), lambda: witt_neg(x, "universal", src)),
                         (("frob", 3, S.quotient(3)), lambda: frobenius(3, x, "universal", src)),
                         (("delta", 2, S.quotient(2)), lambda: delta_component(2, x, "universal", src))):
         run()
-        program = src._programs[(*family, target)]
+        program = src._programs[(*family, CountingZ8, target)]
         assert [[low for low, _ in rows] for rows in program.outputs] == [[0]] * len(family[2])
 
 
@@ -541,7 +560,7 @@ def test_programs_multiply_once_per_part_and_per_constant_in_a_row(key):
     if op == "neg":
         y = None
     got = src.vector(op, 0, S, x, y)  # compiles
-    program = src._programs[op, 0, S, target]
+    program = src._programs[op, 0, S, CountingZ8, target]
     target.muls = 0
     assert src.vector(op, 0, S, x, y) == got
     assert target.muls == products_of(program)
@@ -557,11 +576,12 @@ def test_a_family_program_builds_each_power_and_part_once(op, N, spec, shared, k
     target, src, S = parse_ring(spec), PolySource(), divisors_of(N)
     x = WittVector(S, target, (target.one,) * len(S))
     src.vector(op, 0, S, x, x)
-    family = src._programs[op, 0, S, target]
+    family = src._programs[op, 0, S, type(target), target]
     singles = []
     for key in key_family(op, 0, S):
-        src.evaluate(key, dict.fromkeys(src.universal_poly(key).ring.variables, target.one), target)
-        singles.append(src._programs[key, target])
+        poly = src.universal_poly(key)
+        variables = poly.ring.variables
+        singles.append(compiled(poly.value, target, len(variables) // 2, variables))
     assert (powers_and_links(family), sum(map(powers_and_links, singles))) == (shared, key_by_key)
 
 
@@ -572,6 +592,9 @@ def test_split_binary_programs_match_the_unsplit_ones(spec):
         for op in ("sum", "prod"):
             key = UnivPolyKey(op, n)
             poly = src.universal_poly(key)
+            variables = poly.ring.variables
+            split = compiled(poly.value, target, len(variables) // 2, variables)
+            unsplit = compiled(poly.value, target, 0, variables)
             for _ in range(3):
-                values = {name: target.sample(rng, 4) for name in poly.ring.variables}
-                assert [src.evaluate(key, values, target)] == poly.ring.compile(poly.value, target).run(values)
+                values = {name: target.sample(rng, 4) for name in variables}
+                assert split.run(values) == unsplit.run(values)
