@@ -31,13 +31,17 @@ source of every dyadic correction term.
 DrwComplex bundles the operations behind overridable structure-constant
 hooks so that law suites can be run against deliberately broken
 variants; the module-level functions delegate to a default instance.
-An instance reads its hooks at most once per set and index pair: the
-row of (S, m) has a slot per n in S, which the first product or F_m that
-needs the pair (m, n) fills with the target positions and integer factors
-of the formulas above; later calls only index the row.  V_m indexes a
-position map.  The rows live in a table of the instance with a bounded
-budget (wittint.RowTable), so one instance's constants never serve
-another.
+An instance reads its hooks at most once per set and index pair: its
+entry for (m, n) is the tuple of (position, factor) pairs of V_m e * dV_n e
+or of F_m dV_n e from the formulas above, and the row kernels of
+wittint.RowTable keep it in the slot of n in the row of (S, m) and apply
+it; the degree-0 parts go through the basis maps of wittint, which also
+refuse operands over the wrong sets.  V_m indexes a position map.  The
+rows live in a table of the instance with a bounded budget, so one
+instance's constants never serve another.
+
+The CLI generator table takes time about like |S|^3, so it is refused
+past TABLE_BUDGET members; a set at the budget takes about 2 s.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, mod, neg
 
-from .errors import NotSubset, SetMismatch, SpecMismatch
+from .errors import BudgetExceeded, SetMismatch, SpecMismatch
 from .rings import json_int
 from .truncation import TruncationSet
 from .witt import WittVector, fields_from_json
@@ -65,6 +69,8 @@ from .wittint import (
     verschiebung_basis,
     verschiebung_positions,
 )
+
+TABLE_BUDGET = 100
 
 
 def crt_bracket(m: int, n: int) -> int:
@@ -168,10 +174,8 @@ def drw_eta(x) -> DrwElement:
 
 
 def drw_add(x: DrwElement, y: DrwElement) -> DrwElement:
-    if x.tset != y.tset:
-        raise SetMismatch(f"truncation sets differ: {x.tset} vs {y.tset}")
-    deg1 = _reduce_deg1(x.tset, map(add, x.deg1, y.deg1))
-    return DrwElement(x.tset, basis_add(x.deg0, y.deg0), deg1)
+    deg0 = basis_add(x.deg0, y.deg0)  # SetMismatch unless the sets agree
+    return DrwElement(x.tset, deg0, _reduce_deg1(x.tset, map(add, x.deg1, y.deg1)))
 
 
 def drw_neg(x: DrwElement) -> DrwElement:
@@ -189,7 +193,8 @@ class DrwComplex:
 
     Subclasses used in mutation testing may override _crt_value or
     _curly; everything else routes through these two hooks.  The hooks
-    are read once per set and (m, n) pair, when the instance fills the
+    are read once per set and (m, n) pair, by _mul_entry or
+    _frobenius_entry when the kernels of the instance's RowTable fill the
     slot of n in the row of (S, m); mul and frobenius then index rows.
     """
 
@@ -203,9 +208,6 @@ class DrwComplex:
         return curly(m, n)
 
     # -- tables ------------------------------------------------------------
-    def _row(self, kind: str, S: TruncationSet, m: int) -> list:
-        return self._table.row((kind, S, m), len(S.members))
-
     def _mul_entry(self, S: TruncationSet, m: int, n: int) -> tuple:
         """V_m e * dV_n e as (position, factor) pairs."""
         l = lcm(m, n)
@@ -229,32 +231,12 @@ class DrwComplex:
 
     # -- product -----------------------------------------------------------
     def mul(self, x: DrwElement, y: DrwElement) -> DrwElement:
-        if x.tset != y.tset:
-            raise SetMismatch(f"truncation sets differ: {x.tset} vs {y.tset}")
+        deg0 = basis_mul(x.deg0, y.deg0)  # SetMismatch unless the sets agree
         S = x.tset
-        deg0 = basis_mul(x.deg0, y.deg0)
         raw = [0] * len(S.members)
-        self._mul_deg0_deg1(S, x.deg0, y.deg1, raw)
-        self._mul_deg0_deg1(S, y.deg0, x.deg1, raw)
+        self._table.bilinear("mul", S, self._mul_entry, x.deg0.coeffs, y.deg1, raw)
+        self._table.bilinear("mul", S, self._mul_entry, y.deg0.coeffs, x.deg1, raw)
         return DrwElement(S, deg0, _reduce_deg1(S, raw))
-
-    def _mul_deg0_deg1(self, S, a: BasisWittInt, c1: tuple, raw: list[int]):
-        nonzero = [(j, c) for j, c in enumerate(c1) if c]
-        if not nonzero:
-            return
-        members = S.members
-        for m, cm in zip(members, a.coeffs):
-            if not cm:
-                continue
-            row = self._row("mul", S, m)
-            for j, cn in nonzero:
-                pairs = row[j]
-                if pairs is None:
-                    pairs = row[j] = self._mul_entry(S, m, members[j])
-                if pairs:
-                    w = cm * cn
-                    for t, f in pairs:
-                        raw[t] += w * f
 
     # -- derivation ----------------------------------------------------------
     def d(self, x: DrwElement) -> DrwElement:
@@ -265,25 +247,14 @@ class DrwComplex:
 
     # -- Frobenius and Verschiebung -------------------------------------------
     def frobenius(self, m: int, x: DrwElement) -> DrwElement:
-        S = x.tset
-        T = S.quotient(m)
         deg0 = frobenius_basis(m, x.deg0)
+        T = deg0.tset
         raw = [0] * len(T.members)
-        if any(x.deg1):
-            row = self._row("frob", S, m)
-            for j, c in enumerate(x.deg1):
-                if c:
-                    pairs = row[j]
-                    if pairs is None:
-                        pairs = row[j] = self._frobenius_entry(T, m, S.members[j])
-                    for t, f in pairs:
-                        raw[t] += c * f
+        self._table.linear("frob", x.tset, m, T, self._frobenius_entry, x.deg1, raw)
         return DrwElement(T, deg0, _reduce_deg1(T, raw))
 
     def verschiebung(self, m: int, x: DrwElement, S: TruncationSet) -> DrwElement:
-        if S.quotient(m) != x.tset:
-            raise SetMismatch(f"operand lives over {x.tset}, expected {S}/{m}")
-        deg0 = verschiebung_basis(m, x.deg0, S)
+        deg0 = verschiebung_basis(m, x.deg0, S)  # SetMismatch unless x lives over S/m
         raw = [0] * len(S.members)
         for t, c in zip(verschiebung_positions(m, x.tset, S), x.deg1):
             raw[t] = m * c
@@ -291,9 +262,7 @@ class DrwComplex:
 
     # -- restriction and units -------------------------------------------------
     def restrict(self, T: TruncationSet, x: DrwElement) -> DrwElement:
-        if not T <= x.tset:
-            raise NotSubset(f"{T} is not a subset of {x.tset}")
-        deg0 = restrict_basis(T, x.deg0)
+        deg0 = restrict_basis(T, x.deg0)  # NotSubset unless T is inside the set of x
         deg1 = tuple(x.deg1_coeff(n) for n in T.members)
         return DrwElement(T, deg0, deg1)
 
@@ -334,6 +303,8 @@ def dlog_minus_one(S: TruncationSet) -> DrwElement:
 
 def generator_tables(S: TruncationSet) -> dict:
     """Products, F, V and d on all generators, for the CLI table verb."""
+    if len(S) > TABLE_BUDGET:
+        raise BudgetExceeded(f"{len(S)} members exceed the table budget {TABLE_BUDGET}")
     out = {"mul": {}, "frobenius": {}, "verschiebung": {}, "d": {}}
     gens: list[tuple[str, DrwElement]] = []
     for n in S.members:

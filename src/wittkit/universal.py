@@ -140,7 +140,7 @@ def parse_key(text: str) -> UnivPolyKey:
     return key
 
 
-@lru_cache(maxsize=1024)  # checked on every read of a polynomial
+@lru_cache(maxsize=1024)  # read by check, before a key is computed or its family compiled
 def term_bound(op: str, w: int) -> int:
     """The most monomials a polynomial of operation `op` and weight `w` can have.
 
@@ -160,7 +160,7 @@ def term_bound(op: str, w: int) -> int:
     return c[w]
 
 
-@lru_cache(maxsize=1024)  # checked on every read of a polynomial
+@lru_cache(maxsize=1024)  # read by check, before a key is computed or its family compiled
 def work_bound(op: str, w: int) -> int:
     """The work of computing a polynomial of operation `op` and weight `w`, a priori: the recursion
     multiplies powers of the coordinates at the proper divisors of w, so their squared term bounds."""

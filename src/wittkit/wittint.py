@@ -14,10 +14,13 @@ Frobenius, Verschiebung and restriction act on generators by
     R_T V_n([1]) = V_n([1]) if n in T else 0
 
 and extend linearly.  Each map reads its constants from rows of a table
-(see RowTable): the row of (S, m) has a slot per generator position,
-filled the first time a nonzero coefficient needs it, so a product or a
-Frobenius mostly adds coefficient times constant into a position list.  The Teichmuller representative of
-an integer m expands with necklace coefficients
+(see RowTable): the row of (kind, S, m) has a slot per generator position,
+filled with the entry of (m, n) the first time a nonzero coefficient at n
+needs it.  An entry is a tuple of (position, factor) pairs.  Two kernels
+apply the rows, here and in the graded complex (drwz): `bilinear` adds
+x_m * y_n * factor at each position of the entry of (m, n), and `linear`
+adds x_n * factor for a fixed m.  The Teichmuller representative of an
+integer m expands with necklace coefficients
 (1/n) * sum over d|n of mu(d)*m^(n/d).
 
 Formal 1-forms sum terms a*db with both sides basis elements; the
@@ -54,7 +57,8 @@ class RowTable:
 
     A row has one slot per generator position; the rows kept have at most
     `budget` slots in all, and the oldest rows go first, so a long-lived
-    table that sees many sets or many indices stays bounded.
+    table that sees many sets or many indices stays bounded.  The kernels
+    fill a slot, one pair at a time, with a tuple of (position, factor) pairs.
     """
 
     def __init__(self, budget: int = ROW_BUDGET):
@@ -74,21 +78,51 @@ class RowTable:
                 self.entries += size
         return row
 
+    def bilinear(self, kind: str, S: TruncationSet, entry, xs, ys, acc):
+        """For nonzero xs[i] and ys[j], add xs[i]*ys[j]*f at t for each (t, f) of
+        entry(S, m_i, m_j), kept in slot j of the row of (kind, S, m_i)."""
+        members = S.members
+        ys = [(j, c) for j, c in enumerate(ys) if c]
+        if not ys:
+            return
+        for m, cm in zip(members, xs):
+            if cm:
+                row = self.row((kind, S, m), len(members))
+                for j, cn in ys:
+                    pairs = row[j]
+                    if pairs is None:
+                        pairs = row[j] = entry(S, m, members[j])
+                    for t, f in pairs:
+                        acc[t] += cm * cn * f
+
+    def linear(self, kind: str, S: TruncationSet, m: int, T: TruncationSet, entry, xs, acc):
+        """For nonzero xs[j], add xs[j]*f at t for each (t, f) of entry(T, m, m_j),
+        m_j in S, kept in slot j of the row of (kind, S, m)."""
+        members = S.members
+        row = self.row((kind, S, m), len(members))
+        for j, c in enumerate(xs):
+            if c:
+                pairs = row[j]
+                if pairs is None:
+                    pairs = row[j] = entry(T, m, members[j])
+                for t, f in pairs:
+                    acc[t] += c * f
+
 
 _TABLE = RowTable()
 
 
 def _mul_entry(S: TruncationSet, m: int, n: int) -> tuple:
-    """(position of lcm(m,n), gcd(m,n)), or () if the lcm leaves S."""
+    """V_m([1]) * V_n([1]): ((position of lcm(m,n), gcd(m,n)),), or () if the lcm leaves S."""
     g = gcd(m, n)
     l = m // g * n
-    return (S.index(l), g) if l in S else ()
+    return ((S.index(l), g),) if l in S else ()
 
 
 def _frobenius_entry(T: TruncationSet, m: int, n: int) -> tuple:
-    """(position of n/gcd(m,n) in T = S/m, gcd(m,n)), or () if it is not in T."""
+    """F_m V_n([1]): ((position of n/gcd(m,n) in T = S/m, gcd(m,n)),), or () if it is not in T."""
     g = gcd(m, n)
-    return (T.index(n // g), g) if n // g in T else ()
+    return ((T.index(n // g), g),) if n // g in T else ()
 
 
 def verschiebung_positions(m: int, T: TruncationSet, S: TruncationSet) -> list[int]:
@@ -184,21 +218,8 @@ def basis_scalar_mul(k: int, x: BasisWittInt) -> BasisWittInt:
 def basis_mul(x: BasisWittInt, y: BasisWittInt) -> BasisWittInt:
     _check_set(x, y)
     S = x.tset
-    members = S.members
-    acc = [0] * len(members)
-    ys = [(j, c) for j, c in enumerate(y.coeffs) if c]
-    if ys:
-        for m, cm in zip(members, x.coeffs):
-            if not cm:
-                continue
-            row = _TABLE.row(("mul", S, m), len(members))
-            for j, cn in ys:
-                entry = row[j]
-                if entry is None:
-                    entry = row[j] = _mul_entry(S, m, members[j])
-                if entry:
-                    t, g = entry
-                    acc[t] += cm * cn * g
+    acc = [0] * len(S.members)
+    _TABLE.bilinear("mul", S, _mul_entry, x.coeffs, y.coeffs, acc)
     return BasisWittInt(S, tuple(acc))
 
 
@@ -207,15 +228,7 @@ def frobenius_basis(m: int, x: BasisWittInt) -> BasisWittInt:
     S = x.tset
     T = S.quotient(m)
     acc = [0] * len(T.members)
-    row = _TABLE.row(("frob", S, m), len(S.members))
-    for j, c in enumerate(x.coeffs):
-        if c:
-            entry = row[j]
-            if entry is None:
-                entry = row[j] = _frobenius_entry(T, m, S.members[j])
-            if entry:
-                t, g = entry
-                acc[t] += c * g
+    _TABLE.linear("frob", S, m, T, _frobenius_entry, x.coeffs, acc)
     return BasisWittInt(T, tuple(acc))
 
 

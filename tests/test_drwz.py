@@ -10,6 +10,7 @@ from wittkit.drwz import (
     crt_bracket,
     curly,
     dlog_minus_one,
+    drw_add,
     drw_d,
     drw_eta,
     drw_frobenius,
@@ -180,6 +181,19 @@ def test_restrict():
         x = rand_drw(S8, rng)
         T = S8.quotient(rng.choice([1, 2, 4]))
         assert drw_restrict(T, drw_d(x)) == drw_d(drw_restrict(T, x))
+
+
+def test_add_and_mul_refuse_operands_over_different_sets():
+    S12 = divisors_of(12)
+    x = drw_add(gen(S6, 2), dgen(S6, 3))
+    y = drw_add(gen(S12, 2), dgen(S12, 3))
+    ops = DrwComplex()
+    for op in (drw_add, drw_mul, ops.mul):
+        with pytest.raises(SetMismatch):
+            op(x, y)
+        with pytest.raises(SetMismatch):
+            op(y, x)
+    assert ops._table.entries == 0  # refused before any row was built
 
 
 def test_json_round_trip():
