@@ -21,9 +21,11 @@ structure map is determined by its values on generators:
 
 Here (m,n) / [m,n] are gcd / lcm, (m,n] is the unique class mod [m,n]
 that is 0 mod m and (m,n) mod n, and {m,n} is 1 when both m and n are
-even, else 0.  Indices falling outside S are dropped; degree-1
-coefficients are reduced mod their index; products of two degree-1
-elements vanish (degree 2 is zero).
+even, else 0.  Indices falling outside S are dropped; products of two
+degree-1 elements vanish (degree 2 is zero).  A degree-1 coefficient is
+a residue mod its index, and the DrwElement constructor alone reduces
+it to its representative in [0, n): every map hands over its raw
+integers.
 
 The 2-torsion class dlog e([-1]) = sum_r 2^(r-1) dV_(2^r) e([1]) is the
 source of every dyadic correction term.
@@ -36,8 +38,9 @@ entry for (m, n) is the tuple of (position, factor) pairs of V_m e * dV_n e
 or of F_m dV_n e from the formulas above, and the row kernels of
 wittint.RowTable keep it in the slot of n in the row of (S, m) and apply
 it; the degree-0 parts go through the basis maps of wittint, which also
-refuse operands over the wrong sets.  V_m indexes a position map.  The
-rows live in a table of the instance with a bounded budget, so one
+refuse operands over the wrong sets.  V_m spreads its coefficients
+with wittint.verschiebung_spread, as verschiebung_basis does.  The rows
+live in a table of the instance with a bounded budget, so one
 instance's constants never serve another.
 
 The CLI generator table takes time about like |S|^3, so it is refused
@@ -67,7 +70,7 @@ from .wittint import (
     from_coords,
     restrict_basis,
     verschiebung_basis,
-    verschiebung_positions,
+    verschiebung_spread,
 )
 
 TABLE_BUDGET = 100
@@ -91,8 +94,9 @@ def curly(m: int, n: int) -> int:
 class DrwElement:
     """A graded element: degree-0 basis vector plus degree-1 residues.
 
-    deg1 is aligned with the truncation set; the entry at n lies in
-    [0, n) (so the entry at 1 is always 0).
+    deg1 is aligned with the truncation set; the constructor reduces the
+    entry at n to its representative in [0, n) (so the entry at 1 is
+    always 0), and equal residues give equal elements.
     """
 
     tset: TruncationSet
@@ -100,11 +104,10 @@ class DrwElement:
     deg1: tuple[int, ...]
 
     def __post_init__(self):
-        if self.deg0.tset != self.tset or len(self.deg1) != len(self.tset):
+        members = self.tset.members
+        if self.deg0.tset != self.tset or len(self.deg1) != len(members):
             raise SetMismatch("graded parts must share the truncation set")
-        for n, c in zip(self.tset.members, self.deg1):
-            if not 0 <= c < n:
-                raise SpecMismatch(f"degree-1 coefficient at {n} not reduced: {c}")
+        object.__setattr__(self, "deg1", tuple(map(mod, self.deg1, members)))
 
     def deg1_coeff(self, n: int) -> int:
         return self.deg1[self.tset.index(n)]
@@ -137,13 +140,8 @@ class DrwElement:
 def drw_from_json(data) -> DrwElement:
     tset, (deg0, deg1) = fields_from_json(data, "deg0", "deg1")
     c0 = tuple(json_int(deg0.get(str(n), 0), f"deg0 coefficient {n}") for n in tset.members)
-    c1 = tuple(json_int(deg1.get(str(n), 0), f"deg1 coefficient {n}") % n for n in tset.members)
+    c1 = tuple(json_int(deg1.get(str(n), 0), f"deg1 coefficient {n}") for n in tset.members)
     return DrwElement(tset, BasisWittInt(tset, c0), c1)
-
-
-def _reduce_deg1(S: TruncationSet, raw) -> tuple[int, ...]:
-    """Degree-1 coefficients, aligned with S, each reduced mod its index."""
-    return tuple(map(mod, raw, S.members))
 
 
 def _dyadic_chain(S: TruncationSet, l: int) -> list[tuple[int, int]]:
@@ -175,17 +173,15 @@ def drw_eta(x) -> DrwElement:
 
 def drw_add(x: DrwElement, y: DrwElement) -> DrwElement:
     deg0 = basis_add(x.deg0, y.deg0)  # SetMismatch unless the sets agree
-    return DrwElement(x.tset, deg0, _reduce_deg1(x.tset, map(add, x.deg1, y.deg1)))
+    return DrwElement(x.tset, deg0, tuple(map(add, x.deg1, y.deg1)))
 
 
 def drw_neg(x: DrwElement) -> DrwElement:
-    deg1 = _reduce_deg1(x.tset, map(neg, x.deg1))
-    return DrwElement(x.tset, basis_neg(x.deg0), deg1)
+    return DrwElement(x.tset, basis_neg(x.deg0), tuple(map(neg, x.deg1)))
 
 
 def drw_scalar_mul(k: int, x: DrwElement) -> DrwElement:
-    deg1 = _reduce_deg1(x.tset, [k * a for a in x.deg1])
-    return DrwElement(x.tset, basis_scalar_mul(k, x.deg0), deg1)
+    return DrwElement(x.tset, basis_scalar_mul(k, x.deg0), [k * a for a in x.deg1])
 
 
 class DrwComplex:
@@ -236,14 +232,12 @@ class DrwComplex:
         raw = [0] * len(S.members)
         self._table.bilinear("mul", S, self._mul_entry, x.deg0.coeffs, y.deg1, raw)
         self._table.bilinear("mul", S, self._mul_entry, y.deg0.coeffs, x.deg1, raw)
-        return DrwElement(S, deg0, _reduce_deg1(S, raw))
+        return DrwElement(S, deg0, raw)
 
     # -- derivation ----------------------------------------------------------
     def d(self, x: DrwElement) -> DrwElement:
         """Send each degree-0 coefficient to its residue in degree 1."""
-        S = x.tset
-        deg1 = _reduce_deg1(S, x.deg0.coeffs)
-        return DrwElement(S, basis_zero(S), deg1)
+        return DrwElement(x.tset, basis_zero(x.tset), x.deg0.coeffs)
 
     # -- Frobenius and Verschiebung -------------------------------------------
     def frobenius(self, m: int, x: DrwElement) -> DrwElement:
@@ -251,14 +245,11 @@ class DrwComplex:
         T = deg0.tset
         raw = [0] * len(T.members)
         self._table.linear("frob", x.tset, m, T, self._frobenius_entry, x.deg1, raw)
-        return DrwElement(T, deg0, _reduce_deg1(T, raw))
+        return DrwElement(T, deg0, raw)
 
     def verschiebung(self, m: int, x: DrwElement, S: TruncationSet) -> DrwElement:
         deg0 = verschiebung_basis(m, x.deg0, S)  # SetMismatch unless x lives over S/m
-        raw = [0] * len(S.members)
-        for t, c in zip(verschiebung_positions(m, x.tset, S), x.deg1):
-            raw[t] = m * c
-        return DrwElement(S, deg0, _reduce_deg1(S, raw))
+        return DrwElement(S, deg0, [m * c for c in verschiebung_spread(m, x.tset, S, x.deg1)])
 
     # -- restriction and units -------------------------------------------------
     def restrict(self, T: TruncationSet, x: DrwElement) -> DrwElement:
@@ -271,7 +262,7 @@ class DrwComplex:
         raw = [0] * len(S.members)
         for t, f in _dyadic_chain(S, 1):
             raw[t] = f
-        return DrwElement(S, basis_zero(S), _reduce_deg1(S, raw))
+        return DrwElement(S, basis_zero(S), raw)
 
 
 _DEFAULT = DrwComplex()

@@ -66,6 +66,9 @@ from .wittint import (
 
 # a suite builds a pool of this many random elements before any check runs
 TRIALS_BUDGET = 10**4
+# check_witt_complex refuses sets with more members: at one trial seg16
+# takes about 0.25 s and seg32 about 1.1 s
+COMPLEX_BUDGET = 32
 
 
 @dataclass
@@ -182,6 +185,8 @@ def check_witt_complex(
     ops: DrwComplex | None = None,
 ) -> LawReport:
     """Axioms of the graded complex plus its derived identities over S."""
+    if len(S) > COMPLEX_BUDGET:
+        raise BudgetExceeded(f"{len(S)} members exceed the wittcomplex budget {COMPLEX_BUDGET}")
     ops = ops or DrwComplex()
     rng = random.Random(seed)
     runner = _Runner("wittcomplex", S, trials, seed)
@@ -222,8 +227,7 @@ def check_witt_complex(
     def law_leibniz():
         for _ in range(trials):
             x, y = rng.choice(pool), rng.choice(pool)
-            x0 = DrwElement(S, x.deg0, tuple(0 for _ in members))
-            y0 = DrwElement(S, y.deg0, tuple(0 for _ in members))
+            x0, y0 = drw_eta(x.deg0), drw_eta(y.deg0)
             yield *leibniz(x0, y0), "leibniz", x0, y0
         for m in members:
             for n in members:
@@ -380,9 +384,7 @@ def check_witt_complex(
                     while (2**r) * l in memset:
                         raw[(2**r) * l] = 2 ** (r - 1) * l
                         r += 1
-                expansion = DrwElement(
-                    S, basis_zero(S), tuple(raw.get(k, 0) % k for k in members)
-                )
+                expansion = DrwElement(S, basis_zero(S), [raw.get(k, 0) for k in members])
                 yield got, expansion, "VmdVn expansion", m, n, got, expansion
         for n in members:
             lhs = drw_scalar_mul(n, ops.d(drw_eta(basis_generator(S, n))))

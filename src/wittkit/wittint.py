@@ -125,12 +125,15 @@ def _frobenius_entry(T: TruncationSet, m: int, n: int) -> tuple:
     return ((T.index(n // g), g),) if n // g in T else ()
 
 
-def verschiebung_positions(m: int, T: TruncationSet, S: TruncationSet) -> list[int]:
-    """Per position of n in T = S/m, the position of m*n in S."""
+def verschiebung_spread(m: int, T: TruncationSet, S: TruncationSet, xs) -> list:
+    """xs, aligned with T = S/m, copied to the positions of m*n in S; zero elsewhere."""
     row = _TABLE.row(("versch", S, m), len(T.members))
     if row and row[0] is None:  # V_m reads every slot, so all are filled at once
         row[:] = [S.index(m * n) for n in T.members]
-    return row
+    out = [0] * len(S.members)
+    for t, c in zip(row, xs):
+        out[t] = c
+    return out
 
 
 @dataclass(frozen=True, eq=True)
@@ -236,10 +239,7 @@ def verschiebung_basis(m: int, x: BasisWittInt, S: TruncationSet) -> BasisWittIn
     """V_m from basis form over S/m into S."""
     if S.quotient(m) != x.tset:
         raise SetMismatch(f"operand lives over {x.tset}, expected {S}/{m} = {S.quotient(m)}")
-    out = [0] * len(S.members)
-    for t, c in zip(verschiebung_positions(m, x.tset, S), x.coeffs):
-        out[t] = c
-    return BasisWittInt(S, tuple(out))
+    return BasisWittInt(S, tuple(verschiebung_spread(m, x.tset, S, x.coeffs)))
 
 
 def restrict_basis(T: TruncationSet, x: BasisWittInt) -> BasisWittInt:

@@ -239,11 +239,12 @@ UNIVERSAL_DIV96 = ("witt", "mul", z8_vector(96), z8_vector(96), "--strategy", "u
     ("gamma-inv", json.dumps({"spec": "series(Z,3)", "value": [1, 1, 0]}),
      "--length", str(PRECISION_BUDGET + 1)),
     ("drwz", "table", "--set", "seg2000"),
+    ("laws", "check", "--suite", "wittcomplex", "--set", "seg1000"),
 ], ids=["div-large", "seg-large", "member-large", "ptyp-large-prime", "ptyp-long",
         "q-exponent", "tau-large-prime", "decompose-large-prime", "trials-large",
         "universal-div60", "universal-div64", "universal-div96",
         "series-precision", "gamma-precision", "gamma-inv-length",
-        "drwz-table-large"])
+        "drwz-table-large", "wittcomplex-large"])
 def test_budgets_fail_fast(argv, tmp_path):
     # in a subprocess, so that an input past its budget that hangs fails the
     # test by the timeout instead of hanging the suite

@@ -204,8 +204,13 @@ def test_json_round_trip():
 
 
 def test_degree_one_coefficients_reduced():
-    with pytest.raises(SpecMismatch):
-        DrwElement(S6, BasisWittInt(S6, (0, 0, 0, 0)), (0, 2, 0, 0))
+    # the constructor keeps the representative in [0, n) of each residue
+    deg0 = BasisWittInt(S6, (1, 0, 2, 0))
+    raw = DrwElement(S6, deg0, (0, 3, -1, 13))
+    reduced = DrwElement(S6, deg0, (0, 1, 2, 1))
+    assert raw.deg1 == (0, 1, 2, 1)
+    assert all(0 <= c < n for n, c in zip(S6.members, raw.deg1))
+    assert raw == reduced and hash(raw) == hash(reduced)
 
 
 def test_generator_tables():
