@@ -24,7 +24,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .drwz import (
     DrwComplex,
@@ -69,6 +69,10 @@ TRIALS_BUDGET = 10**4
 # check_witt_complex refuses sets with more members: at one trial seg16
 # takes about 0.25 s and seg32 about 1.1 s
 COMPLEX_BUDGET = 32
+# check_comonad refuses a pair (S, T) past this work bound (`comonad_work`): at
+# one trial over Z seg32 with target seg16 (40,960) takes about 0.8 s, and
+# every pair measured above 50,000 took 0.7-10 s, most over 1.1 s
+COMONAD_BUDGET = 50_000
 
 
 @dataclass
@@ -435,6 +439,12 @@ def _random_witt(S: TruncationSet, ring: Ring, rng: random.Random) -> WittVector
     return WittVector(S, ring, tuple(ring.sample(rng) for _ in S))
 
 
+def comonad_work(S: TruncationSet, T: TruncationSet) -> int:
+    """|T| * max(T) * |S| * isqrt(max(S)): the nested maps run over W_T(W_S(A)), and their
+    integers grow with the members, so this orders the suite's measured times where |S| alone does not."""
+    return len(T) * max(T.members, default=0) * len(S) * isqrt(max(S.members, default=0))
+
+
 def check_comonad(
     S: TruncationSet,
     T: TruncationSet,
@@ -453,6 +463,10 @@ def check_comonad(
     """
     if not T <= S:
         raise NotSubset(f"comonad target {T} must be contained in {S}")
+    work = comonad_work(S, T)
+    if work > COMONAD_BUDGET:
+        raise BudgetExceeded(f"the comonad suite over {len(S)} members with a target of {len(T)} "
+                             f"has the work bound {work}, above the budget {COMONAD_BUDGET}")
     ops = ops or WittOps()
     rng = random.Random(seed)
     runner = _Runner("comonad", S, trials, seed)

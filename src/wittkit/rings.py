@@ -24,6 +24,10 @@ Payloads are canonical: equal payloads <=> equal ring elements.  All
 values are treated as immutable; operations are pure functions, so every
 ring is safe to share between threads.
 
+An IntCarrier stands for the payloads of Z/m, series(Z/m,k) or Z/m[x] as
+plain ints, so that an evaluation program compiled for it runs on the C
+operators of int (Kronecker substitution, see `_Digits`).
+
 The RingElement wrapper pairs a payload with its ring and overloads the
 arithmetic operators; it is the type used at API boundaries (CLI, JSON).
 Internal algorithms work on payloads directly through the ring methods.
@@ -31,13 +35,13 @@ Internal algorithms work on payloads directly through the ring methods.
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import gcd
-from operator import not_
 from typing import Any
 
 from .errors import (
@@ -380,6 +384,11 @@ class EvalProgram:
     occur only in terms vanishing in the target: each needs a value.
     `PolySource.vector` keeps one program per key family and ring;
     `PolynomialRing.evaluate` compiles a program of one output per call.
+    The target may be an `IntCarrier`, whose payloads are plain ints: then
+    `run` adds and multiplies with the C operators of int, the carrier
+    lifts the inputs (a coefficient list c_0, c_1, ... to the sum of
+    c_i * 2^(B*i)) and decodes the outputs, and B, the digit width, is set
+    by a run of the same program at the inputs' coefficient sums and by m.
     """
 
     __slots__ = ("target", "powers", "links", "outputs", "names")
@@ -686,7 +695,7 @@ class PolynomialRing(Construction):
         split = (len(self.variables) + 1) // 2
         shift = split * w
         low = (1 << shift) - 1
-        is_zero = self.base.is_zero if modulus is None else not_
+        is_zero = self.base.is_zero if modulus is None else operator.not_
         pairs = self._pairs
         tables = self._halves.get(w)
         if tables is None:
@@ -908,6 +917,174 @@ class SquareZeroRing(SeriesRing):
 
 Z = IntegerRing()
 Q = RationalRing()
+
+
+# --------------------------------------------------------------------------
+# int carriers: programs for Z/m, series over Z/m and Z/m[x] run on plain ints
+# --------------------------------------------------------------------------
+
+
+class IntCarrier(Ring):
+    """Plain ints standing for the payloads of `ring`, a ring that is exactly Z/m.
+
+    A program compiled for a carrier (`compile`) adds and multiplies with
+    the C operators of int, and `run` reduces each output mod m once.  Its
+    inputs are residues in [0, m) and its constants `of_int(c) = c % m`,
+    so a run computes P(r) for an integer polynomial P with nonnegative
+    coefficients that reduces mod m to the program's polynomial.  The
+    subclasses carry series and one-variable polynomials over Z/m as one
+    int each, by Kronecker substitution t -> 2^B (`_Digits`).
+    """
+
+    add = operator.add
+    mul = operator.mul
+
+    def __init__(self, ring: Ring, m: int):
+        self.ring = ring
+        self.m = m
+
+    def of_int(self, k):
+        return k % self.m
+
+    def fits(self, coords) -> bool:
+        """Whether the ring payloads `coords` run on ints: always, but for sparse polynomials."""
+        return True
+
+    def compile(self, variables: tuple, outputs: list, split: int = 0) -> EvalProgram:
+        """`compile_program` for this carrier, which runs the program it returns."""
+        return compile_program(variables, outputs, self, split)
+
+    def run(self, program: EvalProgram, names, coords) -> list:
+        """The outputs of `program`, compiled for this carrier, with names[i] the ring payload coords[i]."""
+        m = self.m
+        return [n % m for n in program.run(dict(zip(names, coords)))]
+
+    def __str__(self):
+        return f"ints({self.ring})"
+
+
+def _byte_width(bounds) -> int:
+    """The bytes of a digit that holds every nonnegative int up to the largest of `bounds`: at least one."""
+    return max(1, (max(bounds, default=0).bit_length() + 7) // 8)
+
+
+def _to_int(digits, width: int) -> int:
+    """The sum of digits[i] * 2^(8*width*i), each digit in [0, 2^(8*width))."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in digits]), "little")
+
+
+def _to_digits(n: int, width: int, count: int) -> list:
+    """The `count` lowest digits of n in base 2^(8*width), n below 2^(8*width*count)."""
+    buf = n.to_bytes(width * count, "little")
+    return [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+
+
+class _Digits(IntCarrier):
+    """Payloads with coefficients c_0, c_1, ... in [0, m) as the int sum of c_i * 2^(B*i), B = 8*width.
+
+    Why the digits of an output are its coefficients: the program computes
+    P(f_1, ..., f_n) over Z[t] at t = 2^B, where the f_j are the inputs with
+    their coefficients as integers, and P has nonnegative coefficients; so
+    does the output polynomial P(f), and each of its coefficients is at most
+    its value at t = 1, P at the inputs' coefficient sums, which one run of
+    the same program computes.  B is the bit length of the largest such
+    value, and of m - 1, the largest input digit, rounded up to whole
+    bytes, so no digit carries into the next.
+    """
+
+    def width_at(self, program: EvalProgram, sums: dict) -> int:
+        """The bytes of a digit for inputs of coefficient sums `sums`: every output at them, and m - 1, fit."""
+        return _byte_width([self.m - 1, *program.run(sums)])
+
+    def run_digits(self, program, names, lists, width):
+        """The decoded outputs of `program` at the coefficient lists `lists`, each digit `width` bytes."""
+        values = dict(zip(names, [_to_int(c, width) for c in lists]))
+        return [self.decode(n, width) for n in program.run(values)]
+
+
+class _SeriesDigits(_Digits):
+    """series(Z/m,k) and sz(Z/m) payloads as ints of k digits.
+
+    Reduction mod 2^(B*k) is a ring map, since t^k = 2^(B*k) vanishes there,
+    so a product masked to its k lowest digits keeps them exact, and each
+    product stays at k digits.  The sums are unmasked: their digits past k
+    are dropped when the output is decoded.  Every input has coefficient
+    sum at most k*(m-1), and P is monotone in each input, so `compile`
+    fixes B, and the mask, once per program from the run at that sum: a
+    carrier serves the one program compiled for it.
+    """
+
+    def __init__(self, ring: SeriesRing):
+        super().__init__(ring, ring.base.m)
+        self.precision = ring.precision
+
+    def compile(self, variables, outputs, split=0):
+        program = super().compile(variables, outputs, split)
+        self.width = self.width_at(program, dict.fromkeys(program.names, self.precision * (self.m - 1)))
+        mask = self.mask = (1 << 8 * self.width * self.precision) - 1
+        self.mul = lambda a, b: a * b & mask
+        return program
+
+    def run(self, program, names, coords):
+        return self.run_digits(program, names, coords, self.width)
+
+    def decode(self, n, width):
+        m = self.m
+        return tuple([c % m for c in _to_digits(n & self.mask, width, self.precision)])
+
+
+def _span(x: dict) -> int:
+    """The degree plus one of a one-variable polynomial payload, 0 for zero: () < ((0, 1),) < ((0, 2),) < ..."""
+    if not x:
+        return 0
+    top = max(x)
+    return top[0][1] + 1 if top else 1
+
+
+class _PolyDigits(_Digits):
+    """One-variable Z/m[x] payloads as ints of one digit per exponent up to the degree.
+
+    An int costs time and memory in proportion to the degree, so only dense
+    coordinates take this path (`fits`): 1 + x^40000 would be an int of 40001
+    digits.  B is set per call, from the run at the inputs' coefficient sums.
+    """
+
+    def fits(self, coords):
+        """Whether the degrees plus one of `coords` sum to at most twice their terms, a zero counting one term."""
+        return sum(map(_span, coords)) <= 2 * sum(len(x) or 1 for x in coords)
+
+    def run(self, program, names, coords):
+        lists = []
+        for x in coords:
+            digits = [0] * _span(x)
+            for mono, c in x.items():
+                digits[mono[0][1] if mono else 0] = c
+            lists.append(digits)
+        return self.run_digits(program, names, lists, self.width_at(program, dict(zip(names, map(sum, lists)))))
+
+    def decode(self, n, width):
+        m = self.m
+        digits = _to_digits(n, width, -(-n.bit_length() // (8 * width)))
+        return {((0, e),) if e else (): c for e, d in enumerate(digits) if (c := d % m)}
+
+
+def int_carrier(ring: Ring) -> IntCarrier | None:
+    """The int carrier of `ring`, or None.
+
+    Only rings of exactly the classes ModularRing, SeriesRing or
+    SquareZeroRing over exactly ModularRing, and PolynomialRing in one
+    variable over exactly ModularRing have one: a subclass, such as a ring
+    that counts its products, computes through its own methods.
+    """
+    cls = type(ring)
+    if cls is ModularRing:
+        return IntCarrier(ring, ring.m)
+    if type(getattr(ring, "base", None)) is ModularRing:
+        if cls is SeriesRing or cls is SquareZeroRing:
+            return _SeriesDigits(ring)
+        if cls is PolynomialRing and len(ring.variables) == 1:
+            return _PolyDigits(ring, ring.base.m)
+    return None
 
 
 def series_inverse_payload(ring: SeriesRing, f: tuple) -> tuple:

@@ -34,6 +34,29 @@ the monomials it multiplies.  A sum or product output has one row per
 monomial in the a_d, the sum over the terms with that a-part (the split
 at the first b_d); any other output is one row.
 
+When the target ring is exactly Z/m, series(Z/m,k) or sz(Z/m) over
+exactly Z/m, or Z/m[x] in one variable over exactly Z/m, the family's
+program is compiled for the ring's int carrier (rings.int_carrier): a
+Ring whose add and mul are the C operators of int and whose of_int(c) is
+c mod m.  Each input becomes one int, a residue itself and a coefficient
+list c_0, c_1, ... the sum of c_i * 2^(B*i) (Kronecker substitution), and
+each output is decoded once, reduced mod m or read as base-2^B digits mod
+m.  The inputs and constants are residues in [0, m), so a run computes
+P(2^B) for an integer polynomial P with nonnegative coefficients that
+reduces to the true result; each coefficient of P is at most P(1), which
+a run of the same program at the inputs' coefficient sums computes, and B
+is its bit length, or that of m - 1, the largest input coefficient, if
+longer, rounded up to whole bytes.  Over series, reduction mod
+2^(B*k) is a ring map, so each product is masked to k digits; every
+series input has coefficient sum at most k*(m-1), so B and the mask are
+fixed once per family and ring.  Two guards depend only on the inputs
+and the ring: a Z/m[x] call whose coordinates are sparse, the sum of
+their degrees plus one above twice the sum of their term counts (a zero
+counting one), runs the ring's own program, since an int grows with the
+degree (the path is chosen before the lookup, so only the program that
+runs is compiled); and a subclass of those rings never takes the int
+path, so it multiplies through its own mul.
+
 The text codec renders each (variable, exponent) pair once per variable
 list and reads each distinct factor text once per polynomial, so a term
 costs a few microseconds either way: for the 112 keys of the poly_warm benchmark (124k terms, up
@@ -59,7 +82,16 @@ from .errors import (
     WittkitError,
 )
 from .numtheory import divisors
-from .rings import EvalProgram, PolynomialRing, Ring, RingElement, Z, compile_program
+from .rings import (
+    EvalProgram,
+    IntCarrier,
+    PolynomialRing,
+    Ring,
+    RingElement,
+    Z,
+    compile_program,
+    int_carrier,
+)
 from .truncation import TruncationSet, divisors_of
 from .witt import WittVector, delta_component, frobenius, ghost, witt_add, witt_mul, witt_neg
 
@@ -317,8 +349,10 @@ class PolySource:
         self.cache_path = cache_path
         self._memo: dict[UnivPolyKey, RingElement] = {}
         # (op, param, T, ring class, ring) of a family `vector` reads -> its
-        # program, one output per key, compiled on first use: rings compare
-        # by spec, so the class keeps a subclass from running another's program
+        # program, one output per key, compiled on first use for the ring's
+        # int carrier if it has one: rings compare by spec, so the class keeps
+        # a subclass from running another's program.  The same slot with
+        # "sparse" appended keeps the ring's own program for sparse inputs.
         self._programs: dict[tuple, EvalProgram] = {}
         self._lock = threading.Lock()
         # (key, polynomial) computed here and not yet appended to the file
@@ -353,22 +387,43 @@ class PolySource:
 
         A key of weight w in x's divisor-closed set reads only a_d, b_d for d | w.
         One lookup finds the family's program for x's ring and one run of it
-        gives every coordinate; a miss compiles the program (`_compile`)."""
-        ring = x.ring
+        gives every coordinate; a miss compiles the program (`_compile`).
+        When the ring has an int carrier (`rings.int_carrier`: exactly Z/m,
+        series(Z/m,k), sz(Z/m) or one-variable Z/m[x] over exactly Z/m; a
+        subclass has none, so it computes through its own methods), the
+        program is compiled for the carrier: each coordinate is lifted to
+        one int, a coefficient list to its value at 2^B, the run adds and
+        multiplies ints, and each output is decoded once, mod m or as
+        base-2^B digits mod m.  B bounds every coefficient of the output
+        polynomial by its value at 1, the run at the inputs' coefficient
+        sums, and every input coefficient, at most m - 1 (see the module
+        docstring).  Polynomial coordinates whose degrees plus one sum to
+        more than twice their terms (`fits`) run the ring's own program
+        instead, kept under the family's slot marked "sparse", since an int
+        grows with the degree; the path is chosen before the lookup, so a
+        miss compiles only the program that runs."""
+        ring, names, coords = x.ring, _var_names("a", x.tset.members), x.coords
+        if y is not None:
+            names, coords = names + _var_names("b", y.tset.members), coords + y.coords
         slot = (op, param, T, type(ring), ring)
+        carrier = int_carrier(ring)
+        if carrier is not None and not carrier.fits(coords):
+            carrier, slot = None, (*slot, "sparse")
         with self._lock:
             program = self._programs.get(slot)
         if program is None:
-            program = self._compile(op, param, T, ring)
+            program = self._compile(op, param, T, ring, carrier)
             with self._lock:
                 program = self._programs.setdefault(slot, program)
-        values = dict(zip(_var_names("a", x.tset.members), x.coords))
-        if y is not None:
-            values.update(zip(_var_names("b", y.tset.members), y.coords))
-        return WittVector(T, ring, tuple(program.run(values)))
+        if carrier is None:
+            return WittVector(T, ring, tuple(program.run(dict(zip(names, coords)))))
+        # the carrier that compiled a kept program runs it: a series carrier holds its digit width
+        return WittVector(T, ring, tuple(program.target.run(program, names, coords)))
 
-    def _compile(self, op: str, param: int, T: TruncationSet, target: Ring) -> EvalProgram:
-        """The program of the family {UnivPolyKey(op, m, param) : m in T} for `target`, one output per key.
+    def _compile(self, op: str, param: int, T: TruncationSet, ring: Ring,
+                 carrier: IntCarrier | None) -> EvalProgram:
+        """The program of the family {UnivPolyKey(op, m, param) : m in T} for `ring`, one output per key,
+        compiled by `carrier` if it is not None.
 
         Every key is checked, heaviest first, before any is computed.  The
         ceiling and the budgets never change, so a family with a program is
@@ -392,7 +447,10 @@ class PolySource:
         for key in keys:
             poly = self.universal_poly(key)
             outputs.append((poly.value, [place[name] for name in poly.ring.variables]))
-        return compile_program(variables, outputs, target, len(ds) if tags == "ab" else 0)
+        split = len(ds) if tags == "ab" else 0
+        if carrier is None:
+            return compile_program(variables, outputs, ring, split)
+        return carrier.compile(variables, outputs, split)
 
     def check(self, key: UnivPolyKey):
         """Refuse a key above the weight ceiling, then one past the term or the work budget."""

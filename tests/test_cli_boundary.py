@@ -240,11 +240,13 @@ UNIVERSAL_DIV96 = ("witt", "mul", z8_vector(96), z8_vector(96), "--strategy", "u
      "--length", str(PRECISION_BUDGET + 1)),
     ("drwz", "table", "--set", "seg2000"),
     ("laws", "check", "--suite", "wittcomplex", "--set", "seg1000"),
+    ("laws", "check", "--suite", "comonad", "--set", "seg32"),
+    ("laws", "check", "--suite", "comonad", "--set", "div720", "--target", "div24"),
 ], ids=["div-large", "seg-large", "member-large", "ptyp-large-prime", "ptyp-long",
         "q-exponent", "tau-large-prime", "decompose-large-prime", "trials-large",
         "universal-div60", "universal-div64", "universal-div96",
         "series-precision", "gamma-precision", "gamma-inv-length",
-        "drwz-table-large", "wittcomplex-large"])
+        "drwz-table-large", "wittcomplex-large", "comonad-large", "comonad-deep"])
 def test_budgets_fail_fast(argv, tmp_path):
     # in a subprocess, so that an input past its budget that hangs fails the
     # test by the timeout instead of hanging the suite

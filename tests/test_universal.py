@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -18,9 +19,20 @@ from wittkit.errors import (
     MissingVariable,
     NotDivisible,
 )
-from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, Z, parse_ring
+from wittkit.rings import (
+    IntCarrier,
+    ModularRing,
+    PolynomialRing,
+    Q,
+    RingElement,
+    SeriesRing,
+    SquareZeroRing,
+    Z,
+    int_carrier,
+    parse_ring,
+)
 from wittkit.truncation import divisors_of, parse_truncation_set
-from wittkit.witt import WittVector, teichmuller, witt_add, witt_mul
+from wittkit.witt import WittVector, frobenius, teichmuller, witt_add, witt_mul
 from wittkit.universal import (
     _CACHE_HEADER,
     DEFAULT_CEILING,
@@ -214,6 +226,107 @@ def test_a_family_program_reads_each_polynomial_through_universal_poly():
     plain = _family_agrees(PolySource(), "sum", 0, S, x, x)
     mutated = _family_agrees(SumMutated(), "sum", 0, S, x, x)
     assert mutated.coords[1] == plain.coords[1] + 1  # SumMutated adds a1*b1 to sum:2
+
+
+INT_MODULI = (2, 3, 4, 6, 8, 9, 257)
+INT_KINDS = ("Z/m", "series", "sz", "dense", "sparse")
+# drawn uniformly, so that div12, the benchmark's set, is as likely as {1}
+INT_SETS = st.sampled_from(["seg0", "div1", "div4", "div6", "div8", "div12", "seg6", "seg8", "ptyp(2,3)",
+                            "ptyp(3,2)"]).map(parse_truncation_set)
+
+
+@st.composite
+def int_path_operands(draw, S, kind):
+    """(ring, x, y): a ring with an int carrier of the given kind and two vectors over S.
+
+    Coordinates may be zero; a dense polynomial has every coefficient up to
+    its degree (at most 4) nonzero, constants included, and a sparse one a
+    term of degree 100 or more, as has the first coordinate of x.
+    """
+    m = draw(st.sampled_from(INT_MODULI))
+    base, units = ModularRing(m), st.integers(1, m - 1)
+    if kind == "Z/m":
+        ring, payloads = base, st.integers(0, m - 1)
+    elif kind in ("series", "sz"):
+        ring = SeriesRing(base, draw(st.integers(1, 4))) if kind == "series" else SquareZeroRing(base)
+        payloads = st.lists(st.integers(0, m - 1), min_size=ring.precision, max_size=ring.precision).map(tuple)
+    elif kind == "dense":
+        ring = PolynomialRing(base, ["x"])
+        payloads = st.lists(units, max_size=5).map(lambda cs: {((0, e),) if e else (): c for e, c in enumerate(cs)})
+    else:
+        ring = PolynomialRing(base, ["x"])
+        payloads = st.tuples(st.integers(0, m - 1), units, st.integers(100, 400)).map(
+            lambda t: {**({(): t[0]} if t[0] else {}), ((0, t[2]),): t[1]})
+    payloads = st.just(ring.zero) | payloads
+    x, y = (draw(st.lists(payloads, min_size=len(S), max_size=len(S))) for _ in "xy")
+    if kind == "sparse" and x:
+        x[0] = {(): 1, ((0, 100),): 1}
+    return ring, WittVector(S, ring, tuple(x)), WittVector(S, ring, tuple(y))
+
+
+INT_SOURCE = PolySource()
+
+
+@pytest.mark.parametrize("kind", INT_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(INT_SETS, st.sampled_from(["sum", "prod", "neg", "frob", "delta"]), st.data())
+def test_int_carrier_families_evaluate_each_key_as_term_by_term(kind, S, op, data):
+    # m = 2, 4, 6, 8 make constants of every family vanish, so the program drops their terms
+    ring, x, y = data.draw(int_path_operands(S, kind))
+    param = data.draw(st.sampled_from(S.members[1:] or (1,))) if op in ("frob", "delta") else 0
+    T = S.quotient(param) if op in ("frob", "delta") else S
+    y = y if op in ("sum", "prod") else None
+    _family_agrees(INT_SOURCE, op, param, S, x, y)
+    slot = (op, param, T, type(ring), ring)
+    # a sparse polynomial input runs the ring's own program instead
+    sparse = kind == "sparse" and bool(S.members)
+    assert int_carrier(ring).fits(x.coords + (y.coords if y else ())) is not sparse
+    if sparse:
+        assert INT_SOURCE._programs[(*slot, "sparse")].target == ring
+    else:
+        assert isinstance(INT_SOURCE._programs[slot].target, IntCarrier)
+
+
+def test_sparse_calls_compile_only_the_rings_program():
+    ring, S, src = parse_ring("Z/3[x]"), divisors_of(6), PolySource()
+    x = WittVector(S, ring, ({(): 1, ((0, 400),): 1},) * len(S))
+    assert src.vector("prod", 0, S, x, x) == witt_mul(x, x, "lift")
+    assert list(src._programs) == [("prod", 0, S, PolynomialRing, ring, "sparse")]
+
+
+@pytest.mark.parametrize("spec, m", [("Z/1000[x]", 1000), ("Z/257[x]", 257), ("series(Z/257,3)", 257),
+                                     ("series(Z/1000,2)", 1000), ("sz(Z/257)", 257)])
+def test_int_path_digits_hold_every_input_coefficient(spec, m):
+    # every monomial of a product polynomial has some b_d, so at y = 0 every
+    # output at the coefficient sums is 0, and p*a_p vanishes mod p: the
+    # digits must still hold an input coefficient up to m - 1
+    ring, src = parse_ring(spec), PolySource()
+    for S in (divisors_of(1), divisors_of(6)):
+        x = WittVector(S, ring, tuple(ring.sample(random.Random(n), 4) for n in S.members))
+        x = WittVector(S, ring, (ring.of_int(m - 1),) + x.coords[1:])
+        zero = WittVector(S, ring, (ring.zero,) * len(S))
+        assert src.vector("prod", 0, S, x, zero) == witt_mul(x, zero, "lift")
+        assert src.vector("sum", 0, S, x, zero) == x
+        for p in (2, 3):
+            if p in S.members:
+                T = S.quotient(p)
+                assert src.vector("frob", p, T, x) == frobenius(p, x, "lift")
+    assert all(isinstance(program.target, IntCarrier) for program in src._programs.values())
+
+
+def test_series_products_stay_at_k_digits():
+    # reduction mod 2^(B*k) keeps a product at k digits; unmasked, prod:12 reaches degree 24*39
+    ring, S = SeriesRing(ModularRing(2), 40), divisors_of(12)
+    x = WittVector(S, ring, tuple((1,) * 40 for _ in S.members))
+    src = PolySource()
+    want = witt_mul(x, x, "lift")
+    assert src.vector("prod", 0, S, x, x) == want
+    program = src._programs["prod", 0, S, SeriesRing, ring]
+    carrier = program.target
+    bits = 8 * carrier.width * ring.precision
+    values = dict.fromkeys(program.names, (1 << bits) - 1)  # every digit at its largest
+    # the outputs sum at most 2^16 masked products each
+    assert max(program.run(values)).bit_length() <= bits + 16
 
 
 def test_ceiling():

@@ -418,18 +418,31 @@ def small_truncation_sets(draw):
     return truncation_set(d for n in tops for d in divisors(n))
 
 
-@settings(max_examples=40, deadline=None)
+def kernel_vec(S, ring, rng, spread):
+    """A random vector; over Z/m[x] its coefficients sit at x^(spread*e), e <= 3, so spread 40 makes it sparse."""
+    if not isinstance(ring, PolynomialRing):
+        return rand_vec(S, ring, rng)
+    m = ring.base.m
+    return WittVector(S, ring, tuple({((0, spread * e),) if e else (): c for e in range(4) if (c := rng.randrange(m))}
+                                     for _ in S))
+
+
+# 5 ring kinds where there were 3: the old ones keep their share of examples
+@settings(max_examples=70, deadline=None)
 @given(
     S=small_truncation_sets(),
     ring=st.one_of(
-        st.just(Z), st.integers(2, 12).map(ModularRing), st.just(SquareZeroRing(ModularRing(4)))
+        st.just(Z), st.integers(2, 12).map(ModularRing), st.just(SquareZeroRing(ModularRing(4))),
+        st.tuples(st.integers(2, 9), st.integers(1, 5)).map(lambda mk: SeriesRing(ModularRing(mk[0]), mk[1])),
+        st.integers(2, 9).map(lambda m: PolynomialRing(ModularRing(m), ["x"])),
     ),
     rng=st.randoms(use_true_random=False),
     k=st.integers(-12, 12),
+    spread=st.sampled_from([1, 40]),
 )
-def test_every_kernel_operation_agrees_across_strategies(S, ring, rng, k):
+def test_every_kernel_operation_agrees_across_strategies(S, ring, rng, k, spread):
     exact = "ghost" if ring.torsion_free else "lift"
-    x, y = rand_vec(S, ring, rng), rand_vec(S, ring, rng)
+    x, y = kernel_vec(S, ring, rng, spread), kernel_vec(S, ring, rng, spread)
     ops = [
         lambda how: witt_add(x, y, how, KERNEL_SOURCE),
         lambda how: witt_mul(x, y, how, KERNEL_SOURCE),
