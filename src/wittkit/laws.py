@@ -38,7 +38,7 @@ from .drwz import (
 )
 from .errors import BudgetExceeded, NotSubset, WittkitError
 from .numtheory import bezout
-from .rings import Ring, Z
+from .rings import Q, Construction, Ring, Z
 from .truncation import TruncationSet
 from .witt import (
     WittOps,
@@ -73,6 +73,11 @@ COMPLEX_BUDGET = 32
 # one trial over Z seg32 with target seg16 (40,960) takes about 0.8 s, and
 # every pair measured above 50,000 took 0.7-10 s, most over 1.1 s
 COMONAD_BUDGET = 50_000
+# Fractions grow faster than integers: at one trial 28 pairs took 7-22x their
+# time over Z when the ring computes in Q, and those of work bound 1,920 or
+# less took at most 1.14 s there, those above 2,000 from 0.99 s (2,016) to
+# 27 s (seg32 with target seg16), so such a ring's bound counts 25 times
+COMONAD_Q_FACTOR = 25
 
 
 @dataclass
@@ -439,10 +444,15 @@ def _random_witt(S: TruncationSet, ring: Ring, rng: random.Random) -> WittVector
     return WittVector(S, ring, tuple(ring.sample(rng) for _ in S))
 
 
-def comonad_work(S: TruncationSet, T: TruncationSet) -> int:
-    """|T| * max(T) * |S| * isqrt(max(S)): the nested maps run over W_T(W_S(A)), and their
-    integers grow with the members, so this orders the suite's measured times where |S| alone does not."""
-    return len(T) * max(T.members, default=0) * len(S) * isqrt(max(S.members, default=0))
+def comonad_work(S: TruncationSet, T: TruncationSet, ring: Ring = Z) -> int:
+    """|T| * max(T) * |S| * isqrt(max(S)), times COMONAD_Q_FACTOR when `ring` computes in Q (is Q or
+    a construction over it): the nested maps run over W_T(W_S(A)), and their integers grow with the
+    members, so this orders the suite's measured times where |S| alone does not."""
+    base = ring
+    while isinstance(base, Construction):
+        base = base.base
+    factor = COMONAD_Q_FACTOR if base == Q else 1
+    return factor * len(T) * max(T.members, default=0) * len(S) * isqrt(max(S.members, default=0))
 
 
 def check_comonad(
@@ -463,10 +473,10 @@ def check_comonad(
     """
     if not T <= S:
         raise NotSubset(f"comonad target {T} must be contained in {S}")
-    work = comonad_work(S, T)
+    work = comonad_work(S, T, ring)
     if work > COMONAD_BUDGET:
         raise BudgetExceeded(f"the comonad suite over {len(S)} members with a target of {len(T)} "
-                             f"has the work bound {work}, above the budget {COMONAD_BUDGET}")
+                             f"over {ring} has the work bound {work}, above the budget {COMONAD_BUDGET}")
     ops = ops or WittOps()
     rng = random.Random(seed)
     runner = _Runner("comonad", S, trials, seed)

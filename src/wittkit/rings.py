@@ -25,8 +25,9 @@ values are treated as immutable; operations are pure functions, so every
 ring is safe to share between threads.
 
 An IntCarrier stands for the payloads of Z/m, series(Z/m,k) or Z/m[x] as
-plain ints, so that an evaluation program compiled for it runs on the C
-operators of int (Kronecker substitution, see `_Digits`).
+plain ints, so that an evaluation program compiled for it runs as
+generated straight-line Python on the C operators of int (Kronecker
+substitution, see `_Digits`; the generated code, see `_straight_line`).
 
 The RingElement wrapper pairs a payload with its ring and overloads the
 arithmetic operators; it is the type used at API boundaries (CLI, JSON).
@@ -384,14 +385,18 @@ class EvalProgram:
     occur only in terms vanishing in the target: each needs a value.
     `PolySource.vector` keeps one program per key family and ring;
     `PolynomialRing.evaluate` compiles a program of one output per call.
-    The target may be an `IntCarrier`, whose payloads are plain ints: then
-    `run` adds and multiplies with the C operators of int, the carrier
-    lifts the inputs (a coefficient list c_0, c_1, ... to the sum of
-    c_i * 2^(B*i)) and decodes the outputs, and B, the digit width, is set
-    by a run of the same program at the inputs' coefficient sums and by m.
+
+    `run` interprets the program through the target's add and mul.  A
+    program compiled for an `IntCarrier`, whose payloads are plain ints,
+    instead runs as generated Python, `line(values, M)` (`_straight_line`):
+    one statement per power slot, link and output on a list of the slots,
+    int `+` and `*`, the constants as int literals, and each product masked
+    by `& M` over a series carrier.  Generating costs about ten runs, so a
+    one-shot `evaluate`, and a program for any other ring, which has no
+    workload that runs it often, stay on the loop.
     """
 
-    __slots__ = ("target", "powers", "links", "outputs", "names")
+    __slots__ = ("target", "powers", "links", "outputs", "names", "line")
 
     def __init__(self, target: Ring, powers: tuple, links: tuple, outputs: tuple, names: tuple):
         self.target = target
@@ -399,11 +404,16 @@ class EvalProgram:
         self.links = links
         self.outputs = outputs
         self.names = names
+        self.line = None
 
-    def run(self, values: dict) -> list:
+    def check(self, values: dict):
+        """Refuse `values` without a value for every variable of the program."""
         missing = [name for name in self.names if name not in values]
         if missing:
             raise MissingVariable(f"no value for {missing}")
+
+    def run(self, values: dict) -> list:
+        self.check(values)
         target = self.target
         mul, add = target.mul, target.add
         slots = [target.one]
@@ -924,20 +934,133 @@ Q = RationalRing()
 # --------------------------------------------------------------------------
 
 
+# The bounds of generated source.  `compile` needs about 200 bytes of
+# transient memory per byte of source, much of it never returned to the OS,
+# so no call sees more than UNIT_CHARS; and it recurses once per operand of
+# a sum, so an expression past SPILL_CHARS is stored in a temporary slot.
+UNIT_CHARS = 4096
+SPILL_CHARS = 600
+
+
+class _Source:
+    """Statements `s[i]=<expr>` on the slot list s, compiled into functions (s, M) of at most UNIT_CHARS each.
+
+    An expression holds slot numbers and int literals only; `fresh` slots,
+    past the program's own, hold the outputs and what an expression longer
+    than SPILL_CHARS spills.
+    """
+
+    def __init__(self, fresh: int, masked: bool):
+        self.fresh = fresh
+        self.mask = "&M" if masked else ""
+        self.units: list = []
+        self.lines: list[str] = []
+        self.chars = 0
+
+    def put(self, slot: int, expr: str):
+        line = f" s[{slot}]={expr}\n"
+        if self.chars + len(line) > UNIT_CHARS:
+            self.flush()
+        self.lines.append(line)
+        self.chars += len(line)
+
+    def store(self, expr: str) -> int:
+        """A fresh slot holding `expr`."""
+        slot, self.fresh = self.fresh, self.fresh + 1
+        self.put(slot, expr)
+        return slot
+
+    def bounded(self, expr: str) -> str:
+        return f"s[{self.store(expr)}]" if len(expr) > SPILL_CHARS else expr
+
+    def total(self, terms) -> str | None:
+        """The sum of `terms`, None for none."""
+        expr = None
+        for term in terms:
+            expr = term if expr is None else self.bounded(f"{expr}+{term}")
+        return expr
+
+    def product(self, a: str, b: str) -> str:
+        """a * b, masked over a series carrier; a is one slot or literal, b may be a sum."""
+        if "+" in b:
+            b = f"({b})"
+        return self.bounded(f"({a}*{b}{self.mask})" if self.mask else f"{a}*{b}")
+
+    def flush(self):
+        if self.lines:
+            scope: dict = {}
+            exec(compile("def unit(s, M):\n" + "".join(self.lines), "<wittkit program>", "exec"),
+                 {"__builtins__": {}}, scope)
+            self.units.append(scope["unit"])
+            self.lines, self.chars = [], 0
+
+
+def _straight_line(program: EvalProgram, masked: bool):
+    """The function line(values, M) that runs `program`, compiled for an int carrier, as generated Python.
+
+    It fills a list of the slots: one statement per power slot and per
+    link, then one per output, the sum of its rows, where a row is
+    s[low] * (c * (s[p] + s[q] + ...) + ...) with the constants c as int
+    literals, and with `masked` each product is (a * b & M).  The
+    statements run in units of at most UNIT_CHARS of source, all on the
+    same list (`line.units`), and line returns the list of the outputs'
+    values.
+    """
+    n = 1 + sum(top for _, top in program.powers)
+    src, inputs = _Source(n + len(program.links), masked), []
+    slot = 1
+    for name, top in program.powers:
+        inputs.append((name, slot))
+        for i in range(slot + 1, slot + top):
+            src.put(i, src.product(f"s[{i - 1}]", f"s[{slot}]"))
+        slot += top
+    for i, (a, b) in enumerate(program.links, n):
+        src.put(i, src.product(f"s[{a}]", f"s[{b}]"))
+
+    def group(c, parts):
+        acc = src.total(f"s[{p}]" for p in parts)
+        return acc if c is None else src.product(f"{c:d}", acc)
+
+    def row(low, groups):
+        acc = src.total(group(c, parts) for c, parts in groups)
+        return src.product(f"s[{low}]", acc) if low else acc
+
+    outs = [src.store(src.total(row(low, groups) for low, groups in rows) or "0") for rows in program.outputs]
+    src.flush()
+    units, size, one, check = tuple(src.units), src.fresh, program.target.one, program.check
+
+    def line(values: dict, M: int) -> list:
+        check(values)
+        s = [one] * size
+        for name, i in inputs:
+            s[i] = values[name]
+        for unit in units:
+            unit(s, M)
+        return [s[i] for i in outs]
+
+    line.units = units
+    return line
+
+
 class IntCarrier(Ring):
     """Plain ints standing for the payloads of `ring`, a ring that is exactly Z/m.
 
-    A program compiled for a carrier (`compile`) adds and multiplies with
-    the C operators of int, and `run` reduces each output mod m once.  Its
-    inputs are residues in [0, m) and its constants `of_int(c) = c % m`,
-    so a run computes P(r) for an integer polynomial P with nonnegative
-    coefficients that reduces mod m to the program's polynomial.  The
-    subclasses carry series and one-variable polynomials over Z/m as one
-    int each, by Kronecker substitution t -> 2^B (`_Digits`).
+    A program compiled for a carrier (`compile`) runs as one generated
+    Python function, its `line` (`_straight_line`): int `+` and `*` on a
+    list of slots, the constants `of_int(c) = c % m` as int literals, in
+    units of at most UNIT_CHARS of source each, since `compile` holds about
+    200 bytes per source byte and a family program over div24 is about
+    140 KB.  `run` reduces each output mod m once.  The inputs are residues
+    in [0, m), so a run computes P(r) for an integer polynomial P with
+    nonnegative coefficients that reduces mod m to the program's
+    polynomial.  The subclasses carry series and one-variable polynomials
+    over Z/m as one int each, by Kronecker substitution t -> 2^B
+    (`_Digits`).  A carrier has no add or mul: only its programs'
+    functions compute with its payloads.
     """
 
-    add = operator.add
-    mul = operator.mul
+    masked = False  # whether each product is masked by `& M` (`_SeriesDigits`)
+    mask = -1
 
     def __init__(self, ring: Ring, m: int):
         self.ring = ring
@@ -951,13 +1074,15 @@ class IntCarrier(Ring):
         return True
 
     def compile(self, variables: tuple, outputs: list, split: int = 0) -> EvalProgram:
-        """`compile_program` for this carrier, which runs the program it returns."""
-        return compile_program(variables, outputs, self, split)
+        """`compile_program` for this carrier, with its `line` built, which this carrier runs."""
+        program = compile_program(variables, outputs, self, split)
+        program.line = _straight_line(program, self.masked)
+        return program
 
     def run(self, program: EvalProgram, names, coords) -> list:
         """The outputs of `program`, compiled for this carrier, with names[i] the ring payload coords[i]."""
         m = self.m
-        return [n % m for n in program.run(dict(zip(names, coords)))]
+        return [n % m for n in program.line(dict(zip(names, coords)), self.mask)]
 
     def __str__(self):
         return f"ints({self.ring})"
@@ -994,12 +1119,12 @@ class _Digits(IntCarrier):
 
     def width_at(self, program: EvalProgram, sums: dict) -> int:
         """The bytes of a digit for inputs of coefficient sums `sums`: every output at them, and m - 1, fit."""
-        return _byte_width([self.m - 1, *program.run(sums)])
+        return _byte_width([self.m - 1, *program.line(sums, -1)])
 
     def run_digits(self, program, names, lists, width):
         """The decoded outputs of `program` at the coefficient lists `lists`, each digit `width` bytes."""
         values = dict(zip(names, [_to_int(c, width) for c in lists]))
-        return [self.decode(n, width) for n in program.run(values)]
+        return [self.decode(n, width) for n in program.line(values, self.mask)]
 
 
 class _SeriesDigits(_Digits):
@@ -1007,12 +1132,16 @@ class _SeriesDigits(_Digits):
 
     Reduction mod 2^(B*k) is a ring map, since t^k = 2^(B*k) vanishes there,
     so a product masked to its k lowest digits keeps them exact, and each
-    product stays at k digits.  The sums are unmasked: their digits past k
-    are dropped when the output is decoded.  Every input has coefficient
-    sum at most k*(m-1), and P is monotone in each input, so `compile`
-    fixes B, and the mask, once per program from the run at that sum: a
-    carrier serves the one program compiled for it.
+    product stays at k digits: the generated function computes each product
+    as (a * b & M), M = 2^(B*k) - 1.  The sums are unmasked: their digits
+    past k are dropped when the output is decoded.  Every input has
+    coefficient sum at most k*(m-1), and P is monotone in each input, so
+    `compile` fixes B, and the mask, once per program from a run at that
+    sum with M = -1, all ones, since no mask exists yet: a carrier serves
+    the one program compiled for it.
     """
+
+    masked = True
 
     def __init__(self, ring: SeriesRing):
         super().__init__(ring, ring.base.m)
@@ -1021,8 +1150,7 @@ class _SeriesDigits(_Digits):
     def compile(self, variables, outputs, split=0):
         program = super().compile(variables, outputs, split)
         self.width = self.width_at(program, dict.fromkeys(program.names, self.precision * (self.m - 1)))
-        mask = self.mask = (1 << 8 * self.width * self.precision) - 1
-        self.mul = lambda a, b: a * b & mask
+        self.mask = (1 << 8 * self.width * self.precision) - 1
         return program
 
     def run(self, program, names, coords):

@@ -36,9 +36,15 @@ at the first b_d); any other output is one row.
 
 When the target ring is exactly Z/m, series(Z/m,k) or sz(Z/m) over
 exactly Z/m, or Z/m[x] in one variable over exactly Z/m, the family's
-program is compiled for the ring's int carrier (rings.int_carrier): a
-Ring whose add and mul are the C operators of int and whose of_int(c) is
-c mod m.  Each input becomes one int, a residue itself and a coefficient
+program is compiled for the ring's int carrier (rings.int_carrier), whose
+of_int(c) is c mod m, and runs as generated Python: one statement per
+power slot, link and output, with int + and *, the constants as int
+literals, compiled before the program is kept in units of at most
+rings.UNIT_CHARS of source, since compile() holds about 200 bytes per
+source byte and a div24 family is about 140 KB.  Generating costs about
+ten runs, so the program of any other ring, and a one-shot
+PolynomialRing.evaluate, run on EvalProgram.run's loop instead.  Each
+input becomes one int, a residue itself and a coefficient
 list c_0, c_1, ... the sum of c_i * 2^(B*i) (Kronecker substitution), and
 each output is decoded once, reduced mod m or read as base-2^B digits mod
 m.  The inputs and constants are residues in [0, m), so a run computes
@@ -391,9 +397,11 @@ class PolySource:
         When the ring has an int carrier (`rings.int_carrier`: exactly Z/m,
         series(Z/m,k), sz(Z/m) or one-variable Z/m[x] over exactly Z/m; a
         subclass has none, so it computes through its own methods), the
-        program is compiled for the carrier: each coordinate is lifted to
-        one int, a coefficient list to its value at 2^B, the run adds and
-        multiplies ints, and each output is decoded once, mod m or as
+        program is compiled for the carrier, which also generates its
+        Python function (`EvalProgram.line`) before the program is kept:
+        each coordinate is lifted to one int, a coefficient list to its
+        value at 2^B, the function adds and multiplies ints in straight-line
+        code, and each output is decoded once, mod m or as
         base-2^B digits mod m.  B bounds every coefficient of the output
         polynomial by its value at 1, the run at the inputs' coefficient
         sums, and every input coefficient, at most m - 1 (see the module

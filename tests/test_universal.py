@@ -5,11 +5,12 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wittkit.errors import (
     BudgetExceeded,
@@ -265,14 +266,28 @@ def int_path_operands(draw, S, kind):
 
 
 INT_SOURCE = PolySource()
+# The explicit examples (data None): div24 families, whose generated source
+# spans many compile units (`rings.UNIT_CHARS`) and spills long sums into
+# temporaries (`rings.SPILL_CHARS`).  A drawn div24 case would cost up to a
+# second, as would the series product family, checked term by term.
+MULTI_UNIT = {("Z/m", "sum"): ModularRing(8), ("Z/m", "prod"): ModularRing(8),
+              ("series", "sum"): SeriesRing(ModularRing(2), 3)}
 
 
 @pytest.mark.parametrize("kind", INT_KINDS)
 @settings(max_examples=40, deadline=None)
 @given(INT_SETS, st.sampled_from(["sum", "prod", "neg", "frob", "delta"]), st.data())
+@example(divisors_of(24), "sum", None)
+@example(divisors_of(24), "prod", None)
 def test_int_carrier_families_evaluate_each_key_as_term_by_term(kind, S, op, data):
     # m = 2, 4, 6, 8 make constants of every family vanish, so the program drops their terms
-    ring, x, y = data.draw(int_path_operands(S, kind))
+    if data is None:
+        if (kind, op) not in MULTI_UNIT:
+            return
+        ring, rng = MULTI_UNIT[kind, op], random.Random(1)
+        x, y = (WittVector(S, ring, tuple(ring.sample(rng, 4) for _ in S.members)) for _ in "xy")
+    else:
+        ring, x, y = data.draw(int_path_operands(S, kind))
     param = data.draw(st.sampled_from(S.members[1:] or (1,))) if op in ("frob", "delta") else 0
     T = S.quotient(param) if op in ("frob", "delta") else S
     y = y if op in ("sum", "prod") else None
@@ -285,6 +300,26 @@ def test_int_carrier_families_evaluate_each_key_as_term_by_term(kind, S, op, dat
         assert INT_SOURCE._programs[(*slot, "sparse")].target == ring
     else:
         assert isinstance(INT_SOURCE._programs[slot].target, IntCarrier)
+    if data is None:
+        assert len(INT_SOURCE._programs[slot].line.units) > 10
+
+
+def test_a_carrier_compiles_in_bounded_units():
+    # compile() holds about 200 bytes per source byte: the div24 sum family over
+    # Z/8, about 140 KB of source, peaked at 29.6 MiB as one unit and at 2.5,
+    # 2.9, 3.5 and 5.0 MiB in units of 2, 4, 8 and 16 KB (Python 3.11.7); the
+    # bound is about twice the 3.1 MiB read under pytest at UNIT_CHARS = 4096
+    S, ring = divisors_of(24), ModularRing(8)
+    for key in key_family("sum", 0, S):
+        INT_SOURCE.universal_poly(key)
+    tracemalloc.start()
+    try:
+        program = INT_SOURCE._compile("sum", 0, S, ring, int_carrier(ring))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert len(program.line.units) > 10
 
 
 def test_sparse_calls_compile_only_the_rings_program():
@@ -326,7 +361,7 @@ def test_series_products_stay_at_k_digits():
     bits = 8 * carrier.width * ring.precision
     values = dict.fromkeys(program.names, (1 << bits) - 1)  # every digit at its largest
     # the outputs sum at most 2^16 masked products each
-    assert max(program.run(values)).bit_length() <= bits + 16
+    assert max(program.line(values, carrier.mask)).bit_length() <= bits + 16
 
 
 def test_ceiling():
