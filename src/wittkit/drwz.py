@@ -49,13 +49,12 @@ past TABLE_BUDGET members; a set at the budget takes about 2 s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, mod, neg
 
 from .errors import BudgetExceeded, SetMismatch, SpecMismatch
 from .rings import json_int
-from .truncation import TruncationSet
+from .truncation import Immutable, TruncationSet
 from .witt import WittVector, fields_from_json
 from .wittint import (
     BasisWittInt,
@@ -75,6 +74,8 @@ from .wittint import (
 
 TABLE_BUDGET = 100
 
+_set = object.__setattr__  # the constructor's one way past the immutable __setattr__
+
 
 def crt_bracket(m: int, n: int) -> int:
     """The class (m,n]: x = 0 mod m, x = gcd(m,n) mod n, inside [0, lcm(m,n))."""
@@ -90,24 +91,41 @@ def curly(m: int, n: int) -> int:
     return 1 if (m % 2 == 0 and n % 2 == 0) else 0
 
 
-@dataclass(frozen=True, eq=True)
-class DrwElement:
+class DrwElement(Immutable):
     """A graded element: degree-0 basis vector plus degree-1 residues.
 
-    deg1 is aligned with the truncation set; the constructor reduces the
-    entry at n to its representative in [0, n) (so the entry at 1 is
-    always 0), and equal residues give equal elements.
+    An immutable value: the constructor alone writes its three slots, and
+    assignment raises.  deg0 must lie over the element's own set (the
+    identical object, since sets are interned) and deg1 must be aligned
+    with it; the constructor reduces the entry at n to its representative
+    in [0, n) (so the entry at 1 is always 0), and equal residues give
+    equal elements with equal hashes.
     """
 
-    tset: TruncationSet
-    deg0: BasisWittInt
-    deg1: tuple[int, ...]
+    __slots__ = ("tset", "deg0", "deg1")
 
-    def __post_init__(self):
-        members = self.tset.members
-        if self.deg0.tset != self.tset or len(self.deg1) != len(members):
+    def __init__(self, tset: TruncationSet, deg0: BasisWittInt, deg1):
+        members = tset.members
+        if deg0.tset is not tset or len(deg1) != len(members):
             raise SetMismatch("graded parts must share the truncation set")
-        object.__setattr__(self, "deg1", tuple(map(mod, self.deg1, members)))
+        _set(self, "tset", tset)
+        _set(self, "deg0", deg0)
+        _set(self, "deg1", tuple(map(mod, deg1, members)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tset is other.tset and self.deg1 == other.deg1
+                and self.deg0.coeffs == other.deg0.coeffs)
+
+    def __hash__(self):
+        return hash((self.tset, self.deg0.coeffs, self.deg1))
+
+    def __reduce__(self):
+        return DrwElement, (self.tset, self.deg0, self.deg1)
+
+    def __repr__(self):
+        return f"DrwElement(tset={self.tset!r}, deg0={self.deg0!r}, deg1={self.deg1!r})"
 
     def deg1_coeff(self, n: int) -> int:
         return self.deg1[self.tset.index(n)]

@@ -9,9 +9,10 @@ them when one check states several identities.  The runner is the one
 place that compares, and exact equality is its only oracle: it counts
 one check per yield, stops at the first unequal pair and records
 ``label | context...`` as the law's counterexample, so a counterexample
-names the identity and its inputs.  Failures never raise: an exception
-inside a law is itself recorded as a counterexample, so deliberately
-broken implementations can be exercised.
+names the identity and its inputs.  It also times each law: a law's
+``elapsed_s`` appears in its JSON entry and in the summary line.
+Failures never raise: an exception inside a law is itself recorded as a
+counterexample, so deliberately broken implementations can be exercised.
 
 The suites accept the implementation as a parameter (a DrwComplex for
 the graded complex, a WittOps bundle for the comonad and ring suites),
@@ -38,7 +39,7 @@ from .drwz import (
 )
 from .errors import BudgetExceeded, NotSubset, WittkitError
 from .numtheory import bezout
-from .rings import Q, Construction, Ring, Z
+from .rings import Q, Construction, PolynomialRing, Ring, SeriesRing, Z
 from .truncation import TruncationSet
 from .witt import (
     WittOps,
@@ -78,6 +79,19 @@ COMONAD_BUDGET = 50_000
 # less took at most 1.14 s there, those above 2,000 from 0.99 s (2,016) to
 # 27 s (seg32 with target seg16), so such a ring's bound counts 25 times
 COMONAD_Q_FACTOR = 25
+# A series payload is k base elements, and its products cost about k^2/2 base
+# products: at one trial over series(Z,k) for k = 2, 3, 6, 12, 24, 48 the pairs
+# under 50,000 / (k*(k + 40)/4) took at most 0.91 s and those above it from
+# 0.72 s to 22 s (seg32 with target seg16 over sz(Z)), so series(R,k) counts
+# k*(k + COMONAD_SERIES_WIDTH)/4 times the bound over R
+COMONAD_SERIES_WIDTH = 40
+# A polynomial's degree grows with the index of its coordinate, so its cost grows
+# with max(S) itself: at one trial over Z[x] (36 pairs) those counted at most
+# 50,000 with 20*isqrt(max(S)) took at most 1.05 s, those above from 0.2 s to
+# 25 s and more (div720 with target {1}); over Z[x,y] (10 pairs) a second
+# variable took about 5 times as long, so a polynomial ring in v variables
+# counts COMONAD_POLY_FACTOR * 5^(v-1) * isqrt(max(S)) times the bound over its base
+COMONAD_POLY_FACTOR = 20
 
 
 @dataclass
@@ -86,6 +100,7 @@ class LawResult:
     passed: bool
     checked: int
     counterexample: str | None = None
+    elapsed_s: float = 0.0
 
 
 @dataclass
@@ -118,6 +133,7 @@ class LawReport:
                     "passed": r.passed,
                     "checked": r.checked,
                     "counterexample": r.counterexample,
+                    "elapsed_s": round(r.elapsed_s, 4),
                 }
                 for r in self.results
             ],
@@ -127,7 +143,7 @@ class LawReport:
         lines = [f"suite {self.suite} over {{{','.join(map(str, self.set_members))}}}"]
         for r in self.results:
             mark = "pass" if r.passed else "FAIL"
-            lines.append(f"  [{mark}] {r.name} ({r.checked} checks)")
+            lines.append(f"  [{mark}] {r.name} ({r.checked} checks, {r.elapsed_s:.3f}s)")
             if r.counterexample:
                 lines.append(f"         {r.counterexample}")
         lines.append(f"  => {'all laws hold' if self.passed else 'LAWS VIOLATED'} "
@@ -145,6 +161,7 @@ class _Runner:
         self._t0 = time.monotonic()
 
     def run(self, name: str, law):
+        t0 = time.monotonic()
         checked = 0
         counterexample = None
         try:
@@ -158,7 +175,7 @@ class _Runner:
         except Exception as exc:  # a broken implementation may throw
             counterexample = f"exception: {type(exc).__name__}: {exc}"
         self.report.results.append(
-            LawResult(name, counterexample is None, checked, counterexample)
+            LawResult(name, counterexample is None, checked, counterexample, time.monotonic() - t0)
         )
 
     def done(self) -> LawReport:
@@ -445,14 +462,21 @@ def _random_witt(S: TruncationSet, ring: Ring, rng: random.Random) -> WittVector
 
 
 def comonad_work(S: TruncationSet, T: TruncationSet, ring: Ring = Z) -> int:
-    """|T| * max(T) * |S| * isqrt(max(S)), times COMONAD_Q_FACTOR when `ring` computes in Q (is Q or
-    a construction over it): the nested maps run over W_T(W_S(A)), and their integers grow with the
-    members, so this orders the suite's measured times where |S| alone does not."""
-    base = ring
-    while isinstance(base, Construction):
-        base = base.base
-    factor = COMONAD_Q_FACTOR if base == Q else 1
-    return factor * len(T) * max(T.members, default=0) * len(S) * isqrt(max(S.members, default=0))
+    """|T| * max(T) * |S| * isqrt(max(S)), times the factor of `ring`: the nested maps run over
+    W_T(W_S(A)), and their integers grow with the members, so this orders the suite's measured
+    times where |S| alone does not.  The factor is 1 over Z and Z/m and COMONAD_Q_FACTOR over Q; a
+    series or polynomial ring multiplies its base's factor by its own (see the constants)."""
+    root = isqrt(max(S.members, default=0))
+    factor = 1
+    while isinstance(ring, Construction):
+        if isinstance(ring, SeriesRing):
+            factor *= ring.precision * (ring.precision + COMONAD_SERIES_WIDTH) // 4
+        elif isinstance(ring, PolynomialRing):
+            factor *= COMONAD_POLY_FACTOR * 5 ** (len(ring.variables) - 1) * root
+        ring = ring.base
+    if ring == Q:
+        factor *= COMONAD_Q_FACTOR
+    return factor * len(T) * max(T.members, default=0) * len(S) * root
 
 
 def check_comonad(

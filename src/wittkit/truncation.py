@@ -10,13 +10,17 @@ the zero ring.  A set is refused with BudgetExceeded, before any divisor
 search on it, when a member (or the prime of a p-typical set) exceeds
 MEMBER_BUDGET or it has more than SIZE_BUDGET members: the divisor search
 takes time in the square root of each member.
+
+Sets are interned: equal members give the identical object, so sets
+compare and hash by identity, and tables keyed by a set pay nothing for
+the key.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from threading import Lock
+from weakref import WeakValueDictionary
 
 from .errors import BudgetExceeded, InvalidTruncationSet, NotPrime
 from .numtheory import divisors, is_prime
@@ -39,54 +43,71 @@ def require_prime(p: int):
         raise NotPrime(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class TruncationSet:
-    """A divisor-closed finite set of positive integers, sorted ascending.
+class Immutable:
+    """Slots written once, by the constructor through object.__setattr__; assignment raises.
 
-    The position map, the member set and the quotients are built on first
-    use and kept with the set; they are not part of its equality or hash.
-    The hash is computed once, so tables keyed by a set look it up cheaply.
+    The base of the interned sets here and of the value classes of the
+    V-basis (wittint.BasisWittInt) and of the graded complex
+    (drwz.DrwElement).
     """
 
-    members: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        mem = self.members
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name}")
+
+
+class TruncationSet(Immutable):
+    """A divisor-closed finite set of positive integers, sorted ascending.
+
+    Sets are interned: every construction with the same members returns
+    the one live object, so equality and hash are those of identity and
+    cost one pointer comparison.  The table holds the sets weakly; a miss
+    validates the members under a lock, so threads that build the same
+    new set get one object.  Copies and pickles come back as that object.
+    The member set, the position map and the quotients are kept with the
+    set.  Sets are immutable: assignment raises.
+    """
+
+    __slots__ = ("members", "_memberset", "_position", "_quotients", "__weakref__")
+
+    def __new__(cls, members: tuple[int, ...]):
+        members = tuple(members)
+        got = _INTERNED.get(members)
+        if got is None:
+            with _INTERN_LOCK:
+                got = _INTERNED.get(members)
+                if got is None:
+                    got = _INTERNED[members] = cls._validated(members)
+        return got
+
+    @classmethod
+    def _validated(cls, mem: tuple[int, ...]) -> TruncationSet:
         if list(mem) != sorted(set(mem)):
             raise InvalidTruncationSet(f"members must be strictly increasing: {mem}")
         if mem and mem[0] < 1:
             raise InvalidTruncationSet(f"members must be positive: {mem[0]}")
         if mem:
             _check_budget(mem[-1], len(mem))
+        memberset = frozenset(mem)
         for n in mem:
-            if not self._memberset.issuperset(divisors(n)):
+            if not memberset.issuperset(divisors(n)):
                 raise InvalidTruncationSet(f"{n} in set but a divisor of it is missing")
+        self = object.__new__(cls)
+        object.__setattr__(self, "members", mem)
+        object.__setattr__(self, "_memberset", memberset)
+        object.__setattr__(self, "_position", {n: i for i, n in enumerate(mem)})
+        object.__setattr__(self, "_quotients", {})
+        return self
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.members)
+    def __reduce__(self):
+        return TruncationSet, (self.members,)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.members == other.members
-
-    @cached_property
-    def _memberset(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        return {n: i for i, n in enumerate(self.members)}
-
-    @cached_property
-    def _quotients(self) -> dict[int, TruncationSet]:
-        return {}
+    def __repr__(self) -> str:
+        return f"TruncationSet(members={self.members!r})"
 
     def __contains__(self, n: int) -> bool:
         return n in self._memberset
@@ -118,6 +139,8 @@ class TruncationSet:
         return self._position[n]
 
 
+_INTERNED = WeakValueDictionary()  # members -> the one live set
+_INTERN_LOCK = Lock()
 EMPTY = TruncationSet(())
 
 

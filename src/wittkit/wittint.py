@@ -16,7 +16,9 @@ Frobenius, Verschiebung and restriction act on generators by
 and extend linearly.  Each map reads its constants from rows of a table
 (see RowTable): the row of (kind, S, m) has a slot per generator position,
 filled with the entry of (m, n) the first time a nonzero coefficient at n
-needs it.  An entry is a tuple of (position, factor) pairs.  Two kernels
+needs it; truncation sets are interned, so the key hashes S by identity,
+and the maps check operand sets with `is`.  An entry is a tuple of
+(position, factor) pairs.  Two kernels
 apply the rows, here and in the graded complex (drwz): `bilinear` adds
 x_m * y_n * factor at each position of the entry of (m, n), and `linear`
 adds x_n * factor for a fixed m.  The Teichmuller representative of an
@@ -37,7 +39,7 @@ from operator import add, neg
 from .errors import NotDivisible, NotSubset, SetMismatch, SpecMismatch, WittkitError
 from .numtheory import binary_power, divisors, mobius
 from .rings import Z, json_int
-from .truncation import TruncationSet
+from .truncation import Immutable, TruncationSet
 from .witt import (
     GhostVector,
     WittVector,
@@ -50,6 +52,8 @@ from .witt import (
 )
 
 ROW_BUDGET = 1 << 16
+
+_set = object.__setattr__  # the constructors' one way past the immutable __setattr__
 
 
 class RowTable:
@@ -136,16 +140,35 @@ def verschiebung_spread(m: int, T: TruncationSet, S: TruncationSet, xs) -> list:
     return out
 
 
-@dataclass(frozen=True, eq=True)
-class BasisWittInt:
-    """Integer coefficients on the generators V_n([1]), n in S."""
+class BasisWittInt(Immutable):
+    """Integer coefficients on the generators V_n([1]), n in S.
 
-    tset: TruncationSet
-    coeffs: tuple[int, ...]
+    An immutable value: the constructor checks the coefficient count and
+    is the only writer of the two slots, assignment raises, and equal sets
+    and coefficients give equal values with equal hashes.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.tset):
+    __slots__ = ("tset", "coeffs")
+
+    def __init__(self, tset: TruncationSet, coeffs: tuple[int, ...]):
+        if len(coeffs) != len(tset.members):
             raise SpecMismatch("coefficient count does not match the truncation set")
+        _set(self, "tset", tset)
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tset is other.tset and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.tset, self.coeffs))
+
+    def __reduce__(self):
+        return BasisWittInt, (self.tset, self.coeffs)
+
+    def __repr__(self):
+        return f"BasisWittInt(tset={self.tset!r}, coeffs={self.coeffs!r})"
 
     def coeff(self, n: int) -> int:
         return self.coeffs[self.tset.index(n)]
@@ -201,7 +224,7 @@ def basis_generator(S: TruncationSet, n: int) -> BasisWittInt:
 
 
 def _check_set(x: BasisWittInt, y: BasisWittInt):
-    if x.tset != y.tset:
+    if x.tset is not y.tset:
         raise SetMismatch(f"truncation sets differ: {x.tset} vs {y.tset}")
 
 
@@ -215,7 +238,7 @@ def basis_neg(x: BasisWittInt) -> BasisWittInt:
 
 
 def basis_scalar_mul(k: int, x: BasisWittInt) -> BasisWittInt:
-    return BasisWittInt(x.tset, tuple(k * a for a in x.coeffs))
+    return BasisWittInt(x.tset, tuple([k * a for a in x.coeffs]))
 
 
 def basis_mul(x: BasisWittInt, y: BasisWittInt) -> BasisWittInt:
@@ -237,7 +260,7 @@ def frobenius_basis(m: int, x: BasisWittInt) -> BasisWittInt:
 
 def verschiebung_basis(m: int, x: BasisWittInt, S: TruncationSet) -> BasisWittInt:
     """V_m from basis form over S/m into S."""
-    if S.quotient(m) != x.tset:
+    if S.quotient(m) is not x.tset:
         raise SetMismatch(f"operand lives over {x.tset}, expected {S}/{m} = {S.quotient(m)}")
     return BasisWittInt(S, tuple(verschiebung_spread(m, x.tset, S, x.coeffs)))
 
@@ -304,7 +327,7 @@ class FormalOneForm:
 
     def __post_init__(self):
         for a, b in self.terms:
-            if a.tset != self.tset or b.tset != self.tset:
+            if a.tset is not self.tset or b.tset is not self.tset:
                 raise SetMismatch("all terms of a 1-form share its truncation set")
 
     def __str__(self):

@@ -5,6 +5,8 @@ import pytest
 
 from wittkit.cli import main
 
+from test_laws import strip_timing
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -155,9 +157,7 @@ def test_laws_seed_reproducible(capsys):
             "--trials", "20", "--seed", "11", "--json")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
-    r1, r2 = json.loads(out1), json.loads(out2)
-    r1.pop("elapsed_s"), r2.pop("elapsed_s")
-    assert r1 == r2
+    assert strip_timing(json.loads(out1)) == strip_timing(json.loads(out2))
 
 
 def test_cache_warm(capsys, tmp_path):

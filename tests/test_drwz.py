@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import gcd, lcm
 
@@ -211,6 +213,52 @@ def test_degree_one_coefficients_reduced():
     assert raw.deg1 == (0, 1, 2, 1)
     assert all(0 <= c < n for n, c in zip(S6.members, raw.deg1))
     assert raw == reduced and hash(raw) == hash(reduced)
+
+
+def test_the_constructor_refuses_parts_over_another_set():
+    # div4 and seg3 have three members each, so only the set check tells them apart
+    S, T = divisors_of(4), initial_segment(3)
+    with pytest.raises(SetMismatch):
+        DrwElement(S, BasisWittInt(T, (1, 2, 3)), (0, 1, 2))
+    with pytest.raises(SetMismatch):
+        DrwElement(S, BasisWittInt(S, (1, 2, 3)), (0, 1))
+    with pytest.raises(SpecMismatch):
+        BasisWittInt(S, (1, 2))
+
+
+def test_values_are_immutable():
+    x = drw_add(gen(S6, 2), dgen(S6, 3))
+    for value, field in ((x, "tset"), (x, "deg0"), (x, "deg1"), (x.deg0, "tset"), (x.deg0, "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == drw_add(gen(S6, 2), dgen(S6, 3))
+
+
+def test_copies_and_pickles_of_values_are_equal_values():
+    rng = random.Random(5)
+    for x in [rand_drw(S24, rng) for _ in range(5)] + [drw_zero(S6), dlog_minus_one(S16)]:
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert y == x and hash(y) == hash(x)
+            assert y.tset is x.tset and y.deg0.tset is x.tset
+            assert y.deg0 == x.deg0 and hash(y.deg0) == hash(x.deg0)
+        for b in (copy.copy(x.deg0), copy.deepcopy(x.deg0), pickle.loads(pickle.dumps(x.deg0))):
+            assert b == x.deg0 and hash(b) == hash(x.deg0) and b.tset is x.tset
+
+
+def test_values_are_equal_exactly_when_their_parts_agree():
+    x = DrwElement(S6, BasisWittInt(S6, (1, 0, 2, 0)), (0, 1, 2, 5))
+    assert x == DrwElement(S6, BasisWittInt(S6, (1, 0, 2, 0)), [0, 3, -1, 11])
+    assert x != DrwElement(S6, BasisWittInt(S6, (1, 0, 2, 1)), (0, 1, 2, 5))
+    assert x != DrwElement(S6, BasisWittInt(S6, (1, 0, 2, 0)), (0, 1, 2, 4))
+    assert x != x.deg0 and x.deg0 != x.deg0.coeffs
+    assert BasisWittInt(S6, (1, 0, 2, 0)) != BasisWittInt(initial_segment(4), (1, 0, 2, 0))
+    assert len({x, DrwElement(S6, x.deg0, x.deg1), drw_zero(S6)}) == 2
 
 
 def test_generator_tables():

@@ -1,9 +1,15 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import InvalidTruncationSet, NotPrime
 from wittkit.numtheory import divisors
 from wittkit.truncation import (
+    EMPTY,
     TruncationSet,
     divisors_of,
     initial_segment,
@@ -51,7 +57,8 @@ def test_divisor_closure_enforced():
 @given(st.integers(1, 60), st.integers(1, 12), st.integers(1, 12))
 def test_quotient_composes(k, m, n):
     S = divisors_of(k)
-    assert S.quotient(m).quotient(n) == S.quotient(m * n)
+    assert S.quotient(m).quotient(n) is S.quotient(m * n) is S.quotient(n).quotient(m)
+    assert S.quotient(1) is S
 
 
 def _closure(tops):
@@ -91,3 +98,67 @@ def test_parse():
         parse_truncation_set("{2,4}")
     with pytest.raises(InvalidTruncationSet):
         parse_truncation_set("nonsense")
+
+
+def test_every_route_gives_the_one_interned_set():
+    S = divisors_of(12)
+    for same in (
+        parse_truncation_set("div12"),
+        parse_truncation_set("{1,2,3,4,6,12}"),
+        truncation_set([12, 6, 4, 3, 2, 1, 6]),
+        TruncationSet((1, 2, 3, 4, 6, 12)),
+        TruncationSet([1, 2, 3, 4, 6, 12]),
+        divisors_of(24).quotient(2),
+    ):
+        assert same is S
+    assert initial_segment(4) is parse_truncation_set("seg4") is truncation_set(range(1, 5))
+    assert p_typical(2, 3) is divisors_of(4) is parse_truncation_set("ptyp(2,3)")
+    assert p_typical(3, 1) is initial_segment(1) is divisors_of(1)
+    assert initial_segment(0) is EMPTY is truncation_set([]) is parse_truncation_set("{}")
+    assert EMPTY is p_typical(5, 0) is divisors_of(2).quotient(4)
+
+
+def test_copies_and_pickles_are_the_identical_set():
+    for S in (divisors_of(12), initial_segment(5), EMPTY):
+        assert copy.copy(S) is S
+        assert copy.deepcopy(S) is S
+        assert copy.deepcopy([S, {S: S}]) == [S, {S: S}]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(S, protocol)) is S
+
+
+def test_threads_that_build_one_new_set_get_one_object():
+    # seg2999 is not built elsewhere, and its validation is long enough for
+    # the threads to interleave on the miss path
+    members = tuple(range(1, 3000))
+    start = threading.Barrier(8)
+    got = []
+
+    def build():
+        start.wait()
+        got.append(TruncationSet(members))
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(S is got[0] for S in got)
+    assert initial_segment(2999) is got[0]
+
+
+def test_sets_are_immutable():
+    S = divisors_of(6)
+    with pytest.raises(AttributeError):
+        S.members = (1, 2)
+    with pytest.raises(AttributeError):
+        del S.members
+    with pytest.raises(AttributeError):
+        S.extra = 1
+    assert S.members == (1, 2, 3, 6) and divisors_of(6) is S
