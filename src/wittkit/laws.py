@@ -70,28 +70,38 @@ TRIALS_BUDGET = 10**4
 # check_witt_complex refuses sets with more members: at one trial seg16
 # takes about 0.25 s and seg32 about 1.1 s
 COMPLEX_BUDGET = 32
-# check_comonad refuses a pair (S, T) past this work bound (`comonad_work`): at
-# one trial over Z seg32 with target seg16 (40,960) takes about 0.8 s, and
-# every pair measured above 50,000 took 0.7-10 s, most over 1.1 s
-COMONAD_BUDGET = 50_000
-# Fractions grow faster than integers: at one trial 28 pairs took 7-22x their
-# time over Z when the ring computes in Q, and those of work bound 1,920 or
-# less took at most 1.14 s there, those above 2,000 from 0.99 s (2,016) to
-# 27 s (seg32 with target seg16), so such a ring's bound counts 25 times
-COMONAD_Q_FACTOR = 25
+# The comonad and ring suites refuse a call past this work bound, trials
+# included (`comonad_work`, `wittring_work`): at one trial over Z the comonad
+# suite on seg32 with target seg16 (40,960) takes about 0.8 s, every pair
+# measured above 50,000 took 0.7-10 s, most over 1.1 s, and its time grows
+# with the trials (71 s at 200).
+SUITE_BUDGET = 50_000
+# The ring suite checks |S|^2 F/V relations whatever the trials, and a few
+# ring operations per trial, each about |S| * isqrt(max(S)): over Z, the calls
+# past 0.25 s took 0.9-3.7 us per unit of |S|^2 * isqrt(max(S)) * (|S| +
+# trials) (seg32 to seg100 at 1 and 50 trials), and the comonad suite 30-60 us
+# per unit and trial, so the ring suite counts its units 1/16 times
+WITTRING_SCALE = 16
+# The factor of a ring (`ring_factor`).  Fractions grow faster than integers:
+# at one trial 28 comonad pairs took 7-22x their time over Z when the ring
+# computes in Q, and those of work bound 1,920 or less took at most 1.14 s
+# there, those above 2,000 from 0.99 s (2,016) to 27 s (seg32 with target
+# seg16), so such a ring counts 25 times (the ring suite took 8-32x)
+Q_FACTOR = 25
 # A series payload is k base elements, and its products cost about k^2/2 base
-# products: at one trial over series(Z,k) for k = 2, 3, 6, 12, 24, 48 the pairs
-# under 50,000 / (k*(k + 40)/4) took at most 0.91 s and those above it from
-# 0.72 s to 22 s (seg32 with target seg16 over sz(Z)), so series(R,k) counts
-# k*(k + COMONAD_SERIES_WIDTH)/4 times the bound over R
-COMONAD_SERIES_WIDTH = 40
+# products: at one trial over series(Z,k) for k = 2, 3, 6, 12, 24, 48 the
+# comonad pairs under 50,000 / (k*(k + 40)/4) took at most 0.91 s and those
+# above it from 0.72 s to 22 s (seg32 with target seg16 over sz(Z)), so
+# series(R,k) counts k*(k + SERIES_WIDTH)/4 times R (the ring suite took
+# 16-22x over series(Z/2,3), counted 32 times)
+SERIES_WIDTH = 40
 # A polynomial's degree grows with the index of its coordinate, so its cost grows
-# with max(S) itself: at one trial over Z[x] (36 pairs) those counted at most
-# 50,000 with 20*isqrt(max(S)) took at most 1.05 s, those above from 0.2 s to
-# 25 s and more (div720 with target {1}); over Z[x,y] (10 pairs) a second
+# with max(S) itself: at one trial over Z[x] (36 comonad pairs) those counted at
+# most 50,000 with 20*isqrt(max(S)) took at most 1.05 s, those above from 0.2 s
+# to 25 s and more (div720 with target {1}); over Z[x,y] (10 pairs) a second
 # variable took about 5 times as long, so a polynomial ring in v variables
-# counts COMONAD_POLY_FACTOR * 5^(v-1) * isqrt(max(S)) times the bound over its base
-COMONAD_POLY_FACTOR = 20
+# counts POLY_FACTOR * 5^(v-1) * isqrt(max(S)) times its base
+POLY_FACTOR = 20
 
 
 @dataclass
@@ -461,22 +471,42 @@ def _random_witt(S: TruncationSet, ring: Ring, rng: random.Random) -> WittVector
     return WittVector(S, ring, tuple(ring.sample(rng) for _ in S))
 
 
-def comonad_work(S: TruncationSet, T: TruncationSet, ring: Ring = Z) -> int:
-    """|T| * max(T) * |S| * isqrt(max(S)), times the factor of `ring`: the nested maps run over
-    W_T(W_S(A)), and their integers grow with the members, so this orders the suite's measured
-    times where |S| alone does not.  The factor is 1 over Z and Z/m and COMONAD_Q_FACTOR over Q; a
-    series or polynomial ring multiplies its base's factor by its own (see the constants)."""
-    root = isqrt(max(S.members, default=0))
+def ring_factor(ring: Ring, root: int) -> int:
+    """How many times a suite's work counts over `ring` against Z, for sets with isqrt(max) = `root`.
+
+    1 over Z and Z/m and Q_FACTOR over Q; a series or polynomial ring
+    multiplies its base's factor by its own (see the constants).
+    """
     factor = 1
     while isinstance(ring, Construction):
         if isinstance(ring, SeriesRing):
-            factor *= ring.precision * (ring.precision + COMONAD_SERIES_WIDTH) // 4
+            factor *= ring.precision * (ring.precision + SERIES_WIDTH) // 4
         elif isinstance(ring, PolynomialRing):
-            factor *= COMONAD_POLY_FACTOR * 5 ** (len(ring.variables) - 1) * root
+            factor *= POLY_FACTOR * 5 ** (len(ring.variables) - 1) * root
         ring = ring.base
     if ring == Q:
-        factor *= COMONAD_Q_FACTOR
-    return factor * len(T) * max(T.members, default=0) * len(S) * root
+        factor *= Q_FACTOR
+    return factor
+
+
+def comonad_work(S: TruncationSet, T: TruncationSet, ring: Ring = Z, trials: int = 1) -> int:
+    """|T| * max(T) * |S| * isqrt(max(S)) per trial, times the factor of `ring`: the nested maps run over
+    W_T(W_S(A)), and their integers grow with the members, so this orders the suite's measured
+    times where |S| alone does not."""
+    root = isqrt(max(S.members, default=0))
+    return ring_factor(ring, root) * len(T) * max(T.members, default=0) * len(S) * root * trials
+
+
+def wittring_work(S: TruncationSet, ring: Ring = Z, trials: int = 1) -> int:
+    """|S|^2 * isqrt(max(S)) * (|S| + trials) / WITTRING_SCALE, times the factor of `ring`."""
+    n, root = len(S), isqrt(max(S.members, default=0))
+    return ring_factor(ring, root) * n * n * root * (n + trials) // WITTRING_SCALE
+
+
+def _refuse_past_budget(suite: str, work: int, S: TruncationSet, ring: Ring):
+    if work > SUITE_BUDGET:
+        raise BudgetExceeded(f"the {suite} suite over {len(S)} members over {ring} has the work bound "
+                             f"{work}, above the budget {SUITE_BUDGET}")
 
 
 def check_comonad(
@@ -497,10 +527,7 @@ def check_comonad(
     """
     if not T <= S:
         raise NotSubset(f"comonad target {T} must be contained in {S}")
-    work = comonad_work(S, T, ring)
-    if work > COMONAD_BUDGET:
-        raise BudgetExceeded(f"the comonad suite over {len(S)} members with a target of {len(T)} "
-                             f"over {ring} has the work bound {work}, above the budget {COMONAD_BUDGET}")
+    _refuse_past_budget("comonad", comonad_work(S, T, ring, trials), S, ring)
     ops = ops or WittOps()
     rng = random.Random(seed)
     runner = _Runner("comonad", S, trials, seed)
@@ -594,6 +621,7 @@ def check_witt_ring(
     ops: WittOps | None = None,
 ) -> LawReport:
     """Commutative-ring laws in W_S(A), ghost homomorphism and F/V relations."""
+    _refuse_past_budget("wittring", wittring_work(S, ring, trials), S, ring)
     ops = ops or WittOps()
     rng = random.Random(seed)
     runner = _Runner("wittring", S, trials, seed)

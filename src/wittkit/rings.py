@@ -24,10 +24,8 @@ Payloads are canonical: equal payloads <=> equal ring elements.  All
 values are treated as immutable; operations are pure functions, so every
 ring is safe to share between threads.
 
-An IntCarrier stands for the payloads of Z/m, series(Z/m,k) or Z/m[x] as
-plain ints, so that an evaluation program compiled for it runs as
-generated straight-line Python on the C operators of int (Kronecker
-substitution, see `_Digits`; the generated code, see `_straight_line`).
+A program for Z/m, series(Z/m,k), sz(Z/m) or dense Z/m[x] runs on plain
+ints by Kronecker substitution (`compile_int_program`).
 
 The RingElement wrapper pairs a payload with its ring and overloads the
 arithmetic operators; it is the type used at API boundaries (CLI, JSON).
@@ -386,17 +384,13 @@ class EvalProgram:
     `PolySource.vector` keeps one program per key family and ring;
     `PolynomialRing.evaluate` compiles a program of one output per call.
 
-    `run` interprets the program through the target's add and mul.  A
-    program compiled for an `IntCarrier`, whose payloads are plain ints,
-    instead runs as generated Python, `line(values, M)` (`_straight_line`):
-    one statement per power slot, link and output on a list of the slots,
-    int `+` and `*`, the constants as int literals, and each product masked
-    by `& M` over a series carrier.  Generating costs about ten runs, so a
-    one-shot `evaluate`, and a program for any other ring, which has no
-    workload that runs it often, stay on the loop.
+    `run` refuses `values` without a value for every name, then calls
+    `ints` if it is set, the closure that `compile_int_program` gives a
+    program that runs on plain ints, and otherwise interprets the program
+    through the target's add and mul.
     """
 
-    __slots__ = ("target", "powers", "links", "outputs", "names", "line")
+    __slots__ = ("target", "powers", "links", "outputs", "names", "ints")
 
     def __init__(self, target: Ring, powers: tuple, links: tuple, outputs: tuple, names: tuple):
         self.target = target
@@ -404,16 +398,14 @@ class EvalProgram:
         self.links = links
         self.outputs = outputs
         self.names = names
-        self.line = None
+        self.ints = None
 
-    def check(self, values: dict):
-        """Refuse `values` without a value for every variable of the program."""
+    def run(self, values: dict) -> list:
         missing = [name for name in self.names if name not in values]
         if missing:
             raise MissingVariable(f"no value for {missing}")
-
-    def run(self, values: dict) -> list:
-        self.check(values)
+        if self.ints is not None:
+            return self.ints(values)
         target = self.target
         mul, add = target.mul, target.add
         slots = [target.one]
@@ -930,7 +922,7 @@ Q = RationalRing()
 
 
 # --------------------------------------------------------------------------
-# int carriers: programs for Z/m, series over Z/m and Z/m[x] run on plain ints
+# int programs: Z/m, series over Z/m and Z/m[x] run on plain ints
 # --------------------------------------------------------------------------
 
 
@@ -981,7 +973,7 @@ class _Source:
         return expr
 
     def product(self, a: str, b: str) -> str:
-        """a * b, masked over a series carrier; a is one slot or literal, b may be a sum."""
+        """a * b, masked over series; a is one slot or literal, b may be a sum."""
         if "+" in b:
             b = f"({b})"
         return self.bounded(f"({a}*{b}{self.mask})" if self.mask else f"{a}*{b}")
@@ -996,7 +988,7 @@ class _Source:
 
 
 def _straight_line(program: EvalProgram, masked: bool):
-    """The function line(values, M) that runs `program`, compiled for an int carrier, as generated Python.
+    """The function line(values, M) that runs `program`, compiled for Z/m, on ints as generated Python.
 
     It fills a list of the slots: one statement per power slot and per
     link, then one per output, the sum of its rows, where a row is
@@ -1027,10 +1019,9 @@ def _straight_line(program: EvalProgram, masked: bool):
 
     outs = [src.store(src.total(row(low, groups) for low, groups in rows) or "0") for rows in program.outputs]
     src.flush()
-    units, size, one, check = tuple(src.units), src.fresh, program.target.one, program.check
+    units, size, one = tuple(src.units), src.fresh, program.target.one
 
     def line(values: dict, M: int) -> list:
-        check(values)
         s = [one] * size
         for name, i in inputs:
             s[i] = values[name]
@@ -1040,52 +1031,6 @@ def _straight_line(program: EvalProgram, masked: bool):
 
     line.units = units
     return line
-
-
-class IntCarrier(Ring):
-    """Plain ints standing for the payloads of `ring`, a ring that is exactly Z/m.
-
-    A program compiled for a carrier (`compile`) runs as one generated
-    Python function, its `line` (`_straight_line`): int `+` and `*` on a
-    list of slots, the constants `of_int(c) = c % m` as int literals, in
-    units of at most UNIT_CHARS of source each, since `compile` holds about
-    200 bytes per source byte and a family program over div24 is about
-    140 KB.  `run` reduces each output mod m once.  The inputs are residues
-    in [0, m), so a run computes P(r) for an integer polynomial P with
-    nonnegative coefficients that reduces mod m to the program's
-    polynomial.  The subclasses carry series and one-variable polynomials
-    over Z/m as one int each, by Kronecker substitution t -> 2^B
-    (`_Digits`).  A carrier has no add or mul: only its programs'
-    functions compute with its payloads.
-    """
-
-    masked = False  # whether each product is masked by `& M` (`_SeriesDigits`)
-    mask = -1
-
-    def __init__(self, ring: Ring, m: int):
-        self.ring = ring
-        self.m = m
-
-    def of_int(self, k):
-        return k % self.m
-
-    def fits(self, coords) -> bool:
-        """Whether the ring payloads `coords` run on ints: always, but for sparse polynomials."""
-        return True
-
-    def compile(self, variables: tuple, outputs: list, split: int = 0) -> EvalProgram:
-        """`compile_program` for this carrier, with its `line` built, which this carrier runs."""
-        program = compile_program(variables, outputs, self, split)
-        program.line = _straight_line(program, self.masked)
-        return program
-
-    def run(self, program: EvalProgram, names, coords) -> list:
-        """The outputs of `program`, compiled for this carrier, with names[i] the ring payload coords[i]."""
-        m = self.m
-        return [n % m for n in program.line(dict(zip(names, coords)), self.mask)]
-
-    def __str__(self):
-        return f"ints({self.ring})"
 
 
 def _byte_width(bounds) -> int:
@@ -1104,63 +1049,6 @@ def _to_digits(n: int, width: int, count: int) -> list:
     return [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
 
 
-class _Digits(IntCarrier):
-    """Payloads with coefficients c_0, c_1, ... in [0, m) as the int sum of c_i * 2^(B*i), B = 8*width.
-
-    Why the digits of an output are its coefficients: the program computes
-    P(f_1, ..., f_n) over Z[t] at t = 2^B, where the f_j are the inputs with
-    their coefficients as integers, and P has nonnegative coefficients; so
-    does the output polynomial P(f), and each of its coefficients is at most
-    its value at t = 1, P at the inputs' coefficient sums, which one run of
-    the same program computes.  B is the bit length of the largest such
-    value, and of m - 1, the largest input digit, rounded up to whole
-    bytes, so no digit carries into the next.
-    """
-
-    def width_at(self, program: EvalProgram, sums: dict) -> int:
-        """The bytes of a digit for inputs of coefficient sums `sums`: every output at them, and m - 1, fit."""
-        return _byte_width([self.m - 1, *program.line(sums, -1)])
-
-    def run_digits(self, program, names, lists, width):
-        """The decoded outputs of `program` at the coefficient lists `lists`, each digit `width` bytes."""
-        values = dict(zip(names, [_to_int(c, width) for c in lists]))
-        return [self.decode(n, width) for n in program.line(values, self.mask)]
-
-
-class _SeriesDigits(_Digits):
-    """series(Z/m,k) and sz(Z/m) payloads as ints of k digits.
-
-    Reduction mod 2^(B*k) is a ring map, since t^k = 2^(B*k) vanishes there,
-    so a product masked to its k lowest digits keeps them exact, and each
-    product stays at k digits: the generated function computes each product
-    as (a * b & M), M = 2^(B*k) - 1.  The sums are unmasked: their digits
-    past k are dropped when the output is decoded.  Every input has
-    coefficient sum at most k*(m-1), and P is monotone in each input, so
-    `compile` fixes B, and the mask, once per program from a run at that
-    sum with M = -1, all ones, since no mask exists yet: a carrier serves
-    the one program compiled for it.
-    """
-
-    masked = True
-
-    def __init__(self, ring: SeriesRing):
-        super().__init__(ring, ring.base.m)
-        self.precision = ring.precision
-
-    def compile(self, variables, outputs, split=0):
-        program = super().compile(variables, outputs, split)
-        self.width = self.width_at(program, dict.fromkeys(program.names, self.precision * (self.m - 1)))
-        self.mask = (1 << 8 * self.width * self.precision) - 1
-        return program
-
-    def run(self, program, names, coords):
-        return self.run_digits(program, names, coords, self.width)
-
-    def decode(self, n, width):
-        m = self.m
-        return tuple([c % m for c in _to_digits(n & self.mask, width, self.precision)])
-
-
 def _span(x: dict) -> int:
     """The degree plus one of a one-variable polynomial payload, 0 for zero: () < ((0, 1),) < ((0, 2),) < ..."""
     if not x:
@@ -1169,50 +1057,99 @@ def _span(x: dict) -> int:
     return top[0][1] + 1 if top else 1
 
 
-class _PolyDigits(_Digits):
-    """One-variable Z/m[x] payloads as ints of one digit per exponent up to the degree.
-
-    An int costs time and memory in proportion to the degree, so only dense
-    coordinates take this path (`fits`): 1 + x^40000 would be an int of 40001
-    digits.  B is set per call, from the run at the inputs' coefficient sums.
-    """
-
-    def fits(self, coords):
-        """Whether the degrees plus one of `coords` sum to at most twice their terms, a zero counting one term."""
-        return sum(map(_span, coords)) <= 2 * sum(len(x) or 1 for x in coords)
-
-    def run(self, program, names, coords):
-        lists = []
-        for x in coords:
-            digits = [0] * _span(x)
-            for mono, c in x.items():
-                digits[mono[0][1] if mono else 0] = c
-            lists.append(digits)
-        return self.run_digits(program, names, lists, self.width_at(program, dict(zip(names, map(sum, lists)))))
-
-    def decode(self, n, width):
-        m = self.m
-        digits = _to_digits(n, width, -(-n.bit_length() // (8 * width)))
-        return {((0, e),) if e else (): c for e, d in enumerate(digits) if (c := d % m)}
-
-
-def int_carrier(ring: Ring) -> IntCarrier | None:
-    """The int carrier of `ring`, or None.
+def runs_on_ints(ring: Ring, coords) -> bool:
+    """Whether a program for `ring` runs on ints at the payloads `coords` (`compile_int_program`).
 
     Only rings of exactly the classes ModularRing, SeriesRing or
     SquareZeroRing over exactly ModularRing, and PolynomialRing in one
-    variable over exactly ModularRing have one: a subclass, such as a ring
-    that counts its products, computes through its own methods.
+    variable over exactly ModularRing do: a subclass, such as a ring that
+    counts its products, computes through its own methods.  An int costs
+    time and memory in proportion to a polynomial's degree (1 + x^40000
+    would be an int of 40001 digits), so polynomial coordinates must be
+    dense: their degrees plus one sum to at most twice their terms, a zero
+    counting one term.
     """
     cls = type(ring)
     if cls is ModularRing:
-        return IntCarrier(ring, ring.m)
-    if type(getattr(ring, "base", None)) is ModularRing:
-        if cls is SeriesRing or cls is SquareZeroRing:
-            return _SeriesDigits(ring)
-        if cls is PolynomialRing and len(ring.variables) == 1:
-            return _PolyDigits(ring, ring.base.m)
-    return None
+        return True
+    if type(getattr(ring, "base", None)) is not ModularRing:
+        return False
+    if cls is SeriesRing or cls is SquareZeroRing:
+        return True
+    return (cls is PolynomialRing and len(ring.variables) == 1
+            and sum(map(_span, coords)) <= 2 * sum(len(x) or 1 for x in coords))
+
+
+def compile_int_program(variables: tuple, outputs: list, ring: Ring, split: int = 0) -> EvalProgram:
+    """`compile_program` for the Z/m of `ring`, a ring that `runs_on_ints`, with `ints` set to run it on ints.
+
+    The program is compiled for Z/m itself (`ring` or its base), so its
+    constants are the residues c mod m, and runs as one generated Python
+    function (`_straight_line`): int `+` and `*` on a list of slots, in
+    units of at most UNIT_CHARS of source each, since `compile` holds about
+    200 bytes per source byte and a family program over div24 is about
+    140 KB.  Generating costs about ten runs, so only the programs that
+    `PolySource.vector` keeps are compiled here.
+
+    `ints` encodes each input as one int, runs the function and decodes
+    each output.  Over Z/m an input is its residue and an output is reduced
+    mod m.  A series or polynomial payload with coefficients c_0, c_1, ...
+    in [0, m) is the int sum of c_i * 2^(B*i), B = 8*width (Kronecker
+    substitution t -> 2^B).  The inputs and constants are residues, so a
+    run computes P(f_1, ..., f_n) at t = 2^B for an integer polynomial P
+    with nonnegative coefficients that reduces mod m to the program's, the
+    f_j the inputs with their coefficients as integers.  So has the output
+    polynomial P(f), and each of its coefficients is at most its value at
+    t = 1, P at the inputs' coefficient sums, which one run of the same
+    function computes.  B is the bit length of the largest such value, and
+    of m - 1, the largest input coefficient, rounded up to whole bytes, so
+    no digit carries into the next, and each output is read back as
+    base-2^B digits mod m.
+
+    Over series(Z/m,k) and sz(Z/m), reduction mod 2^(B*k) is a ring map,
+    since t^k = 2^(B*k) vanishes there, so each product is masked to its k
+    lowest digits, (a * b & M) with M = 2^(B*k) - 1; the sums are unmasked,
+    and their digits past k are dropped when an output is decoded.  Every
+    input has coefficient sum at most k*(m-1), and P is monotone in each
+    input, so the width and the mask are fixed here, once per program, from
+    a run at that sum with M = -1, all ones, and only its `ints` holds them.
+    Over Z/m[x] the width is set per call, from the run at the inputs'
+    coefficient sums.
+    """
+    cls = type(ring)
+    base = ring if cls is ModularRing else ring.base
+    program = compile_program(variables, outputs, base, split)
+    series = cls is not ModularRing and cls is not PolynomialRing
+    line, m, names = _straight_line(program, series), base.m, program.names
+    if cls is ModularRing:
+
+        def ints(values):
+            return [n % m for n in line(values, -1)]
+    elif series:
+        k = ring.precision
+        width = _byte_width([m - 1, *line(dict.fromkeys(names, k * (m - 1)), -1)])
+        mask = (1 << 8 * width * k) - 1
+
+        def ints(values):
+            out = line({name: _to_int(values[name], width) for name in names}, mask)
+            return [tuple([c % m for c in _to_digits(n & mask, width, k)]) for n in out]
+    else:
+
+        def ints(values):
+            lists = {}
+            for name in names:
+                x = values[name]
+                digits = lists[name] = [0] * _span(x)
+                for mono, c in x.items():
+                    digits[mono[0][1] if mono else 0] = c
+            width = _byte_width([m - 1, *line({name: sum(d) for name, d in lists.items()}, -1)])
+            out = []
+            for n in line({name: _to_int(d, width) for name, d in lists.items()}, -1):
+                digits = _to_digits(n, width, -(-n.bit_length() // (8 * width)))
+                out.append({((0, e),) if e else (): c for e, d in enumerate(digits) if (c := d % m)})
+            return out
+    program.ints = ints
+    return program
 
 
 def series_inverse_payload(ring: SeriesRing, f: tuple) -> tuple:

@@ -34,34 +34,9 @@ the monomials it multiplies.  A sum or product output has one row per
 monomial in the a_d, the sum over the terms with that a-part (the split
 at the first b_d); any other output is one row.
 
-When the target ring is exactly Z/m, series(Z/m,k) or sz(Z/m) over
-exactly Z/m, or Z/m[x] in one variable over exactly Z/m, the family's
-program is compiled for the ring's int carrier (rings.int_carrier), whose
-of_int(c) is c mod m, and runs as generated Python: one statement per
-power slot, link and output, with int + and *, the constants as int
-literals, compiled before the program is kept in units of at most
-rings.UNIT_CHARS of source, since compile() holds about 200 bytes per
-source byte and a div24 family is about 140 KB.  Generating costs about
-ten runs, so the program of any other ring, and a one-shot
-PolynomialRing.evaluate, run on EvalProgram.run's loop instead.  Each
-input becomes one int, a residue itself and a coefficient
-list c_0, c_1, ... the sum of c_i * 2^(B*i) (Kronecker substitution), and
-each output is decoded once, reduced mod m or read as base-2^B digits mod
-m.  The inputs and constants are residues in [0, m), so a run computes
-P(2^B) for an integer polynomial P with nonnegative coefficients that
-reduces to the true result; each coefficient of P is at most P(1), which
-a run of the same program at the inputs' coefficient sums computes, and B
-is its bit length, or that of m - 1, the largest input coefficient, if
-longer, rounded up to whole bytes.  Over series, reduction mod
-2^(B*k) is a ring map, so each product is masked to k digits; every
-series input has coefficient sum at most k*(m-1), so B and the mask are
-fixed once per family and ring.  Two guards depend only on the inputs
-and the ring: a Z/m[x] call whose coordinates are sparse, the sum of
-their degrees plus one above twice the sum of their term counts (a zero
-counting one), runs the ring's own program, since an int grows with the
-degree (the path is chosen before the lookup, so only the program that
-runs is compiled); and a subclass of those rings never takes the int
-path, so it multiplies through its own mul.
+Over exactly Z/m, series(Z/m,k), sz(Z/m) and dense one-variable Z/m[x]
+the program runs on plain ints by Kronecker substitution
+(rings.compile_int_program).
 
 The text codec renders each (variable, exponent) pair once per variable
 list and reads each distinct factor text once per polynomial, so a term
@@ -90,13 +65,13 @@ from .errors import (
 from .numtheory import divisors
 from .rings import (
     EvalProgram,
-    IntCarrier,
     PolynomialRing,
     Ring,
     RingElement,
     Z,
+    compile_int_program,
     compile_program,
-    int_carrier,
+    runs_on_ints,
 )
 from .truncation import TruncationSet, divisors_of
 from .witt import WittVector, delta_component, frobenius, ghost, witt_add, witt_mul, witt_neg
@@ -354,11 +329,10 @@ class PolySource:
         self.ceiling = ceiling
         self.cache_path = cache_path
         self._memo: dict[UnivPolyKey, RingElement] = {}
-        # (op, param, T, ring class, ring) of a family `vector` reads -> its
-        # program, one output per key, compiled on first use for the ring's
-        # int carrier if it has one: rings compare by spec, so the class keeps
-        # a subclass from running another's program.  The same slot with
-        # "sparse" appended keeps the ring's own program for sparse inputs.
+        # (op, param, T, ring class, ring, ints) of a family `vector` reads ->
+        # its program, one output per key, compiled on first use, to run on
+        # ints if `ints`: rings compare by spec, so the class keeps a subclass
+        # from running another's program.
         self._programs: dict[tuple, EvalProgram] = {}
         self._lock = threading.Lock()
         # (key, polynomial) computed here and not yet appended to the file
@@ -394,44 +368,26 @@ class PolySource:
         A key of weight w in x's divisor-closed set reads only a_d, b_d for d | w.
         One lookup finds the family's program for x's ring and one run of it
         gives every coordinate; a miss compiles the program (`_compile`).
-        When the ring has an int carrier (`rings.int_carrier`: exactly Z/m,
-        series(Z/m,k), sz(Z/m) or one-variable Z/m[x] over exactly Z/m; a
-        subclass has none, so it computes through its own methods), the
-        program is compiled for the carrier, which also generates its
-        Python function (`EvalProgram.line`) before the program is kept:
-        each coordinate is lifted to one int, a coefficient list to its
-        value at 2^B, the function adds and multiplies ints in straight-line
-        code, and each output is decoded once, mod m or as
-        base-2^B digits mod m.  B bounds every coefficient of the output
-        polynomial by its value at 1, the run at the inputs' coefficient
-        sums, and every input coefficient, at most m - 1 (see the module
-        docstring).  Polynomial coordinates whose degrees plus one sum to
-        more than twice their terms (`fits`) run the ring's own program
-        instead, kept under the family's slot marked "sparse", since an int
-        grows with the degree; the path is chosen before the lookup, so a
-        miss compiles only the program that runs."""
+        The program runs on ints where `rings.runs_on_ints` holds for the
+        ring and the coordinates (`rings.compile_int_program`).  The path is
+        part of the slot and chosen before the lookup, so a miss compiles
+        only the program that runs."""
         ring, names, coords = x.ring, _var_names("a", x.tset.members), x.coords
         if y is not None:
             names, coords = names + _var_names("b", y.tset.members), coords + y.coords
-        slot = (op, param, T, type(ring), ring)
-        carrier = int_carrier(ring)
-        if carrier is not None and not carrier.fits(coords):
-            carrier, slot = None, (*slot, "sparse")
+        ints = runs_on_ints(ring, coords)
+        slot = (op, param, T, type(ring), ring, ints)
         with self._lock:
             program = self._programs.get(slot)
         if program is None:
-            program = self._compile(op, param, T, ring, carrier)
+            program = self._compile(op, param, T, ring, ints)
             with self._lock:
                 program = self._programs.setdefault(slot, program)
-        if carrier is None:
-            return WittVector(T, ring, tuple(program.run(dict(zip(names, coords)))))
-        # the carrier that compiled a kept program runs it: a series carrier holds its digit width
-        return WittVector(T, ring, tuple(program.target.run(program, names, coords)))
+        return WittVector(T, ring, tuple(program.run(dict(zip(names, coords)))))
 
-    def _compile(self, op: str, param: int, T: TruncationSet, ring: Ring,
-                 carrier: IntCarrier | None) -> EvalProgram:
+    def _compile(self, op: str, param: int, T: TruncationSet, ring: Ring, ints: bool) -> EvalProgram:
         """The program of the family {UnivPolyKey(op, m, param) : m in T} for `ring`, one output per key,
-        compiled by `carrier` if it is not None.
+        to run on ints if `ints` (`rings.compile_int_program`).
 
         Every key is checked, heaviest first, before any is computed.  The
         ceiling and the budgets never change, so a family with a program is
@@ -456,9 +412,7 @@ class PolySource:
             poly = self.universal_poly(key)
             outputs.append((poly.value, [place[name] for name in poly.ring.variables]))
         split = len(ds) if tags == "ab" else 0
-        if carrier is None:
-            return compile_program(variables, outputs, ring, split)
-        return carrier.compile(variables, outputs, split)
+        return (compile_int_program if ints else compile_program)(variables, outputs, ring, split)
 
     def check(self, key: UnivPolyKey):
         """Refuse a key above the weight ceiling, then one past the term or the work budget."""

@@ -245,12 +245,15 @@ UNIVERSAL_DIV96 = ("witt", "mul", z8_vector(96), z8_vector(96), "--strategy", "u
     ("laws", "check", "--suite", "comonad", "--set", "seg32", "--target", "seg16", "--base", "Q"),
     ("laws", "check", "--suite", "comonad", "--set", "seg16", "--target", "seg8", "--base", "series(Z,3)"),
     ("laws", "check", "--suite", "comonad", "--set", "div24", "--target", "div12", "--base", "Z[x]"),
+    ("laws", "check", "--suite", "comonad", "--set", "seg32", "--target", "seg16"),
+    ("laws", "check", "--suite", "wittring", "--set", "seg300", "--trials", "1"),
+    ("laws", "check", "--suite", "wittring", "--set", "seg24", "--base", "Q"),
 ], ids=["div-large", "seg-large", "member-large", "ptyp-large-prime", "ptyp-long",
         "q-exponent", "tau-large-prime", "decompose-large-prime", "trials-large",
         "universal-div60", "universal-div64", "universal-div96",
         "series-precision", "gamma-precision", "gamma-inv-length",
         "drwz-table-large", "wittcomplex-large", "comonad-large", "comonad-deep",
-        "comonad-q", "comonad-series", "comonad-poly"])
+        "comonad-q", "comonad-series", "comonad-poly", "comonad-trials", "wittring-large", "wittring-q"])
 def test_budgets_fail_fast(argv, tmp_path):
     # in a subprocess, so that an input past its budget that hangs fails the
     # test by the timeout instead of hanging the suite

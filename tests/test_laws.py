@@ -1,10 +1,20 @@
 import hashlib
 import json
 
+import pytest
+
 from wittkit.drwz import DrwComplex
-from wittkit.laws import check_comonad, check_witt_complex, check_witt_ring
-from wittkit.rings import ModularRing, Z
-from wittkit.truncation import divisors_of, truncation_set
+from wittkit.errors import BudgetExceeded
+from wittkit.laws import (
+    SUITE_BUDGET,
+    check_comonad,
+    check_witt_complex,
+    check_witt_ring,
+    comonad_work,
+    wittring_work,
+)
+from wittkit.rings import ModularRing, SeriesRing, Z
+from wittkit.truncation import divisors_of, parse_truncation_set, truncation_set
 from wittkit.universal import PolySource, UnivPolyKey
 from wittkit.witt import WittOps
 
@@ -108,6 +118,22 @@ def test_comonad_suite_passes_small():
 def test_comonad_trivial_target():
     report = check_comonad(divisors_of(8), truncation_set([1]), Z, trials=10, seed=7)
     assert report.passed, report.summary()
+
+
+def test_the_suite_budget_counts_the_trials():
+    # criterion 02 and 08, and the ring and comonad runs of the cli_mix benchmark
+    for ring in (Z, ModularRing(8), ModularRing(9), SeriesRing(ModularRing(2), 3)):
+        assert wittring_work(divisors_of(12), ring, 200) <= SUITE_BUDGET
+    assert wittring_work(divisors_of(24), ModularRing(8), 16) <= SUITE_BUDGET
+    assert comonad_work(divisors_of(8), divisors_of(4), Z, 100) <= SUITE_BUDGET
+    # seg16 with target seg8 takes about 0.13 s per trial over Z, and the ring
+    # suite on seg64 about 3.5 s at 50 trials and 10 s at 200
+    seg8, seg16, seg64 = map(parse_truncation_set, ("seg8", "seg16", "seg64"))
+    assert comonad_work(seg16, seg8, Z, 10) <= SUITE_BUDGET < comonad_work(seg16, seg8, Z, 100)
+    with pytest.raises(BudgetExceeded):
+        check_comonad(seg16, seg8, Z, trials=100)
+    with pytest.raises(BudgetExceeded):
+        check_witt_ring(seg64, Z, trials=200)
 
 
 def test_witt_ring_suite_on_modular_base():

@@ -442,7 +442,7 @@ def test_programs_are_kept_per_target_ring(raw):
             for n, coord in zip(S.members, src.vector("prod", 0, S, x, y).coords):
                 poly = src.universal_poly(UnivPolyKey("prod", n))
                 assert coord == term_by_term(poly.value, values, target, poly.ring.variables)
-        program = src._programs["prod", 0, S, ModularRing, target]
+        program = src._programs["prod", 0, S, ModularRing, target, True]
         assert kept.setdefault(m, program) is program
     assert len(src._programs) == 2
 
@@ -534,7 +534,7 @@ def test_unary_programs_are_not_split():
                         (("frob", 3, S.quotient(3)), lambda: frobenius(3, x, "universal", src)),
                         (("delta", 2, S.quotient(2)), lambda: delta_component(2, x, "universal", src))):
         run()
-        program = src._programs[(*family, CountingZ8, target)]
+        program = src._programs[(*family, CountingZ8, target, False)]
         assert [[low for low, _ in rows] for rows in program.outputs] == [[0]] * len(family[2])
 
 
@@ -560,7 +560,7 @@ def test_programs_multiply_once_per_part_and_per_constant_in_a_row(key):
     if op == "neg":
         y = None
     got = src.vector(op, 0, S, x, y)  # compiles
-    program = src._programs[op, 0, S, CountingZ8, target]
+    program = src._programs[op, 0, S, CountingZ8, target, False]
     target.muls = 0
     assert src.vector(op, 0, S, x, y) == got
     assert target.muls == products_of(program)
@@ -576,7 +576,7 @@ def test_a_family_program_builds_each_power_and_part_once(op, N, spec, shared, k
     target, src, S = parse_ring(spec), PolySource(), divisors_of(N)
     x = WittVector(S, target, (target.one,) * len(S))
     src.vector(op, 0, S, x, x)
-    family = src._programs[op, 0, S, type(target), target]
+    family = src._programs[op, 0, S, type(target), target, True]
     singles = []
     for key in key_family(op, 0, S):
         poly = src.universal_poly(key)

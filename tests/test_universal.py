@@ -21,7 +21,6 @@ from wittkit.errors import (
     NotDivisible,
 )
 from wittkit.rings import (
-    IntCarrier,
     ModularRing,
     PolynomialRing,
     Q,
@@ -29,8 +28,9 @@ from wittkit.rings import (
     SeriesRing,
     SquareZeroRing,
     Z,
-    int_carrier,
+    compile_int_program,
     parse_ring,
+    runs_on_ints,
 )
 from wittkit.truncation import divisors_of, parse_truncation_set
 from wittkit.witt import WittVector, frobenius, teichmuller, witt_add, witt_mul
@@ -292,16 +292,37 @@ def test_int_carrier_families_evaluate_each_key_as_term_by_term(kind, S, op, dat
     T = S.quotient(param) if op in ("frob", "delta") else S
     y = y if op in ("sum", "prod") else None
     _family_agrees(INT_SOURCE, op, param, S, x, y)
-    slot = (op, param, T, type(ring), ring)
     # a sparse polynomial input runs the ring's own program instead
     sparse = kind == "sparse" and bool(S.members)
-    assert int_carrier(ring).fits(x.coords + (y.coords if y else ())) is not sparse
-    if sparse:
-        assert INT_SOURCE._programs[(*slot, "sparse")].target == ring
-    else:
-        assert isinstance(INT_SOURCE._programs[slot].target, IntCarrier)
+    assert runs_on_ints(ring, x.coords + (y.coords if y else ())) is not sparse
+    program = INT_SOURCE._programs[op, param, T, type(ring), ring, not sparse]
+    assert (program.ints is None) is sparse
+    assert program.target == (ring if sparse else getattr(ring, "base", ring))
     if data is None:
-        assert len(INT_SOURCE._programs[slot].line.units) > 10
+        assert len(closure_cells(program)["line"].cell_contents.units) > 10
+
+
+def closure_cells(program) -> dict:
+    """The cells of the variables that the `ints` closure of an int program holds, by name."""
+    return dict(zip(program.ints.__code__.co_freevars, program.ints.__closure__))
+
+
+@pytest.mark.parametrize("spec", ["Z/8", "series(Z/8,3)", "sz(Z/8)", "Z/8[x]"])
+def test_int_programs_check_every_variable(spec):
+    ring, S, src = parse_ring(spec), divisors_of(4), PolySource()
+    x = WittVector(S, ring, (ring.one,) * len(S))
+    src.vector("prod", 0, S, x, x)
+    kept = src._programs["prod", 0, S, type(ring), ring, True]
+    values = dict.fromkeys(kept.names, ring.one)
+    assert kept.ints is not None and kept.run(values) == list(src.vector("prod", 0, S, x, x).coords)
+    for name in kept.names:
+        with pytest.raises(MissingVariable):
+            kept.run({other: value for other, value in values.items() if other != name})
+    # a1 occurs only in a term whose coefficient vanishes mod 8, so no statement reads it
+    program = compile_int_program(("a1", "a2"), [({((0, 1),): 8, ((1, 2),): 3}, range(2))], ring)
+    with pytest.raises(MissingVariable):
+        program.run({"a2": ring.one})
+    assert program.run({"a1": ring.one, "a2": ring.one}) == [ring.of_int(3)]
 
 
 def test_a_carrier_compiles_in_bounded_units():
@@ -314,19 +335,19 @@ def test_a_carrier_compiles_in_bounded_units():
         INT_SOURCE.universal_poly(key)
     tracemalloc.start()
     try:
-        program = INT_SOURCE._compile("sum", 0, S, ring, int_carrier(ring))
+        program = INT_SOURCE._compile("sum", 0, S, ring, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
-    assert len(program.line.units) > 10
+    assert len(closure_cells(program)["line"].cell_contents.units) > 10
 
 
 def test_sparse_calls_compile_only_the_rings_program():
     ring, S, src = parse_ring("Z/3[x]"), divisors_of(6), PolySource()
     x = WittVector(S, ring, ({(): 1, ((0, 400),): 1},) * len(S))
     assert src.vector("prod", 0, S, x, x) == witt_mul(x, x, "lift")
-    assert list(src._programs) == [("prod", 0, S, PolynomialRing, ring, "sparse")]
+    assert list(src._programs) == [("prod", 0, S, PolynomialRing, ring, False)]
 
 
 @pytest.mark.parametrize("spec, m", [("Z/1000[x]", 1000), ("Z/257[x]", 257), ("series(Z/257,3)", 257),
@@ -346,7 +367,7 @@ def test_int_path_digits_hold_every_input_coefficient(spec, m):
             if p in S.members:
                 T = S.quotient(p)
                 assert src.vector("frob", p, T, x) == frobenius(p, x, "lift")
-    assert all(isinstance(program.target, IntCarrier) for program in src._programs.values())
+    assert all(slot[-1] and program.ints is not None for slot, program in src._programs.items())
 
 
 def test_series_products_stay_at_k_digits():
@@ -356,12 +377,22 @@ def test_series_products_stay_at_k_digits():
     src = PolySource()
     want = witt_mul(x, x, "lift")
     assert src.vector("prod", 0, S, x, x) == want
-    program = src._programs["prod", 0, S, SeriesRing, ring]
-    carrier = program.target
-    bits = 8 * carrier.width * ring.precision
-    values = dict.fromkeys(program.names, (1 << bits) - 1)  # every digit at its largest
+    # the program's closure holds its width and mask; watch what its function returns
+    cells = closure_cells(src._programs["prod", 0, S, SeriesRing, ring, True])
+    line, seen = cells["line"].cell_contents, []
+
+    def watched(values, M):
+        out = line(values, M)
+        seen.extend(out)
+        return out
+
+    cells["line"].cell_contents = watched
+    assert src.vector("prod", 0, S, x, x) == want
+    bits = 8 * cells["width"].cell_contents * ring.precision
+    values = dict.fromkeys(cells["names"].cell_contents, (1 << bits) - 1)  # every digit at its largest
     # the outputs sum at most 2^16 masked products each
-    assert max(program.line(values, carrier.mask)).bit_length() <= bits + 16
+    assert max(seen).bit_length() <= bits + 16
+    assert max(line(values, cells["mask"].cell_contents)).bit_length() <= bits + 16
 
 
 def test_ceiling():
