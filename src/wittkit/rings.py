@@ -39,7 +39,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from typing import Any
 
@@ -556,14 +556,14 @@ class PolynomialRing(Construction):
     index, exponents positive; the payload maps monomials to nonzero base
     coefficients.  The variable order is fixed by the constructor list.
 
-    `mul` packs internally: a product of two polynomials of two terms or
-    more turns each monomial into one int with a field per variable
-    (Kronecker packing), multiplies monomials by adding ints, and unpacks
-    the result into the payload format above.  Over a base of exactly the
-    class IntegerRing or ModularRing, whose arithmetic is Z's followed by
-    `of_int`, it adds the coefficient products as plain ints and reduces
-    each coefficient once while unpacking; any other base, a subclass of
-    those included, multiplies through its own `mul` and `add`.
+    `mul` packs internally: it turns each monomial into one int with a
+    field per variable (Kronecker packing), multiplies monomials by adding
+    ints, and unpacks the result into the payload format above.  Over a
+    base of exactly the class IntegerRing or ModularRing, whose arithmetic
+    is Z's followed by `of_int`, it adds the coefficient products as plain
+    ints and reduces each coefficient once while unpacking; any other base,
+    a subclass of those included, multiplies through its own `mul` and
+    `add`.  A square forms each cross term once.
     """
 
     def __init__(self, base: Ring, variables):
@@ -605,41 +605,7 @@ class PolynomialRing(Construction):
                 out[mono] = c
         return out
 
-    @staticmethod
-    def _merge_monomials(a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                out.append((va, ea + eb))
-                i += 1
-                j += 1
-            elif va < vb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return tuple(out)
-
     def mul(self, x, y):
-        if len(x) > len(y):
-            x, y = y, x
-        base = self.base
-        mul, add = base.mul, base.add
-        if len(x) < 2:  # a monomial times a polynomial: distinct products, merged directly
-            merge, is_zero = self._merge_monomials, base.is_zero
-            return {merge(ma, mb): c for ma, ca in x.items() for mb, cb in y.items()
-                    if not is_zero(c := mul(ca, cb))}
         # Kronecker packing: exponent e of variable v is e << v*w in one int.
         # A w-bit field holds twice the largest exponent, so the sum of two
         # packed monomials is their product, with no carry between fields.
@@ -649,38 +615,31 @@ class PolynomialRing(Construction):
                 if e > top:
                     top = e
         w = (2 * top).bit_length()
+        base = self.base
         kx, cx = _packed(x, w), list(x.values())
-        if x is y:  # a square: each cross term once, its second factor doubled
-            cd = [add(c, c) for c in cx]
+        # One row per term of x: its packed monomial and coefficient, and the
+        # packed monomials and coefficients it pairs with.
+        if x is y:  # a square: row i pairs with terms i, i+1, ..., the later ones doubled
+            cd = [base.add(c, c) for c in cx]
+            rows = ((ka, ca, kx[i:], [ca, *cd[i + 1:]]) for i, (ka, ca) in enumerate(zip(kx, cx)))
         else:
             ky, cy = _packed(y, w), list(y.values())
+            rows = zip(kx, cx, repeat(ky), repeat(cy))
         acc: dict = {}
         get = acc.get
         cls = type(base)
         if cls is IntegerRing or cls is ModularRing:  # Z's sums and products, reduced once in _unpacked
-            if x is y:
-                for i, (ka, ca) in enumerate(zip(kx, cx)):
-                    for kb, cb in zip(kx[i:], [ca, *cd[i + 1:]]):
-                        k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
-            else:
-                for ka, ca in zip(kx, cx):
-                    for kb, cb in zip(ky, cy):
-                        k = ka + kb
-                        acc[k] = get(k, 0) + ca * cb
+            for ka, ca, ks, cs in rows:
+                for kb, cb in zip(ks, cs):
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
             return self._unpacked(acc, w, base.m if cls is ModularRing else 0)
-        if x is y:
-            for i, (ka, ca) in enumerate(zip(kx, cx)):
-                for kb, cb in zip(kx[i:], [ca, *cd[i + 1:]]):
-                    k = ka + kb
-                    c = get(k)
-                    acc[k] = mul(ca, cb) if c is None else add(c, mul(ca, cb))
-        else:
-            for ka, ca in zip(kx, cx):
-                for kb, cb in zip(ky, cy):
-                    k = ka + kb
-                    c = get(k)
-                    acc[k] = mul(ca, cb) if c is None else add(c, mul(ca, cb))
+        mul, add = base.mul, base.add
+        for ka, ca, ks, cs in rows:
+            for kb, cb in zip(ks, cs):
+                k = ka + kb
+                c = get(k)
+                acc[k] = mul(ca, cb) if c is None else add(c, mul(ca, cb))
         return self._unpacked(acc, w)
 
     def _unpacked(self, acc: dict, w: int, modulus: int | None = None) -> dict:

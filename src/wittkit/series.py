@@ -9,15 +9,24 @@ off one degree at a time.
 
 from __future__ import annotations
 
-from .errors import NotAUnit, SpecMismatch, UnsupportedRing
-from .rings import RingElement, SeriesRing
+from .errors import BudgetExceeded, NotAUnit, SpecMismatch, UnsupportedRing, WittkitError
+from .rings import PRECISION_BUDGET, RingElement, SeriesRing
 from .truncation import initial_segment
 from .witt import WittVector
 
 
+def _series_mod_next(base, n: int, name: str) -> SeriesRing:
+    """Series over `base` mod t^(n+1), the bounds checked on n, named `name`."""
+    if n < 0:
+        raise WittkitError(f"{name} must be >= 0: {n}")
+    if n >= PRECISION_BUDGET:
+        raise BudgetExceeded(f"{name} {n} exceeds the budget {PRECISION_BUDGET - 1}")
+    return SeriesRing(base, n + 1)
+
+
 def gamma(x: WittVector, precision: int) -> RingElement:
     """The series prod (1 - a_n t^n)^(-1) mod t^(precision+1)."""
-    ring = SeriesRing(x.ring, precision + 1)
+    ring = _series_mod_next(x.ring, precision, "precision")
     base = x.ring
     out = ring.one
     for n in x.tset.members:
@@ -40,7 +49,7 @@ def gamma_inverse(f: RingElement, length: int) -> WittVector:
     if not isinstance(ring, SeriesRing):
         raise SpecMismatch(f"gamma_inverse needs a series, got {ring}")
     S = initial_segment(length)
-    work = SeriesRing(ring.base, length + 1)
+    work = _series_mod_next(ring.base, length, "length")
     if ring.precision < length + 1:
         raise UnsupportedRing(
             f"need the series mod t^{length + 1}, have precision {ring.precision}"

@@ -170,6 +170,20 @@ def test_junk_json_never_escapes(case, junk):
     assert code == 0 or _named_error(code, out, err), (code, err[:200])
 
 
+ONE_PLUS_T = json.dumps({"spec": "series(Z,3)", "value": [1, 1, 0]})
+# gamma and gamma-inv work mod t^(n+1); their errors name the n given
+GAMMA_BOUNDS = {
+    "gamma-precision-negative": (("gamma", V2, "--precision", "-1"),
+                                 "WittkitError: precision must be >= 0: -1"),
+    "gamma-precision-at-budget": (("gamma", V2, "--precision", str(PRECISION_BUDGET)),
+                                  f"BudgetExceeded: precision {PRECISION_BUDGET} exceeds the budget "
+                                  f"{PRECISION_BUDGET - 1}"),
+    "gamma-inv-length-at-budget": (("gamma-inv", ONE_PLUS_T, "--length", str(PRECISION_BUDGET)),
+                                   f"BudgetExceeded: length {PRECISION_BUDGET} exceeds the budget "
+                                   f"{PRECISION_BUDGET - 1}"),
+}
+
+
 @pytest.mark.parametrize("env, argv, name, code", [
     ({}, ("witt", "teich", "1" * 4301, "--set", "{1}"), "BadJson", 2),
     ({}, ("witt", "ghost", '{"set":[1,2],"base":"Q","coords":{"1":"x","2":1}}'), "SpecMismatch", 1),
@@ -191,10 +205,11 @@ def test_junk_json_never_escapes(case, junk):
      "WittkitError", 1),
     ({}, ("witt", "teich", '[[[["x",1]],2],[[["x",1]],3]]', "--set", "{1}", "--ring", "Z[x]"),
      "SpecMismatch", 1),
+    *(({}, argv, line.split(":")[0], 1) for argv, line in GAMMA_BOUNDS.values()),
 ], ids=["json-integer-digits", "q-text", "q-list", "q-zero-denominator", "series-empty-object",
         "series-list", "series-spec-number", "set-divabc", "set-div", "set-seg1.5",
         "ring-bracket", "ceiling-env", "comonad-target-above-set", "from-ghost-huge-remainder",
-        "trials-zero", "poly-repeated-monomial"])
+        "trials-zero", "poly-repeated-monomial", *GAMMA_BOUNDS])
 def test_boundary_regressions(monkeypatch, tmp_path, env, argv, name, code):
     monkeypatch.setenv("WITTKIT_CACHE", str(tmp_path / "cache.txt"))
     for key, value in env.items():
@@ -202,6 +217,11 @@ def test_boundary_regressions(monkeypatch, tmp_path, env, argv, name, code):
     result = _run(list(argv))
     assert result[0] == code and result[1] == ""
     assert result[2].startswith(f"{name}:")
+
+
+@pytest.mark.parametrize("argv, line", GAMMA_BOUNDS.values(), ids=GAMMA_BOUNDS)
+def test_gamma_errors_name_the_value_given(argv, line):
+    assert _run(list(argv)) == (1, "", line + "\n")
 
 
 PRIME = str(2**61 - 1)  # its primality test by trial division takes minutes

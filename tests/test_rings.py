@@ -316,6 +316,11 @@ def assert_canonical(ring, payload):
 @example((MUL_RINGS[0][0], {((0, 7),): 1, (): 1}, {((0, 9),): 1, ((1, 1),): 1}))  # 7+9
 @example((MUL_RINGS[1][0], {((0, 1),): 4, ((1, 1),): 2}, {((0, 1),): 2, ((1, 1),): 1}))  # x is y: 2*(4*2) = 0
 @example((MUL_RINGS[0][0], {((1, 2),): 3}, {((0, 1),): 1, ((1, 1),): -1, (): 2}))  # a one-term operand
+@example((MUL_RINGS[2][0], {}, {((0, 2),): Fraction(1, 2), (): Fraction(-3, 4)}))  # a zero operand over Q
+@example((MUL_RINGS[2][0], {(): Fraction(2, 3)}, {((0, 2),): Fraction(3, 4), ((1, 1),): Fraction(1)}))  # a constant over Q
+@example((MUL_RINGS[3][0], {}, {((0, 1),): {((0, 1),): 2}, (): {(): -1}}))  # a zero operand over Z[w]
+@example((MUL_RINGS[3][0], {(): {((0, 3),): 1, (): 2}},  # a constant over Z[w]
+          {((0, 1),): {((0, 1),): 2}, ((2, 7),): {(): -1}}))
 def test_packed_product_matches_term_by_term(operands):
     ring, x, y = operands
     for a, b in ((x, y), (y, x), (x, x), (x, dict(x))):  # a square, then equal but distinct operands
@@ -351,6 +356,8 @@ X, Y = ((0, 1),), ((1, 1),)
 @example((PolynomialRing(ModularRing(4), MUL_VARS), {(): 2, X: 2}, {(): 2, Y: 2}))  # every coefficient 4 = 0
 @example((PolynomialRing(Z, MUL_VARS), {X: 1, Y: -1}, {X: 1, Y: 1}))  # (x-y)(x+y): the cross terms cancel
 @example((PolynomialRing(ModularRing(12), MUL_VARS), {X: 5}, {(): 7, X: 11, Y: 6}))  # a one-term operand
+@example((PolynomialRing(Z, MUL_VARS), {}, {(): 3, X: -2}))  # a zero operand
+@example((PolynomialRing(ModularRing(6), MUL_VARS), {(): 3}, {(): 5, X: 2, Y: 4}))  # a constant: 3*2 = 3*4 = 0
 def test_integer_coefficients_are_accumulated_as_in_the_schoolbook_product(operands):
     ring, x, y = operands
     for a, b in ((x, y), (x, x), (x, dict(x))):  # a square, then equal but distinct operands
@@ -377,7 +384,8 @@ def test_a_modular_subclass_multiplies_through_its_own_mul():
     target = CountingZ8()
     ring, plain = PolynomialRing(target, MUL_VARS), PolynomialRing(ModularRing(8), MUL_VARS)
     x, y = {(): 3, X: 5, Y: 7}, {X: 2, Y: 6}
-    for a, b, products in ((x, y, 6), (x, x, 6)):  # 3x2 term pairs; a square of 3 terms, each cross term once
+    # 3x2 term pairs; a square of 3 terms, each cross term once; 1x3 term pairs; a zero operand
+    for a, b, products in ((x, y, 6), (x, x, 6), ({Y: 3}, x, 3), ({}, x, 0)):
         target.muls = 0
         assert ring.mul(a, b) == plain.mul(a, b)
         assert target.muls == products
