@@ -535,6 +535,8 @@ def check_comonad(
     nested_ring = WittRing(ring, S)
 
     def law_counit():
+        if 1 not in T:  # T is empty: W_T(W_S) has no coordinate at 1, so no counit
+            return
         for x in pool:
             first = WittVector(S, ring, ops.delta(x, T).coord(1))
             yield first, x, "counit", x, first

@@ -387,10 +387,12 @@ class EvalProgram:
     `run` refuses `values` without a value for every name, then calls
     `ints` if it is set, the closure that `compile_int_program` gives a
     program that runs on plain ints, and otherwise interprets the program
-    through the target's add and mul.
+    through the target's add and mul.  The check compares the frozenset
+    `needed` of the names with the keys of `values`, and lists the missing
+    names, in the order of `names`, only to raise.
     """
 
-    __slots__ = ("target", "powers", "links", "outputs", "names", "ints")
+    __slots__ = ("target", "powers", "links", "outputs", "names", "needed", "ints")
 
     def __init__(self, target: Ring, powers: tuple, links: tuple, outputs: tuple, names: tuple):
         self.target = target
@@ -398,11 +400,12 @@ class EvalProgram:
         self.links = links
         self.outputs = outputs
         self.names = names
+        self.needed = frozenset(names)
         self.ints = None
 
     def run(self, values: dict) -> list:
-        missing = [name for name in self.names if name not in values]
-        if missing:
+        if not values.keys() >= self.needed:
+            missing = [name for name in self.names if name not in values]
             raise MissingVariable(f"no value for {missing}")
         if self.ints is not None:
             return self.ints(values)
@@ -891,51 +894,61 @@ Q = RationalRing()
 # a sum, so an expression past SPILL_CHARS is stored in a temporary slot.
 UNIT_CHARS = 4096
 SPILL_CHARS = 600
+# A Z/m program reduces its products mod m only for m below this: CPython
+# stores an int in 30-bit digits, and `%` by a one-digit divisor is fast.
+SMALL_MODULUS = 1 << 30
 
 
 class _Source:
     """Statements `s[i]=<expr>` on the slot list s, compiled into functions (s, M) of at most UNIT_CHARS each.
 
-    An expression holds slot numbers and int literals only; `fresh` slots,
-    past the program's own, hold the outputs and what an expression longer
-    than SPILL_CHARS spills.
+    An expression is a pair (text, bound): the text holds slot numbers and
+    int literals only, and the bound is an upper bound on its value.
+    `fresh` slots, past the program's own, hold the outputs and what an
+    expression longer than SPILL_CHARS spills.  A product whose bound
+    reaches `limit` (never if None) is reduced by `op`, `&M` or `%M`, and
+    its bound is then `top`.
     """
 
-    def __init__(self, fresh: int, masked: bool):
+    def __init__(self, fresh: int, op: str, limit: int | None, top: int):
         self.fresh = fresh
-        self.mask = "&M" if masked else ""
+        self.op, self.limit, self.top = op, limit, top
         self.units: list = []
         self.lines: list[str] = []
         self.chars = 0
 
-    def put(self, slot: int, expr: str):
-        line = f" s[{slot}]={expr}\n"
+    def put(self, slot: int, text: str):
+        line = f" s[{slot}]={text}\n"
         if self.chars + len(line) > UNIT_CHARS:
             self.flush()
         self.lines.append(line)
         self.chars += len(line)
 
-    def store(self, expr: str) -> int:
-        """A fresh slot holding `expr`."""
+    def store(self, text: str) -> int:
+        """A fresh slot holding `text`."""
         slot, self.fresh = self.fresh, self.fresh + 1
-        self.put(slot, expr)
+        self.put(slot, text)
         return slot
 
-    def bounded(self, expr: str) -> str:
-        return f"s[{self.store(expr)}]" if len(expr) > SPILL_CHARS else expr
+    def bounded(self, text: str) -> str:
+        return f"s[{self.store(text)}]" if len(text) > SPILL_CHARS else text
 
-    def total(self, terms) -> str | None:
+    def total(self, terms) -> tuple | None:
         """The sum of `terms`, None for none."""
         expr = None
-        for term in terms:
-            expr = term if expr is None else self.bounded(f"{expr}+{term}")
+        for text, bound in terms:
+            expr = (text, bound) if expr is None else (self.bounded(f"{expr[0]}+{text}"), expr[1] + bound)
         return expr
 
-    def product(self, a: str, b: str) -> str:
-        """a * b, masked over series; a is one slot or literal, b may be a sum."""
-        if "+" in b:
-            b = f"({b})"
-        return self.bounded(f"({a}*{b}{self.mask})" if self.mask else f"{a}*{b}")
+    def product(self, a: tuple, b: tuple) -> tuple:
+        """a * b, reduced if its bound reaches the limit; a is one slot or literal, b may be a sum."""
+        (x, u), (y, v) = a, b
+        if "+" in y:
+            y = f"({y})"
+        bound = u * v
+        if self.limit is not None and bound >= self.limit:
+            return self.bounded(f"({x}*{y}{self.op})"), self.top
+        return self.bounded(f"{x}*{y}"), bound
 
     def flush(self):
         if self.lines:
@@ -946,37 +959,52 @@ class _Source:
             self.lines, self.chars = [], 0
 
 
-def _straight_line(program: EvalProgram, masked: bool):
+def _straight_line(program: EvalProgram, op: str, limit: int | None):
     """The function line(values, M) that runs `program`, compiled for Z/m, on ints as generated Python.
 
     It fills a list of the slots: one statement per power slot and per
     link, then one per output, the sum of its rows, where a row is
     s[low] * (c * (s[p] + s[q] + ...) + ...) with the constants c as int
-    literals, and with `masked` each product is (a * b & M).  The
-    statements run in units of at most UNIT_CHARS of source, all on the
-    same list (`line.units`), and line returns the list of the outputs'
-    values.
+    literals.  Each expression carries a bound on its value, taking every
+    input below m: a slot's bound is m - 1 for an input, and a sum's or a
+    product's is the sum or the product of its operands' bounds.  A
+    product whose bound reaches `limit` is reduced, (a * b & M) for op
+    `&M` and (a * b % M) for op `%M`, and then has the bound m - 1; with
+    limit 0 every product is, with None none.  The statements run in
+    units of at most UNIT_CHARS of source, all on the same list
+    (`line.units`), and line returns the list of the outputs' values.
     """
     n = 1 + sum(top for _, top in program.powers)
-    src, inputs = _Source(n + len(program.links), masked), []
-    slot = 1
-    for name, top in program.powers:
-        inputs.append((name, slot))
-        for i in range(slot + 1, slot + top):
-            src.put(i, src.product(f"s[{i - 1}]", f"s[{slot}]"))
-        slot += top
+    top = program.target.m - 1
+    src, inputs, bounds = _Source(n + len(program.links), op, limit, top), [], [1]
+
+    def slot(i):
+        return f"s[{i}]", bounds[i]
+
+    def put_product(i, a, b):
+        text, bound = src.product(slot(a), slot(b))
+        src.put(i, text)
+        bounds.append(bound)
+
+    for name, k in program.powers:
+        first = len(bounds)
+        inputs.append((name, first))
+        bounds.append(top)
+        for i in range(first + 1, first + k):
+            put_product(i, i - 1, first)
     for i, (a, b) in enumerate(program.links, n):
-        src.put(i, src.product(f"s[{a}]", f"s[{b}]"))
+        put_product(i, a, b)
 
     def group(c, parts):
-        acc = src.total(f"s[{p}]" for p in parts)
-        return acc if c is None else src.product(f"{c:d}", acc)
+        acc = src.total(map(slot, parts))
+        return acc if c is None else src.product((f"{c:d}", c), acc)
 
     def row(low, groups):
         acc = src.total(group(c, parts) for c, parts in groups)
-        return src.product(f"s[{low}]", acc) if low else acc
+        return src.product(slot(low), acc) if low else acc
 
-    outs = [src.store(src.total(row(low, groups) for low, groups in rows) or "0") for rows in program.outputs]
+    outs = [src.store((src.total(row(low, groups) for low, groups in rows) or ("0", 0))[0])
+            for rows in program.outputs]
     src.flush()
     units, size, one = tuple(src.units), src.fresh, program.target.one
 
@@ -1052,7 +1080,17 @@ def compile_int_program(variables: tuple, outputs: list, ring: Ring, split: int 
 
     `ints` encodes each input as one int, runs the function and decodes
     each output.  Over Z/m an input is its residue and an output is reduced
-    mod m.  A series or polynomial payload with coefficients c_0, c_1, ...
+    mod m.  Reduction Z -> Z/m is a ring map, so any product may be reduced
+    mod m on the way without changing an output mod m.  For m below
+    SMALL_MODULUS = 2^30, a product is reduced, (a * b % M) with M = m,
+    once its bound reaches m^2, the bound taking every input at most m - 1,
+    so no value outgrows m^2 times the length of a sum, where without it
+    the div24 families carry ints of many digits.  Reducing every product
+    instead made Z/2 and moduli from 2^30 up slower: a product below m^2
+    is still a small int, and `%` by a divisor of two or more digits costs
+    more than the digits it saves.
+
+    A series or polynomial payload with coefficients c_0, c_1, ...
     in [0, m) is the int sum of c_i * 2^(B*i), B = 8*width (Kronecker
     substitution t -> 2^B).  The inputs and constants are residues, so a
     run computes P(f_1, ..., f_n) at t = 2^B for an integer polynomial P
@@ -1078,14 +1116,14 @@ def compile_int_program(variables: tuple, outputs: list, ring: Ring, split: int 
     cls = type(ring)
     base = ring if cls is ModularRing else ring.base
     program = compile_program(variables, outputs, base, split)
-    series = cls is not ModularRing and cls is not PolynomialRing
-    line, m, names = _straight_line(program, series), base.m, program.names
+    m, names = base.m, program.names
     if cls is ModularRing:
+        line = _straight_line(program, "%M", m * m if m < SMALL_MODULUS else None)
 
         def ints(values):
-            return [n % m for n in line(values, -1)]
-    elif series:
-        k = ring.precision
+            return [n % m for n in line(values, m)]
+    elif cls is not PolynomialRing:
+        line, k = _straight_line(program, "&M", 0), ring.precision
         width = _byte_width([m - 1, *line(dict.fromkeys(names, k * (m - 1)), -1)])
         mask = (1 << 8 * width * k) - 1
 
@@ -1093,6 +1131,7 @@ def compile_int_program(variables: tuple, outputs: list, ring: Ring, split: int 
             out = line({name: _to_int(values[name], width) for name in names}, mask)
             return [tuple([c % m for c in _to_digits(n & mask, width, k)]) for n in out]
     else:
+        line = _straight_line(program, "", None)
 
         def ints(values):
             lists = {}

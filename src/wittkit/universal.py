@@ -549,7 +549,11 @@ def default_cache_path() -> str | None:
 
 
 def default_source() -> PolySource:
+    """The process-wide PolySource, created on first use: once set, it is read without the lock."""
     global _default_source
+    source = _default_source
+    if source is not None:
+        return source
     with _default_lock:
         if _default_source is None:
             _default_source = PolySource(cache_path=default_cache_path())

@@ -275,13 +275,19 @@ def _check_match(x: WittVector, y: WittVector):
         raise SpecMismatch(f"base rings differ: {x.ring} vs {y.ring}")
 
 
+_default_source_fn = None  # universal.default_source, imported on first use: universal runs this kernel
+
+
 def _source(source: PolySource | None) -> PolySource:
     """`source`, or the process-wide default PolySource."""
     if source is not None:
         return source
-    from .universal import default_source  # deferred: universal runs this kernel
+    global _default_source_fn
+    if _default_source_fn is None:
+        from .universal import default_source
 
-    return default_source()
+        _default_source_fn = default_source
+    return _default_source_fn()
 
 
 def witt_add(x: WittVector, y: WittVector, strategy: str = "auto", source: PolySource | None = None) -> WittVector:

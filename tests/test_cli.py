@@ -142,6 +142,16 @@ def test_laws_verb(capsys):
     assert report["passed"] is True and report["seed"] == 3
 
 
+@pytest.mark.parametrize("args", [("--set", "{}", "--trials", "1"), ("--set", "div4", "--target", "{}")])
+def test_comonad_suite_passes_over_an_empty_target(capsys, args):
+    # the target defaults to the set: over an empty target there is no counit to check
+    code, out, _ = run(capsys, "laws", "check", "--suite", "comonad", *args, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert {law["name"]: law["checked"] for law in report["laws"]}["counit"] == 0
+
+
 def test_laws_json_flag_is_format_json(capsys, monkeypatch):
     monkeypatch.setattr("wittkit.laws.time.monotonic", lambda: 0.0)  # elapsed_s reads 0
     args = ("laws", "check", "--suite", "wittring", "--set", "div4", "--trials", "5")

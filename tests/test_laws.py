@@ -120,6 +120,14 @@ def test_comonad_trivial_target():
     assert report.passed, report.summary()
 
 
+@pytest.mark.parametrize("S", ["{}", "div4"])
+def test_comonad_empty_target_has_no_counit_to_check(S):
+    S = parse_truncation_set(S)
+    report = check_comonad(S, truncation_set([]), Z, trials=3, seed=7)
+    assert report.passed, report.summary()
+    assert {r.name: r.checked for r in report.results}["counit"] == 0
+
+
 def test_the_suite_budget_counts_the_trials():
     # criterion 02 and 08, and the ring and comonad runs of the cli_mix benchmark
     for ring in (Z, ModularRing(8), ModularRing(9), SeriesRing(ModularRing(2), 3)):

@@ -33,7 +33,7 @@ from wittkit.rings import (
     runs_on_ints,
 )
 from wittkit.truncation import divisors_of, parse_truncation_set
-from wittkit.witt import WittVector, frobenius, teichmuller, witt_add, witt_mul
+from wittkit.witt import WittVector, delta_component, frobenius, teichmuller, witt_add, witt_mul, witt_neg
 from wittkit.universal import (
     _CACHE_HEADER,
     DEFAULT_CEILING,
@@ -302,9 +302,49 @@ def test_int_carrier_families_evaluate_each_key_as_term_by_term(kind, S, op, dat
         assert len(closure_cells(program)["line"].cell_contents.units) > 10
 
 
+# Moduli on both sides of rings.SMALL_MODULUS: below it a Z/m program
+# reduces a product mod m once the product's bound reaches m^2, from it never
+REDUCED_MODULI = (2, 3, 8, 9, 1000003, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.mark.parametrize("sset", ["div12", "div24"])
+@pytest.mark.parametrize("m", REDUCED_MODULI)
+def test_z_mod_m_programs_agree_with_lift(m, sset):
+    ring, S, rng = ModularRing(m), parse_truncation_set(sset), random.Random(m)
+    # the first coordinate at its largest residue, the rest drawn from all of them
+    x, y = (WittVector(S, ring, (m - 1, *(rng.randrange(m) for _ in S.members[1:]))) for _ in "xy")
+    for op in (witt_add, witt_mul):
+        assert op(x, y, "universal", INT_SOURCE) == op(x, y, "lift")
+    assert witt_neg(x, "universal", INT_SOURCE) == witt_neg(x, "lift")
+    for n in (2, 3):
+        assert frobenius(n, x, "universal", INT_SOURCE) == frobenius(n, x, "lift")
+        assert delta_component(n, x, "universal", INT_SOURCE) == delta_component(n, x, "lift")
+    assert INT_SOURCE._programs["prod", 0, S, ModularRing, ring, True].ints is not None
+
+
+@pytest.mark.parametrize("m", [8, 1000003])
+def test_z_mod_m_polynomial_programs_reduce_no_product(m):
+    # reducing a Kronecker int mod m is no ring map: a dense Z/m[x] program runs unreduced
+    ring, S, rng = PolynomialRing(ModularRing(m), ["x"]), divisors_of(12), random.Random(m)
+    x, y = (WittVector(S, ring, tuple({(): m - 1, ((0, 1),): rng.randrange(1, m)} for _ in S.members))
+            for _ in "xy")
+    for op in (witt_add, witt_mul):
+        assert op(x, y, "universal", INT_SOURCE) == op(x, y, "lift")
+    assert INT_SOURCE._programs["prod", 0, S, PolynomialRing, ring, True].ints is not None
+
+
 def closure_cells(program) -> dict:
     """The cells of the variables that the `ints` closure of an int program holds, by name."""
     return dict(zip(program.ints.__code__.co_freevars, program.ints.__closure__))
+
+
+def assert_names_what_is_missing(program, values):
+    """`program.run` refuses values missing any names and lists exactly those, in the order of `names`."""
+    names = program.names
+    for drop in ([names[0]], [names[-1]], names[::2], names[1::2], names[:0:-1], names, *([n] for n in names)):
+        with pytest.raises(MissingVariable) as refused:
+            program.run({name: value for name, value in values.items() if name not in drop})
+        assert str(refused.value) == f"no value for {[name for name in names if name in drop]}"
 
 
 @pytest.mark.parametrize("spec", ["Z/8", "series(Z/8,3)", "sz(Z/8)", "Z/8[x]"])
@@ -315,14 +355,26 @@ def test_int_programs_check_every_variable(spec):
     kept = src._programs["prod", 0, S, type(ring), ring, True]
     values = dict.fromkeys(kept.names, ring.one)
     assert kept.ints is not None and kept.run(values) == list(src.vector("prod", 0, S, x, x).coords)
-    for name in kept.names:
-        with pytest.raises(MissingVariable):
-            kept.run({other: value for other, value in values.items() if other != name})
+    assert_names_what_is_missing(kept, {**values, "c1": ring.one})
     # a1 occurs only in a term whose coefficient vanishes mod 8, so no statement reads it
     program = compile_int_program(("a1", "a2"), [({((0, 1),): 8, ((1, 2),): 3}, range(2))], ring)
     with pytest.raises(MissingVariable):
         program.run({"a2": ring.one})
     assert program.run({"a1": ring.one, "a2": ring.one}) == [ring.of_int(3)]
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/3[x]"])
+def test_loop_programs_check_every_variable(spec):
+    # the ring's own program: Z/3[x] at a sparse coordinate
+    ring, S, src = parse_ring(spec), divisors_of(6), PolySource()
+    value = {(): 1, ((0, 100),): 1} if spec == "Z/3[x]" else ring.one
+    x = WittVector(S, ring, (value,) * len(S))
+    src.vector("prod", 0, S, x, x)
+    kept = src._programs["prod", 0, S, type(ring), ring, False]
+    values = dict.fromkeys(kept.names, value)
+    want = witt_mul(x, x, "lift" if spec == "Z/3[x]" else "ghost")
+    assert kept.ints is None and kept.run(values) == list(want.coords)
+    assert_names_what_is_missing(kept, {**values, "c1": value})
 
 
 def test_a_carrier_compiles_in_bounded_units():
