@@ -32,16 +32,17 @@ source of every dyadic correction term.
 
 DrwComplex bundles the operations behind overridable structure-constant
 hooks so that law suites can be run against deliberately broken
-variants; the module-level functions delegate to a default instance.
-An instance reads its hooks at most once per set and index pair: its
-entry for (m, n) is the tuple of (position, factor) pairs of V_m e * dV_n e
-or of F_m dV_n e from the formulas above, and the row kernels of
-wittint.RowTable keep it in the slot of n in the row of (S, m) and apply
-it; the degree-0 parts go through the basis maps of wittint, which also
-refuse operands over the wrong sets.  V_m spreads its coefficients
-with wittint.verschiebung_spread, as verschiebung_basis does.  The rows
-live in a table of the instance with a bounded budget, so one
-instance's constants never serve another.
+variants; the module-level functions delegate to a default instance,
+DEFAULT.  An instance reads its hooks at most once per set and index
+pair: its entry for (m, n) is the tuple of (position, factor) pairs of
+V_m e * dV_n e or of F_m dV_n e from the formulas above, and the row of
+(S, m) is one generated function, built from the entries for every n in
+S by wittint.RowTable (see wittint), that adds them all, scaled by the
+coefficients it is given; the degree-0 parts go through the basis maps
+of wittint, which also refuse operands over the wrong sets.  V_m
+spreads its coefficients with wittint.verschiebung_spread, as
+verschiebung_basis does.  The rows live in a table of the instance with
+a bounded budget, so one instance's constants never serve another.
 
 The CLI generator table takes time about like |S|^3, so it is refused
 past TABLE_BUDGET members; a set at the budget takes about 2 s.
@@ -208,8 +209,9 @@ class DrwComplex:
     Subclasses used in mutation testing may override _crt_value or
     _curly; everything else routes through these two hooks.  The hooks
     are read once per set and (m, n) pair, by _mul_entry or
-    _frobenius_entry when the kernels of the instance's RowTable fill the
-    slot of n in the row of (S, m); mul and frobenius then index rows.
+    _frobenius_entry when the instance's RowTable builds the row of
+    (S, m) from the entries of every n in S; mul and frobenius then run
+    the compiled rows.
     """
 
     def __init__(self):
@@ -283,31 +285,31 @@ class DrwComplex:
         return DrwElement(S, basis_zero(S), raw)
 
 
-_DEFAULT = DrwComplex()
+DEFAULT = DrwComplex()
 
 
 def drw_mul(x: DrwElement, y: DrwElement) -> DrwElement:
-    return _DEFAULT.mul(x, y)
+    return DEFAULT.mul(x, y)
 
 
 def drw_d(x: DrwElement) -> DrwElement:
-    return _DEFAULT.d(x)
+    return DEFAULT.d(x)
 
 
 def drw_frobenius(m: int, x: DrwElement) -> DrwElement:
-    return _DEFAULT.frobenius(m, x)
+    return DEFAULT.frobenius(m, x)
 
 
 def drw_verschiebung(m: int, x: DrwElement, S: TruncationSet) -> DrwElement:
-    return _DEFAULT.verschiebung(m, x, S)
+    return DEFAULT.verschiebung(m, x, S)
 
 
 def drw_restrict(T: TruncationSet, x: DrwElement) -> DrwElement:
-    return _DEFAULT.restrict(T, x)
+    return DEFAULT.restrict(T, x)
 
 
 def dlog_minus_one(S: TruncationSet) -> DrwElement:
-    return _DEFAULT.dlog_minus_one(S)
+    return DEFAULT.dlog_minus_one(S)
 
 
 def generator_tables(S: TruncationSet) -> dict:

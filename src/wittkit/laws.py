@@ -16,7 +16,9 @@ counterexample, so deliberately broken implementations can be exercised.
 
 The suites accept the implementation as a parameter (a DrwComplex for
 the graded complex, a WittOps bundle for the comonad and ring suites),
-which is how mutation tests plug in sabotaged variants.
+which is how mutation tests plug in sabotaged variants.  Without one,
+the complex suite runs on drwz.DEFAULT, the instance behind the module's
+functions, so the rows it compiles serve every later run in the process.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 
 from .drwz import (
+    DEFAULT,
     DrwComplex,
     DrwElement,
     crt_bracket,
@@ -223,7 +226,7 @@ def check_witt_complex(
     """Axioms of the graded complex plus its derived identities over S."""
     if len(S) > COMPLEX_BUDGET:
         raise BudgetExceeded(f"{len(S)} members exceed the wittcomplex budget {COMPLEX_BUDGET}")
-    ops = ops or DrwComplex()
+    ops = ops or DEFAULT
     rng = random.Random(seed)
     runner = _Runner("wittcomplex", S, trials, seed)
     pool = [_random_drw(S, rng) for _ in range(trials)]

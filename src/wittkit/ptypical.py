@@ -13,7 +13,7 @@ unit; tau_iso tabulates this bijection and exposes both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import BudgetExceeded, NotInvertible, SetMismatch, WittkitError
 from .rings import ModularRing, Ring
@@ -68,7 +68,14 @@ def idempotents(S: TruncationSet, p: int, ring: Ring) -> dict[int, WittVector]:
     for k in I:
         if not _invertible(k, ring):
             raise NotInvertible(f"{k} is not a unit in {ring}")
-    return {k: _idempotent(k, I, S, ring) for k in I}
+    return dict(_idempotents(S, p, type(ring), ring))
+
+
+@lru_cache(maxsize=64)  # read by every decomposition; the checks above run first, on every call
+def _idempotents(S: TruncationSet, p: int, kind: type, ring: Ring) -> tuple:
+    """The pairs (k, e_k), k in I(S), over a ring of class `kind` where every k is a unit."""
+    I = prime_to_p_part(S, p)
+    return tuple((k, _idempotent(k, I, S, ring)) for k in I)
 
 
 def _idempotent(k: int, I: list[int], S: TruncationSet, ring: Ring) -> WittVector:

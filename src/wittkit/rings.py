@@ -25,7 +25,9 @@ values are treated as immutable; operations are pure functions, so every
 ring is safe to share between threads.
 
 A program for Z/m, series(Z/m,k), sz(Z/m) or dense Z/m[x] runs on plain
-ints by Kronecker substitution (`compile_int_program`).
+ints by Kronecker substitution (`compile_int_program`), as generated
+Python; the rows of structure constants of wittint and drwz are
+generated on the same units (`compile_row`).
 
 The RingElement wrapper pairs a payload with its ring and overloads the
 arithmetic operators; it is the type used at API boundaries (CLI, JSON).
@@ -899,7 +901,46 @@ SPILL_CHARS = 600
 SMALL_MODULUS = 1 << 30
 
 
-class _Source:
+class _Units:
+    """Statements compiled into functions of `params`, at most UNIT_CHARS of source each."""
+
+    def __init__(self, params: str):
+        self.params = params
+        self.head = f"def unit({params}):\n"
+        self.units: list = []
+        self.lines: list[str] = []
+        self.chars = len(self.head)
+
+    def line(self, statement: str):
+        line = f" {statement}\n"
+        if self.chars + len(line) > UNIT_CHARS:
+            self.flush()
+        self.lines.append(line)
+        self.chars += len(line)
+
+    def flush(self):
+        if self.lines:
+            self.units.append(_function(self.head + "".join(self.lines)))
+            self.lines, self.chars = [], len(self.head)
+
+    def function(self):
+        """One function of the params that runs every unit in turn: the unit itself if there is one."""
+        self.flush()
+        if len(self.units) == 1:
+            return self.units[0]
+        calls = "".join(f" u{i}({self.params})\n" for i in range(len(self.units)))
+        return _function(f"def run({self.params}):\n{calls or ' pass'}\n",
+                         {f"u{i}": unit for i, unit in enumerate(self.units)})
+
+
+def _function(source: str, names: dict | None = None):
+    """The one function that `source` defines, seeing `names` and no builtins."""
+    scope: dict = {}
+    exec(compile(source, "<wittkit program>", "exec"), {"__builtins__": {}, **(names or {})}, scope)
+    return scope.popitem()[1]
+
+
+class _Source(_Units):
     """Statements `s[i]=<expr>` on the slot list s, compiled into functions (s, M) of at most UNIT_CHARS each.
 
     An expression is a pair (text, bound): the text holds slot numbers and
@@ -911,18 +952,12 @@ class _Source:
     """
 
     def __init__(self, fresh: int, op: str, limit: int | None, top: int):
+        super().__init__("s, M")
         self.fresh = fresh
         self.op, self.limit, self.top = op, limit, top
-        self.units: list = []
-        self.lines: list[str] = []
-        self.chars = 0
 
     def put(self, slot: int, text: str):
-        line = f" s[{slot}]={text}\n"
-        if self.chars + len(line) > UNIT_CHARS:
-            self.flush()
-        self.lines.append(line)
-        self.chars += len(line)
+        self.line(f"s[{slot}]={text}")
 
     def store(self, text: str) -> int:
         """A fresh slot holding `text`."""
@@ -950,13 +985,27 @@ class _Source:
             return self.bounded(f"({x}*{y}{self.op})"), self.top
         return self.bounded(f"{x}*{y}"), bound
 
-    def flush(self):
-        if self.lines:
-            scope: dict = {}
-            exec(compile("def unit(s, M):\n" + "".join(self.lines), "<wittkit program>", "exec"),
-                 {"__builtins__": {}}, scope)
-            self.units.append(scope["unit"])
-            self.lines, self.chars = [], 0
+
+def compile_row(sums: dict):
+    """The function row(c, y, a) that adds c * (the sum of sums[t]) to a[t] for each t, as generated Python.
+
+    A term is the source of an int expression in the list y, such as
+    `3*y[5]`.  The statements run in units of at most UNIT_CHARS of source
+    (`_Units`), and a sum longer than SPILL_CHARS is split over several
+    statements on a[t], which holds the part already added.
+    """
+    src = _Units("c, y, a")
+    for t, terms in sums.items():
+        part: list[str] = []
+        chars = 0
+        for term in terms:
+            if part and chars + len(term) > SPILL_CHARS:
+                src.line(f"a[{t}]+=c*({'+'.join(part)})")
+                part, chars = [], 0
+            part.append(term)
+            chars += len(term) + 1
+        src.line(f"a[{t}]+=c*({'+'.join(part)})")
+    return src.function()
 
 
 def _straight_line(program: EvalProgram, op: str, limit: int | None):

@@ -14,16 +14,19 @@ Frobenius, Verschiebung and restriction act on generators by
     R_T V_n([1]) = V_n([1]) if n in T else 0
 
 and extend linearly.  Each map reads its constants from rows of a table
-(see RowTable): the row of (kind, S, m) has a slot per generator position,
-filled with the entry of (m, n) the first time a nonzero coefficient at n
-needs it; truncation sets are interned, so the key hashes S by identity,
-and the maps check operand sets with `is`.  An entry is a tuple of
-(position, factor) pairs.  Two kernels
-apply the rows, here and in the graded complex (drwz): `bilinear` adds
-x_m * y_n * factor at each position of the entry of (m, n), and `linear`
-adds x_n * factor for a fixed m.  The Teichmuller representative of an
-integer m expands with necklace coefficients
-(1/n) * sum over d|n of mu(d)*m^(n/d).
+(see RowTable).  The entry of (m, n) is a tuple of (position, factor)
+pairs; the row of (kind, S, m) is one generated function row(c, y, a),
+built the first time it is needed from the entries of (m, n) for every
+n in S (`rings.compile_row`), that adds c * y_n * factor at each
+position of each entry.  Truncation sets are interned, so the key hashes
+S by identity, and the maps check operand sets with `is`.  Two kernels
+run the rows, here and in the graded complex (drwz): `bilinear` runs the
+row of each m with x_m nonzero on y, scaled by x_m, and `linear` runs
+the row of a fixed m once, scaled by 1.  A row is charged its number of
+terms plus one against the table's budget.
+
+The Teichmuller representative of an integer m expands with necklace
+coefficients (1/n) * sum over d|n of mu(d)*m^(n/d).
 
 Formal 1-forms sum terms a*db with both sides basis elements; the
 divided Frobenius maps them using the comonad components of b.
@@ -38,7 +41,7 @@ from operator import add, neg
 
 from .errors import NotDivisible, NotSubset, SetMismatch, SpecMismatch, WittkitError
 from .numtheory import binary_power, divisors, mobius
-from .rings import Z, json_int
+from .rings import Z, compile_row, json_int
 from .truncation import Immutable, TruncationSet
 from .witt import (
     GhostVector,
@@ -59,58 +62,55 @@ _set = object.__setattr__  # the constructors' one way past the immutable __seta
 class RowTable:
     """Rows of structure constants keyed by (kind, set, index), under a budget.
 
-    A row has one slot per generator position; the rows kept have at most
-    `budget` slots in all, and the oldest rows go first, so a long-lived
-    table that sees many sets or many indices stays bounded.  The kernels
-    fill a slot, one pair at a time, with a tuple of (position, factor) pairs.
+    A row is built on first use and charged its number of terms plus one;
+    the rows kept are charged at most `budget` in all, and the oldest rows
+    go first, so a long-lived table that sees many sets or many indices
+    stays bounded.  The kernels keep compiled rows (`_compiled_row`).
     """
 
     def __init__(self, budget: int = ROW_BUDGET):
         self.budget = budget
         self.entries = 0
-        self._rows: OrderedDict = OrderedDict()
+        self._rows: OrderedDict = OrderedDict()  # key -> (row, charge)
 
-    def row(self, key, size: int) -> list:
-        """The row under key; a new one has `size` slots, each None until its caller fills it."""
-        row = self._rows.get(key)
-        if row is None:
-            row = [None] * size
-            if size <= self.budget:
-                while self.entries + size > self.budget:
-                    self.entries -= len(self._rows.popitem(last=False)[1])
-                self._rows[key] = row
-                self.entries += size
-        return row
+    def row(self, key, build, *args):
+        """The row under key; a new one is build(*args), which returns the row and its charge."""
+        return (self._rows.get(key) or self.add(key, build(*args)))[0]
+
+    def add(self, key, kept: tuple) -> tuple:
+        """Keep the pair (row, charge) under key, evicting the oldest rows to stay in budget; return it."""
+        charge = kept[1]
+        if charge <= self.budget:
+            while self.entries + charge > self.budget:
+                self.entries -= self._rows.popitem(last=False)[1][1]
+            self._rows[key] = kept
+            self.entries += charge
+        return kept
 
     def bilinear(self, kind: str, S: TruncationSet, entry, xs, ys, acc):
-        """For nonzero xs[i] and ys[j], add xs[i]*ys[j]*f at t for each (t, f) of
-        entry(S, m_i, m_j), kept in slot j of the row of (kind, S, m_i)."""
-        members = S.members
-        ys = [(j, c) for j, c in enumerate(ys) if c]
-        if not ys:
-            return
-        for m, cm in zip(members, xs):
-            if cm:
-                row = self.row((kind, S, m), len(members))
-                for j, cn in ys:
-                    pairs = row[j]
-                    if pairs is None:
-                        pairs = row[j] = entry(S, m, members[j])
-                    for t, f in pairs:
-                        acc[t] += cm * cn * f
+        """For nonzero xs[i], add xs[i] * ys[j] * f at t for each (t, f) of entry(S, m_i, m_j),
+        by the row of (kind, S, m_i)."""
+        if any(ys):
+            rows = self._rows
+            for m, c in zip(S.members, xs):
+                if c:
+                    key = (kind, S, m)
+                    (rows.get(key) or self.add(key, _compiled_row(S, m, S, entry)))[0](c, ys, acc)
 
     def linear(self, kind: str, S: TruncationSet, m: int, T: TruncationSet, entry, xs, acc):
-        """For nonzero xs[j], add xs[j]*f at t for each (t, f) of entry(T, m, m_j),
-        m_j in S, kept in slot j of the row of (kind, S, m)."""
-        members = S.members
-        row = self.row((kind, S, m), len(members))
-        for j, c in enumerate(xs):
-            if c:
-                pairs = row[j]
-                if pairs is None:
-                    pairs = row[j] = entry(T, m, members[j])
-                for t, f in pairs:
-                    acc[t] += c * f
+        """Add xs[j] * f at t for each (t, f) of entry(T, m, m_j), m_j in S, by the row of (kind, S, m)."""
+        if any(xs):
+            self.row((kind, S, m), _compiled_row, S, m, T, entry)(1, xs, acc)
+
+
+def _compiled_row(S: TruncationSet, m: int, T: TruncationSet, entry) -> tuple:
+    """The row of (S, m) and its charge: row(c, y, a) adds c * y[j] * f to a[t] for each
+    (t, f) of entry(T, m, m_j), m_j in S, as one generated function (`compile_row`)."""
+    sums: dict = {}
+    for j, n in enumerate(S.members):
+        for t, f in entry(T, m, n):
+            sums.setdefault(t, []).append(f"y[{j}]" if f == 1 else f"{f}*y[{j}]")
+    return compile_row(sums), 1 + sum(map(len, sums.values()))
 
 
 _TABLE = RowTable()
@@ -129,13 +129,16 @@ def _frobenius_entry(T: TruncationSet, m: int, n: int) -> tuple:
     return ((T.index(n // g), g),) if n // g in T else ()
 
 
+def _spread(S: TruncationSet, m: int, T: TruncationSet) -> tuple:
+    """The positions of m*n in S, n in T, and their charge."""
+    positions = [S.index(m * n) for n in T.members]
+    return positions, 1 + len(positions)
+
+
 def verschiebung_spread(m: int, T: TruncationSet, S: TruncationSet, xs) -> list:
     """xs, aligned with T = S/m, copied to the positions of m*n in S; zero elsewhere."""
-    row = _TABLE.row(("versch", S, m), len(T.members))
-    if row and row[0] is None:  # V_m reads every slot, so all are filled at once
-        row[:] = [S.index(m * n) for n in T.members]
     out = [0] * len(S.members)
-    for t, c in zip(row, xs):
+    for t, c in zip(_TABLE.row(("versch", S, m), _spread, S, m, T), xs):
         out[t] = c
     return out
 

@@ -1,11 +1,13 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittkit import rings
 from wittkit.drwz import (
     DrwComplex,
     DrwElement,
@@ -37,6 +39,7 @@ from wittkit.wittint import (
     ROW_BUDGET,
     BasisWittInt,
     RowTable,
+    _compiled_row,
     basis_generator,
     basis_mul,
     basis_scalar_mul,
@@ -398,6 +401,60 @@ def test_a_first_product_reads_the_hooks_at_most_once_per_member():
     assert ops.crt_calls == calls  # the constants are read from the row, not again
 
 
+class HookCounter(CountingComplex):
+    def __init__(self):
+        super().__init__()
+        self.curly_calls = 0
+
+    def _curly(self, m, n):
+        self.curly_calls += 1
+        return super()._curly(m, n)
+
+
+def test_a_repeated_product_on_a_large_set_reads_no_hook():
+    # a row is charged its terms (8,856 for the degree-1 rows of seg500), not
+    # one slot per member (250,000 against a budget of 65,536), so all stay
+    S = initial_segment(500)
+    rng = random.Random(3)
+    x, y = [
+        DrwElement(S, BasisWittInt(S, tuple(rng.randint(-9, 9) for _ in S.members)),
+                   tuple(rng.randrange(n) for n in S.members))
+        for _ in range(2)
+    ]
+    ops = HookCounter()
+    first = ops.mul(x, y)
+    reads = ops.crt_calls, ops.curly_calls
+    assert ops.mul(x, y) == first
+    assert (ops.crt_calls, ops.curly_calls) == reads
+    assert ops._table.entries == 500 + 8856
+
+
+def test_a_long_row_compiles_in_bounded_units(monkeypatch):
+    # the row of m = 6 on seg2000, 1,380 terms, from the first-product test above
+    S = initial_segment(2000)
+    sources = []
+
+    def recording(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(rings, "compile", recording, raising=False)
+    tracemalloc.start()
+    try:
+        row, charge = _compiled_row(S, 6, S, DrwComplex()._mul_entry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charge == 1 + 1380
+    assert len(sources) > 2 and max(map(len, sources)) <= rings.UNIT_CHARS
+    assert peak < 6 * 2**20
+    raw = [0] * len(S)
+    row(1, dgen(S, 10).deg1, raw)
+    assert {n: c for n, c in zip(S.members, raw) if c} == {
+        30: 12, 60: 30, 120: 60, 240: 120, 480: 240, 960: 480, 1920: 960
+    }
+
+
 def test_the_row_table_stays_in_budget():
     ops = DrwComplex()
     # more distinct sets than the budget holds rows of ...
@@ -405,10 +462,11 @@ def test_the_row_table_stays_in_budget():
         S = initial_segment(N)
         ops.mul(gen(S, 1), dgen(S, N))
         assert ops._table.entries <= ROW_BUDGET
+    assert ("mul", initial_segment(1), 1) not in ops._table._rows  # the oldest rows went first
     # ... and more distinct indices on one set
     S = initial_segment(2000)
     x = dgen(S, 2)
     for m in range(1, 2 * ROW_BUDGET // len(S)):
         assert ops.frobenius(m, x) == reference_frobenius(ops, m, x)
         assert ops._table.entries <= ROW_BUDGET
-    assert sum(len(row) for row in ops._table._rows.values()) == ops._table.entries
+    assert sum(charge for _, charge in ops._table._rows.values()) == ops._table.entries

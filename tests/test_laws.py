@@ -195,6 +195,21 @@ def test_reports_are_pinned():
     assert digest == "8b9cc0360a2f13b3634da32b98879e618490d8e576a3e749171e4ecce0769a2a"
 
 
+def test_the_shared_default_complex_never_serves_a_mutant():
+    # without ops the suite runs on the module's default complex, whose rows
+    # outlive the run; mutants in between must neither read nor change them
+    S12 = divisors_of(12)
+    plain, wrong, killed, again = [
+        check_witt_complex(S12, trials=40, seed=7, ops=ops)
+        for ops in (None, WrongCrt(), CurlyKilled(), None)
+    ]
+    assert plain.passed and again.passed, again.summary()
+    assert strip_timing(again.to_json()) == strip_timing(plain.to_json())
+    assert not wrong.passed and not killed.passed
+    assert "axiom-iv" in {r.name for r in killed.failures()}
+    assert {r.name for r in wrong.failures()} & {"axiom-i-leibniz", "graded-associativity"}
+
+
 def test_each_complex_reads_only_its_own_tables():
     # three instances in a row over one set: if the structure constants of
     # one served another, the passing and the failing verdicts would mix

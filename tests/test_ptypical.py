@@ -91,6 +91,19 @@ def test_bugs_in_exact_div_are_not_domain_errors(monkeypatch):
         ring_exact_div_coordinates(witt_one(S12, Q), 3)
 
 
+def test_idempotents_are_kept_per_ring_and_handed_out_fresh():
+    S = divisors_of(10)
+    first = idempotents(S, 2, Q)
+    first.clear()
+    again = idempotents(S, 2, Q)
+    assert sorted(again) == [1, 5] and again is not first
+    assert again[5] is idempotents(S, 2, Q)[5]  # computed once
+    for m in (3, 9):
+        es = idempotents(S, 2, ModularRing(m))
+        assert {e.ring for e in es.values()} == {ModularRing(m)}
+        assert witt_mul(es[5], es[5]) == es[5]
+
+
 def test_component_shapes():
     # over {1..n} the component at k is p-typical of length s with p^(s-1)k <= n < p^s k
     for n, p in ((8, 2), (9, 3), (12, 2)):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wittkit import rings
 from wittkit.errors import (
     MissingVariable,
     NotAUnit,
@@ -19,8 +20,10 @@ from wittkit.rings import (
     RingElement,
     SeriesRing,
     SquareZeroRing,
+    UNIT_CHARS,
     Z,
     compile_program,
+    compile_row,
     element_from_json,
     element_to_json,
     exact_div,
@@ -606,3 +609,23 @@ def test_split_binary_programs_match_the_unsplit_ones(spec):
             for _ in range(3):
                 values = {name: target.sample(rng, 4) for name in variables}
                 assert split.run(values) == unsplit.run(values)
+
+
+def test_a_row_splits_long_sums_over_statements_and_units(monkeypatch):
+    sources = []
+
+    def recording(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(rings, "compile", recording, raising=False)
+    terms = [f"{j % 7 - 3}*y[{j}]" for j in range(2000)]
+    row = compile_row({1: terms, 0: ["y[5]"], 3: terms[::-1]})
+    y, a = list(range(2000)), [10, 20, 30, 40]
+    row(-2, y, a)
+    total = sum((j % 7 - 3) * j for j in range(2000))
+    assert a == [10 - 10, 20 - 2 * total, 30, 40 - 2 * total]
+    assert len(sources) > 5 and max(map(len, sources)) <= UNIT_CHARS
+    assert all(line.count("+") < 100 for source in sources for line in source.splitlines())
+    compile_row({})(1, y, a)  # no terms: a function that adds nothing
+    assert a == [0, 20 - 2 * total, 30, 40 - 2 * total]

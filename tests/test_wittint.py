@@ -291,4 +291,4 @@ def test_the_module_table_stays_in_budget():
     for m in range(1, 2 * ROW_BUDGET // len(S)):
         assert frobenius_basis(m, x) == reference_frobenius_basis(m, x)
         assert wittint._TABLE.entries <= ROW_BUDGET
-    assert sum(len(row) for row in wittint._TABLE._rows.values()) == wittint._TABLE.entries
+    assert sum(charge for _, charge in wittint._TABLE._rows.values()) == wittint._TABLE.entries
