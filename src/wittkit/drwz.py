@@ -35,14 +35,14 @@ hooks so that law suites can be run against deliberately broken
 variants; the module-level functions delegate to a default instance,
 DEFAULT.  An instance reads its hooks at most once per set and index
 pair: its entry for (m, n) is the tuple of (position, factor) pairs of
-V_m e * dV_n e or of F_m dV_n e from the formulas above, and the row of
-(S, m) is one generated function, built from the entries for every n in
-S by wittint.RowTable (see wittint), that adds them all, scaled by the
-coefficients it is given; the degree-0 parts go through the basis maps
-of wittint, which also refuse operands over the wrong sets.  V_m
-spreads its coefficients with wittint.verschiebung_spread, as
-verschiebung_basis does.  The rows live in a table of the instance with
-a bounded budget, so one instance's constants never serve another.
+V_m e * dV_n e, F_m dV_n e or V_m dV_n e from the formulas above, and a
+row is one generated function, built from the entries for every n of
+its source set by wittint.RowTable (see wittint), that adds them all,
+scaled by the coefficients it is given: each map in degree 1 is one
+entry and one kernel.  The degree-0 parts go through the basis maps of
+wittint, which also refuse operands over the wrong sets.  The rows live
+in a table of the instance with a bounded budget, so one instance's
+constants never serve another.
 
 The CLI generator table takes time about like |S|^3, so it is refused
 past TABLE_BUDGET members; a set at the budget takes about 2 s.
@@ -70,7 +70,6 @@ from .wittint import (
     from_coords,
     restrict_basis,
     verschiebung_basis,
-    verschiebung_spread,
 )
 
 TABLE_BUDGET = 100
@@ -210,8 +209,8 @@ class DrwComplex:
     _curly; everything else routes through these two hooks.  The hooks
     are read once per set and (m, n) pair, by _mul_entry or
     _frobenius_entry when the instance's RowTable builds the row of
-    (S, m) from the entries of every n in S; mul and frobenius then run
-    the compiled rows.
+    (S, m) from the entries of every n in S; mul, frobenius and
+    verschiebung run the compiled rows of their _*_entry methods.
     """
 
     def __init__(self):
@@ -245,6 +244,10 @@ class DrwComplex:
             pairs += _dyadic_chain(T, tgt)
         return _nonzero(pairs)
 
+    def _verschiebung_entry(self, S: TruncationSet, m: int, n: int) -> tuple:
+        """V_m dV_n e = m dV_mn e over S, for n in S/m, as (position, factor) pairs."""
+        return ((S.index(m * n), m),)
+
     # -- product -----------------------------------------------------------
     def mul(self, x: DrwElement, y: DrwElement) -> DrwElement:
         deg0 = basis_mul(x.deg0, y.deg0)  # SetMismatch unless the sets agree
@@ -269,7 +272,9 @@ class DrwComplex:
 
     def verschiebung(self, m: int, x: DrwElement, S: TruncationSet) -> DrwElement:
         deg0 = verschiebung_basis(m, x.deg0, S)  # SetMismatch unless x lives over S/m
-        return DrwElement(S, deg0, [m * c for c in verschiebung_spread(m, x.tset, S, x.deg1)])
+        raw = [0] * len(S.members)
+        self._table.linear("versch", x.tset, m, S, self._verschiebung_entry, x.deg1, raw)
+        return DrwElement(S, deg0, raw)
 
     # -- restriction and units -------------------------------------------------
     def restrict(self, T: TruncationSet, x: DrwElement) -> DrwElement:

@@ -15,15 +15,16 @@ Frobenius, Verschiebung and restriction act on generators by
 
 and extend linearly.  Each map reads its constants from rows of a table
 (see RowTable).  The entry of (m, n) is a tuple of (position, factor)
-pairs; the row of (kind, S, m) is one generated function row(c, y, a),
-built the first time it is needed from the entries of (m, n) for every
-n in S (`rings.compile_row`), that adds c * y_n * factor at each
-position of each entry.  Truncation sets are interned, so the key hashes
-S by identity, and the maps check operand sets with `is`.  Two kernels
-run the rows, here and in the graded complex (drwz): `bilinear` runs the
-row of each m with x_m nonzero on y, scaled by x_m, and `linear` runs
-the row of a fixed m once, scaled by 1.  A row is charged its number of
-terms plus one against the table's budget.
+pairs; a row is one generated function row(c, y, a), built the first
+time it is needed from the entries of (m, n) for every n in its source
+set (`rings.compile_row`), that adds c * y_n * factor at each position
+of each entry.  Truncation sets are interned, so keys hash sets by
+identity, and the maps check operand sets with `is`.  Two kernels run
+the rows, here and in the graded complex (drwz): `bilinear` runs the
+row of (kind, S, m) for each m with x_m nonzero on y, scaled by x_m,
+and `linear` runs the row of (kind, S, m, T) from S into T once; T is
+in the key since V_2 maps S/2 = {1,2} into div4 and seg4 alike.  A row
+is charged its number of terms plus one against the table's budget.
 
 The Teichmuller representative of an integer m expands with necklace
 coefficients (1/n) * sum over d|n of mu(d)*m^(n/d).
@@ -73,10 +74,6 @@ class RowTable:
         self.entries = 0
         self._rows: OrderedDict = OrderedDict()  # key -> (row, charge)
 
-    def row(self, key, build, *args):
-        """The row under key; a new one is build(*args), which returns the row and its charge."""
-        return (self._rows.get(key) or self.add(key, build(*args)))[0]
-
     def add(self, key, kept: tuple) -> tuple:
         """Keep the pair (row, charge) under key, evicting the oldest rows to stay in budget; return it."""
         charge = kept[1]
@@ -98,9 +95,10 @@ class RowTable:
                     (rows.get(key) or self.add(key, _compiled_row(S, m, S, entry)))[0](c, ys, acc)
 
     def linear(self, kind: str, S: TruncationSet, m: int, T: TruncationSet, entry, xs, acc):
-        """Add xs[j] * f at t for each (t, f) of entry(T, m, m_j), m_j in S, by the row of (kind, S, m)."""
+        """Add xs[j] * f at t for each (t, f) of entry(T, m, m_j), m_j in S, by the row of (kind, S, m, T)."""
         if any(xs):
-            self.row((kind, S, m), _compiled_row, S, m, T, entry)(1, xs, acc)
+            key = (kind, S, m, T)
+            (self._rows.get(key) or self.add(key, _compiled_row(S, m, T, entry)))[0](1, xs, acc)
 
 
 def _compiled_row(S: TruncationSet, m: int, T: TruncationSet, entry) -> tuple:
@@ -129,18 +127,9 @@ def _frobenius_entry(T: TruncationSet, m: int, n: int) -> tuple:
     return ((T.index(n // g), g),) if n // g in T else ()
 
 
-def _spread(S: TruncationSet, m: int, T: TruncationSet) -> tuple:
-    """The positions of m*n in S, n in T, and their charge."""
-    positions = [S.index(m * n) for n in T.members]
-    return positions, 1 + len(positions)
-
-
-def verschiebung_spread(m: int, T: TruncationSet, S: TruncationSet, xs) -> list:
-    """xs, aligned with T = S/m, copied to the positions of m*n in S; zero elsewhere."""
-    out = [0] * len(S.members)
-    for t, c in zip(_TABLE.row(("versch", S, m), _spread, S, m, T), xs):
-        out[t] = c
-    return out
+def _verschiebung_entry(S: TruncationSet, m: int, n: int) -> tuple:
+    """V_m V_n([1]) = V_mn([1]): ((position of m*n in S, 1),), for n in S/m."""
+    return ((S.index(m * n), 1),)
 
 
 class BasisWittInt(Immutable):
@@ -265,7 +254,9 @@ def verschiebung_basis(m: int, x: BasisWittInt, S: TruncationSet) -> BasisWittIn
     """V_m from basis form over S/m into S."""
     if S.quotient(m) is not x.tset:
         raise SetMismatch(f"operand lives over {x.tset}, expected {S}/{m} = {S.quotient(m)}")
-    return BasisWittInt(S, tuple(verschiebung_spread(m, x.tset, S, x.coeffs)))
+    acc = [0] * len(S.members)
+    _TABLE.linear("versch", x.tset, m, S, _verschiebung_entry, x.coeffs, acc)
+    return BasisWittInt(S, tuple(acc))
 
 
 def restrict_basis(T: TruncationSet, x: BasisWittInt) -> BasisWittInt:

@@ -44,6 +44,7 @@ from wittkit.wittint import (
     basis_mul,
     basis_scalar_mul,
     to_coords,
+    verschiebung_basis,
 )
 
 from test_laws import CurlyKilled, WrongCrt
@@ -374,6 +375,18 @@ def test_table_driven_maps_match_the_pairwise_loops_on_every_generator(spec):
             T = S.quotient(m)
             for z in [gen(T, n) for n in T.members] + [dgen(T, n) for n in T.members]:
                 assert ops.verschiebung(m, z, S) == reference_verschiebung(m, z, S)
+
+
+def test_a_verschiebung_row_is_kept_per_target_set():
+    # div4 and seg4 share the interned S/2 = {1, 2}, so V_2 needs a row for each
+    div4, seg4 = divisors_of(4), initial_segment(4)
+    T = div4.quotient(2)
+    assert seg4.quotient(2) is T
+    ops = DrwComplex()
+    for S in (div4, seg4, div4):
+        assert verschiebung_basis(2, basis_generator(T, 2), S) == basis_generator(S, 4)
+        assert ops.verschiebung(2, gen(T, 2), S) == gen(S, 4)
+        assert ops.verschiebung(2, dgen(T, 2), S) == drw_scalar_mul(2, dgen(S, 4))
 
 
 class CountingComplex(DrwComplex):

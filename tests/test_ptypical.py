@@ -19,6 +19,7 @@ from wittkit.truncation import divisors_of, initial_segment, p_typical, truncati
 from wittkit.witt import (
     WittRing,
     WittVector,
+    delta_component,
     frobenius,
     ghost,
     teichmuller,
@@ -178,6 +179,15 @@ def test_vf_is_multiplication_by_p(p, n):
     for coords in itertools.product(range(p), repeat=n):
         x = WittVector(S, ring, coords)
         assert verschiebung(p, frobenius(p, x), S) == witt_scalar_mul(p, x)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (2, 6)])
+def test_delta_p_under_tau_is_the_p_derivation(p, n):
+    # Delta_1(x)^p + p*Delta_p(x) = F_p(x) = x on W(F_p) = Z_p; at (5, 2),
+    # S/p = {1}, so Delta_p reads no ghost value past index p
+    tau, below = tau_iso(p, n), tau_iso(p, n - 1)
+    for k in range(p**n):
+        assert below.to_int(delta_component(p, tau.to_witt(k))) == (k - k**p) // p % p ** (n - 1)
 
 
 def test_teichmuller_projects_to_teichmuller():

@@ -11,8 +11,8 @@ from wittkit.truncation import divisors_of, initial_segment, p_typical, truncati
 from wittkit.witt import frobenius, restrict, teichmuller, verschiebung, witt_mul
 from wittkit import wittint
 from wittkit.wittint import (
-    ROW_BUDGET,
     BasisWittInt,
+    RowTable,
     basis_generator,
     basis_mul,
     basis_one,
@@ -285,10 +285,27 @@ def test_table_driven_basis_maps_match_the_pairwise_loops(data, S):
     assert verschiebung_basis(m, z, S) == reference_verschiebung_basis(m, z, S)
 
 
-def test_the_module_table_stays_in_budget():
-    S = initial_segment(2000)
-    x = basis_generator(S, 1)
-    for m in range(1, 2 * ROW_BUDGET // len(S)):
-        assert frobenius_basis(m, x) == reference_frobenius_basis(m, x)
-        assert wittint._TABLE.entries <= ROW_BUDGET
-    assert sum(charge for _, charge in wittint._TABLE._rows.values()) == wittint._TABLE.entries
+def test_the_module_table_stays_in_budget(monkeypatch):
+    table = RowTable(budget=48)  # the rows of div24 overflow it many times
+    monkeypatch.setattr(wittint, "_TABLE", table)
+    first = None
+
+    def check(got, want):
+        nonlocal first
+        assert got == want
+        assert table.entries <= table.budget
+        first = first or next(iter(table._rows))
+
+    gens = [basis_generator(S24, n) for n in S24.members]
+    for x in gens:
+        for y in gens:
+            check(basis_mul(x, y), reference_basis_mul(x, y))
+        for m in S24.members:
+            check(frobenius_basis(m, x), reference_frobenius_basis(m, x))
+    for m in S24.members:
+        T = S24.quotient(m)
+        for n in T.members:
+            z = basis_generator(T, n)
+            check(verschiebung_basis(m, z, S24), reference_verschiebung_basis(m, z, S24))
+    assert first not in table._rows  # the oldest rows went first
+    assert sum(charge for _, charge in table._rows.values()) == table.entries
