@@ -370,16 +370,18 @@ class Construction(Ring):
 class EvalProgram:
     """Integer polynomials compiled for one target ring into one straight-line program.
 
-    A run first fills its slots: slot 0 is one, then x^1 .. x^top for each
-    (name, top) of `powers` in turn (the power slots), then one slot per
-    entry (s, t) of `links`, the product of slot s and power slot t, so the
-    parts of monomials that `compile_program` makes share their prefixes,
-    within one polynomial and across all of them.  `outputs` holds one
-    tuple of rows per polynomial.  Each row is (low, groups), groups a
-    tuple of pairs (c, parts): its value is slot low times the sum over its
-    groups of the constant payload c (None when c is one) times the sum of
-    the slots in parts.  An output's value is the sum of its rows, and
-    `run` returns the list of the outputs' values.
+    A run fills a list of slots: slot 0 is one, the slot of each (name,
+    slot) of `inputs` is that variable's value, and each (slot, s, t) of
+    `links`, in order, is the product of slots s and t, both below it.  A
+    power x^e, e > 1, is the link of x^(e-1) and x; a longer part of a
+    monomial is the link of its prefix and the power of its last factor, so
+    the parts that `compile_program` makes share their prefixes, within one
+    polynomial and across all of them.  `outputs` holds one tuple of rows
+    per polynomial.  Each row is (low, groups), groups a tuple of pairs
+    (c, parts): its value is slot low times the sum over its groups of the
+    constant payload c (None when c is one) times the sum of the slots in
+    parts.  An output's value is the sum of its rows, and `run` returns the
+    list of the outputs' values.
 
     `names` lists every variable of the polynomials, including those that
     occur only in terms vanishing in the target: each needs a value.
@@ -394,11 +396,11 @@ class EvalProgram:
     names, in the order of `names`, only to raise.
     """
 
-    __slots__ = ("target", "powers", "links", "outputs", "names", "needed", "ints")
+    __slots__ = ("target", "inputs", "links", "outputs", "names", "needed", "ints")
 
-    def __init__(self, target: Ring, powers: tuple, links: tuple, outputs: tuple, names: tuple):
+    def __init__(self, target: Ring, inputs: tuple, links: tuple, outputs: tuple, names: tuple):
         self.target = target
-        self.powers = powers
+        self.inputs = inputs
         self.links = links
         self.outputs = outputs
         self.names = names
@@ -413,15 +415,11 @@ class EvalProgram:
             return self.ints(values)
         target = self.target
         mul, add = target.mul, target.add
-        slots = [target.one]
-        for name, top in self.powers:
-            x = p = values[name]
-            slots.append(x)
-            for _ in range(top - 1):
-                p = mul(p, x)
-                slots.append(p)
-        for s, t in self.links:
-            slots.append(mul(slots[s], slots[t]))
+        slots = [target.one] * (1 + len(self.inputs) + len(self.links))
+        for name, i in self.inputs:
+            slots[i] = values[name]
+        for i, s, t in self.links:
+            slots[i] = mul(slots[s], slots[t])
         out = []
         for rows in self.outputs:
             total = None
@@ -448,23 +446,58 @@ def compile_program(variables: tuple, outputs: list, target: Ring, split: int = 
     (payload, index): variable v of the payload is variable index[v] of the
     program, and index increases, so a mapped monomial stays sorted.  Each
     monomial splits into a low part, its factors in the variables below
-    `split`, and a high part, the rest.  Each distinct part, over all the
-    payloads, is one slot, the product of the slot of its prefix and one
-    power slot (the program's `links`), so parts share their prefixes.  The
-    terms of one low part are one row of their output, and the high parts
-    of a row's terms with the same constant are summed before that
+    `split`, and a high part, the rest.  A slot is made on first use, in one
+    pass over the terms: an input for a variable, a link for each power of
+    it up to the highest used so far and for each distinct part, over all
+    the payloads, of two or more factors (see `EvalProgram`).  No slot is
+    made by recursion, so a monomial of any length or exponent compiles.
+    The terms of one low part are one row of their output, and the high
+    parts of a row's terms with the same constant are summed before that
     constant multiplies them, so a constant costs one product per row.
     Constants are mapped into `target` once and de-duplicated by their
     image; terms that vanish there are dropped.
     """
-    top: dict[int, int] = {}  # per program variable of a surviving term
     names = set()
     const_of: dict[int, int] = {}  # integer coefficient -> const index, -1 if it vanishes
     consts: list = []
     by_image: dict = {}
     one = target.one
+    inputs: list[tuple[str, int]] = []
+    links: list[tuple[int, int, int]] = []
+    powers: dict[int, list[int]] = {}  # program variable -> the slots of x^1, x^2, ... made so far
+    slot_of: dict[tuple, int] = {(): 0}  # part -> its slot
+
+    def link(s, t):
+        slot = 1 + len(inputs) + len(links)
+        links.append((slot, s, t))
+        return slot
+
+    def power_slot(v, e):
+        chain = powers.get(v)
+        if chain is None:
+            chain = powers[v] = [1 + len(inputs) + len(links)]
+            inputs.append((variables[v], chain[0]))
+        while len(chain) < e:
+            chain.append(link(chain[-1], chain[0]))
+        return chain[e - 1]
+
+    def part_slot(part):
+        s = slot_of.get(part)
+        if s is None:
+            i = len(part) - 1
+            while part[:i] not in slot_of:
+                i -= 1
+            s = slot_of[part[:i]]
+            for j in range(i, len(part)):
+                p = power_slot(*part[j])
+                s = slot_of[part[:j + 1]] = link(s, p) if j else p
+        return s
+
+    cut = (split,)
+    output_rows = []
     for payload, index in outputs:
-        seen: dict[int, int] = {}  # payload variable -> largest exponent in a surviving term, 0 if none
+        names.update([variables[index[v]] for v, _ in set().union(*payload)])
+        rows: dict[int, dict[int, list[int]]] = {}  # low slot -> const index -> high slots
         for mono, c in payload.items():
             if not isinstance(c, int):
                 raise SpecMismatch("evaluation requires integer coefficients")
@@ -481,42 +514,6 @@ def compile_program(variables: tuple, outputs: list, target: Ring, split: int = 
                     if k == len(consts):
                         consts.append(None if image == one else image)
                 const_of[c] = k
-            for v, e in mono:
-                if k < 0:
-                    e = 0
-                if e > seen.get(v, -1):
-                    seen[v] = e
-        for v, e in seen.items():
-            v = index[v]
-            names.add(variables[v])
-            if e > top.get(v, 0):
-                top[v] = e
-    offset, powers, n_slots = {}, [], 1
-    for v in sorted(top):
-        offset[v] = n_slots
-        n_slots += top[v]
-        powers.append((variables[v], top[v]))
-
-    links: list[tuple[int, int]] = []
-    slot_of: dict[tuple, int] = {(): 0}  # part -> its slot
-
-    def part_slot(part):
-        s = slot_of.get(part)
-        if s is None:
-            if len(part) == 1:
-                s = offset[part[0][0]] + part[0][1] - 1
-            else:
-                links.append((part_slot(part[:-1]), part_slot(part[-1:])))
-                s = n_slots + len(links) - 1
-            slot_of[part] = s
-        return s
-
-    cut = (split,)
-    output_rows = []
-    for payload, index in outputs:
-        rows: dict[int, dict[int, list[int]]] = {}  # low slot -> const index -> high slots
-        for mono, c in payload.items():
-            k = const_of[c]
             if k >= 0:
                 mono = tuple([(index[v], e) for v, e in mono])
                 i = bisect_left(mono, cut)
@@ -524,7 +521,7 @@ def compile_program(variables: tuple, outputs: list, target: Ring, split: int = 
                 groups.setdefault(k, []).append(part_slot(mono[i:]))
         output_rows.append(tuple((low, tuple((consts[k], tuple(parts)) for k, parts in groups.items()))
                                  for low, groups in rows.items()))
-    return EvalProgram(target, tuple(powers), tuple(links), tuple(output_rows), tuple(sorted(names)))
+    return EvalProgram(target, tuple(inputs), tuple(links), tuple(output_rows), tuple(sorted(names)))
 
 
 def _packed(p: dict, w: int) -> list[int]:
@@ -1011,38 +1008,31 @@ def compile_row(sums: dict):
 def _straight_line(program: EvalProgram, op: str, limit: int | None):
     """The function line(values, M) that runs `program`, compiled for Z/m, on ints as generated Python.
 
-    It fills a list of the slots: one statement per power slot and per
-    link, then one per output, the sum of its rows, where a row is
+    It fills a list of the slots: the inputs, then one statement per link,
+    then one per output, the sum of its rows, where a row is
     s[low] * (c * (s[p] + s[q] + ...) + ...) with the constants c as int
     literals.  Each expression carries a bound on its value, taking every
-    input below m: a slot's bound is m - 1 for an input, and a sum's or a
-    product's is the sum or the product of its operands' bounds.  A
-    product whose bound reaches `limit` is reduced, (a * b & M) for op
-    `&M` and (a * b % M) for op `%M`, and then has the bound m - 1; with
-    limit 0 every product is, with None none.  The statements run in
-    units of at most UNIT_CHARS of source, all on the same list
-    (`line.units`), and line returns the list of the outputs' values.
+    input below m: an input's bound is m - 1, and a sum's or a product's is
+    the sum or the product of its operands' bounds.  A product whose bound
+    reaches `limit` is reduced, (a * b & M) for op `&M` and (a * b % M) for
+    op `%M`, and then has the bound m - 1; with limit 0 every product is,
+    with None none.  The statements run in units of at most UNIT_CHARS of
+    source, all on the same list (`line.units`), and line returns the list
+    of the outputs' values.
     """
-    n = 1 + sum(top for _, top in program.powers)
     top = program.target.m - 1
-    src, inputs, bounds = _Source(n + len(program.links), op, limit, top), [], [1]
+    inputs = program.inputs
+    size = 1 + len(inputs) + len(program.links)
+    src, bounds = _Source(size, op, limit, top), [1] * size
+    for _, i in inputs:
+        bounds[i] = top
 
     def slot(i):
         return f"s[{i}]", bounds[i]
 
-    def put_product(i, a, b):
-        text, bound = src.product(slot(a), slot(b))
+    for i, a, b in program.links:
+        text, bounds[i] = src.product(slot(a), slot(b))
         src.put(i, text)
-        bounds.append(bound)
-
-    for name, k in program.powers:
-        first = len(bounds)
-        inputs.append((name, first))
-        bounds.append(top)
-        for i in range(first + 1, first + k):
-            put_product(i, i - 1, first)
-    for i, (a, b) in enumerate(program.links, n):
-        put_product(i, a, b)
 
     def group(c, parts):
         acc = src.total(map(slot, parts))

@@ -27,10 +27,11 @@ its newline; loading skips it and the next flush cuts it away, with a
 warning on the "wittkit" logger each time.  PolySource.vector compiles
 the family {op:m : m in T} once per target ring into one program with
 one output per key (rings.compile_program) and keeps it for later calls;
-no other code keeps a program.  A program
-computes each variable power and each distinct monomial once per run,
-for all its keys, and multiplies each constant once per row, after adding
-the monomials it multiplies.  A sum or product output has one row per
+no other code keeps a program.  Each value of a program other than one
+and its inputs is a link, the product of two earlier ones, so a run
+computes each power and each distinct part of a monomial once, for all
+its keys, and multiplies each constant once per row, after adding the
+monomials it multiplies.  A sum or product output has one row per
 monomial in the a_d, the sum over the terms with that a-part (the split
 at the first b_d); any other output is one row.
 

@@ -22,6 +22,7 @@ from wittkit.rings import (
     SquareZeroRing,
     UNIT_CHARS,
     Z,
+    compile_int_program,
     compile_program,
     compile_row,
     element_from_json,
@@ -433,6 +434,18 @@ def compiled(payload, target, split=0, variables=EVAL_VARS):
     return compile_program(variables, [(payload, range(len(variables)))], target, split)
 
 
+def well_formed(program):
+    """The invariants of a program's slots: each is made once, from lower slots, and exists where read."""
+    size = 1 + len(program.inputs) + len(program.links)
+    made = sorted([i for _, i in program.inputs] + [i for i, _, _ in program.links])
+    assert made == list(range(1, size))
+    assert all(s < i and t < i for i, s, t in program.links)
+    assert {name for name, _ in program.inputs} <= set(program.names)
+    read = [s for rows in program.outputs for low, groups in rows
+            for s in (low, *(p for _, parts in groups for p in parts))]
+    assert all(0 <= s < size for s in read)
+
+
 @settings(max_examples=60, deadline=None)
 @given(polynomials, st.sampled_from(EVAL_TARGETS), st.randoms(use_true_random=False))
 def test_evaluate_matches_term_by_term(payload, target, rng):
@@ -512,6 +525,30 @@ def test_split_program_matches_term_by_term(payload, target, split, rng):
     program = compiled(payload, target, split)
     assert program.run(values) == [term_by_term(payload, values, target)]
     assert len(set(program.links)) == len(program.links)
+    well_formed(program)
+
+
+def test_long_and_deep_monomials_compile_without_recursion():
+    # one monomial in 1,200 variables, and chains of powers to x0^3000
+    names = [f"x{i}" for i in range(1200)]
+    ring, target = PolynomialRing(Z, names), ModularRing(7)
+    payload = {tuple((i, 1 + i % 3) for i in range(1200)): 3, ((0, 3000),): 5, ((0, 2), (1, 1500)): -2}
+    rng = random.Random(1200)
+    values = {name: rng.randrange(1, 7) for name in names}
+    values["x0"], values["x1"] = 3, 5  # generators of (Z/7)^*: a wrong exponent mod 6 shows
+    terms = [{mono: c} for mono, c in payload.items()]
+    want = []
+    for term in terms:
+        [(mono, c)] = term.items()
+        for v, e in mono:
+            c = c * pow(values[names[v]], e, 7)
+        want.append(c % 7)
+    for term, value in zip(terms, want):
+        assert ring.evaluate(term, values, target) == value
+    assert ring.evaluate(payload, values, target) == sum(want) % 7
+    program = compile_int_program(tuple(names), [(p, range(1200)) for p in (payload, *terms)], target)
+    assert program.run(values) == [sum(want) % 7, *want]
+    well_formed(program)
 
 
 def test_split_program_checks_every_variable():
@@ -550,7 +587,7 @@ def test_unary_programs_are_not_split():
 
 
 def powers_and_links(program) -> int:
-    return sum(top - 1 for _, top in program.powers) + len(program.links)
+    return len(program.links)
 
 
 def products_of(program) -> int:
@@ -594,6 +631,8 @@ def test_a_family_program_builds_each_power_and_part_once(op, N, spec, shared, k
         variables = poly.ring.variables
         singles.append(compiled(poly.value, target, len(variables) // 2, variables))
     assert (powers_and_links(family), sum(map(powers_and_links, singles))) == (shared, key_by_key)
+    for program in (family, *singles):
+        well_formed(program)
 
 
 @pytest.mark.parametrize("spec", ["Z/8", "Z/9", "Z/3[x]", "series(Z/2,3)"])
