@@ -435,11 +435,15 @@ def compiled(payload, target, split=0, variables=EVAL_VARS):
 
 
 def well_formed(program):
-    """The invariants of a program's slots: each is made once, from lower slots, and exists where read."""
+    """The invariants of a program's slots: each is made once, from lower slots, each product
+    of two slots at most once, and each slot exists where read."""
     size = 1 + len(program.inputs) + len(program.links)
     made = sorted([i for _, i in program.inputs] + [i for i, _, _ in program.links])
     assert made == list(range(1, size))
     assert all(s < i and t < i for i, s, t in program.links)
+    # a power link (x^(e-1), x) and a part link (prefix, power of a later variable) never
+    # share both operands, so a repeated pair is a part built twice
+    assert len({(s, t) for _, s, t in program.links}) == len(program.links)
     assert {name for name, _ in program.inputs} <= set(program.names)
     read = [s for rows in program.outputs for low, groups in rows
             for s in (low, *(p for _, parts in groups for p in parts))]
@@ -524,7 +528,6 @@ def test_split_program_matches_term_by_term(payload, target, split, rng):
     values = {name: target.sample(rng, 4) for name in EVAL_VARS}
     program = compiled(payload, target, split)
     assert program.run(values) == [term_by_term(payload, values, target)]
-    assert len(set(program.links)) == len(program.links)
     well_formed(program)
 
 
@@ -586,14 +589,10 @@ def test_unary_programs_are_not_split():
         assert [[low for low, _ in rows] for rows in program.outputs] == [[0]] * len(family[2])
 
 
-def powers_and_links(program) -> int:
-    return len(program.links)
-
-
 def products_of(program) -> int:
-    """The multiplications of one run: each power and each part once, and per row of each
+    """The multiplications of one run: each link once, and per row of each
     output its constants other than one and its low part; sums cost no products."""
-    return (powers_and_links(program)
+    return (len(program.links)
             + sum(sum(c is not None for c, _ in groups) + (low != 0)
                   for rows in program.outputs for low, groups in rows))
 
@@ -630,7 +629,7 @@ def test_a_family_program_builds_each_power_and_part_once(op, N, spec, shared, k
         poly = src.universal_poly(key)
         variables = poly.ring.variables
         singles.append(compiled(poly.value, target, len(variables) // 2, variables))
-    assert (powers_and_links(family), sum(map(powers_and_links, singles))) == (shared, key_by_key)
+    assert (len(family.links), sum(len(single.links) for single in singles)) == (shared, key_by_key)
     for program in (family, *singles):
         well_formed(program)
 
