@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print(out, fmt: str) -> int:
-    """Print a result in full and return its exit code.
+    """Print a result in full, flush it, and return its exit code.
 
     Exact results may hold integers past Python's int->str digit limit, so
     the limit is lifted while printing and restored after; every input was
@@ -281,6 +282,7 @@ def _print(out, fmt: str) -> int:
             print(json.dumps(out.payload, indent=2, sort_keys=True))
         else:
             print(out.text)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
         return out.code
     finally:
         sys.set_int_max_str_digits(limit)
@@ -304,6 +306,10 @@ def main(argv=None) -> int:
     except BadJson as exc:
         print(f"BadJson: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): the flush at exit writes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -370,12 +370,12 @@ class Construction(Ring):
 class EvalProgram:
     """Integer polynomials compiled for one target ring into one straight-line program.
 
-    A run fills a list of slots: slot 0 is one, the slot of each (name,
-    slot) of `inputs` is that variable's value, and each (slot, s, t) of
-    `links`, in order, is the product of slots s and t, both below it.  A
-    power x^e, e > 1, is the link of x^(e-1) and x; a longer part of a
-    monomial is the link of its prefix and the power of its last factor, so
-    the parts that `compile_program` makes share their prefixes, within one
+    A run fills a list of slots: slot 0 is one, slot i + 1 is argument i of
+    the `arity` arguments, and link k of `links`, a pair (s, t), is slot
+    1 + arity + k, the product of slots s and t, both below it.  A power
+    x^e, e > 1, is the link of x^(e-1) and x; a longer part of a monomial
+    is the link of its prefix and the power of its last factor, so the
+    parts that `compile_program` makes share their prefixes, within one
     polynomial and across all of them.  `outputs` holds one tuple of rows
     per polynomial.  Each row is (low, groups), groups a tuple of pairs
     (c, parts): its value is slot low times the sum over its groups of the
@@ -383,43 +383,32 @@ class EvalProgram:
     parts.  An output's value is the sum of its rows, and `run` returns the
     list of the outputs' values.
 
-    `names` lists every variable of the polynomials, including those that
-    occur only in terms vanishing in the target: each needs a value.
-    `PolySource.vector` keeps one program per key family and ring;
-    `PolynomialRing.evaluate` compiles a program of one output per call.
-
-    `run` refuses `values` without a value for every name, then calls
-    `ints` if it is set, the closure that `compile_int_program` gives a
-    program that runs on plain ints, and otherwise interprets the program
-    through the target's add and mul.  The check compares the frozenset
-    `needed` of the names with the keys of `values`, and lists the missing
-    names, in the order of `names`, only to raise.
+    `PolySource.vector` keeps one program per key family and ring and runs
+    it on the coordinates of its operands; `PolynomialRing.evaluate`
+    compiles a program of one output per call and runs it on the values of
+    its variables, in their order.  `run` takes the `arity` arguments in
+    order and calls `ints` if it is set, the closure that
+    `compile_int_program` gives a program that runs on plain ints, and
+    otherwise interprets the program through the target's add and mul.
     """
 
-    __slots__ = ("target", "inputs", "links", "outputs", "names", "needed", "ints")
+    __slots__ = ("target", "arity", "links", "outputs", "ints")
 
-    def __init__(self, target: Ring, inputs: tuple, links: tuple, outputs: tuple, names: tuple):
+    def __init__(self, target: Ring, arity: int, links: tuple, outputs: tuple):
         self.target = target
-        self.inputs = inputs
+        self.arity = arity
         self.links = links
         self.outputs = outputs
-        self.names = names
-        self.needed = frozenset(names)
         self.ints = None
 
-    def run(self, values: dict) -> list:
-        if not values.keys() >= self.needed:
-            missing = [name for name in self.names if name not in values]
-            raise MissingVariable(f"no value for {missing}")
+    def run(self, args) -> list:
         if self.ints is not None:
-            return self.ints(values)
+            return self.ints(args)
         target = self.target
         mul, add = target.mul, target.add
-        slots = [target.one] * (1 + len(self.inputs) + len(self.links))
-        for name, i in self.inputs:
-            slots[i] = values[name]
-        for i, s, t in self.links:
-            slots[i] = mul(slots[s], slots[t])
+        slots = [target.one, *args]
+        for s, t in self.links:
+            slots.append(mul(slots[s], slots[t]))
         out = []
         for rows in self.outputs:
             total = None
@@ -439,47 +428,31 @@ class EvalProgram:
         return out
 
 
-def compile_program(variables: tuple, outputs: list, target: Ring, split: int = 0) -> EvalProgram:
-    """Compile integer-coefficient polynomial payloads into one program for `target`, one output each.
+def compile_program(arity: int, outputs: list, target: Ring, split: int = 0) -> EvalProgram:
+    """Compile integer-coefficient polynomial payloads into one program of `arity` inputs for `target`.
 
-    `variables` names the program's variables.  Each of `outputs` is a pair
-    (payload, index): variable v of the payload is variable index[v] of the
-    program, and index increases, so a mapped monomial stays sorted.  Each
-    monomial splits into a low part, its factors in the variables below
-    `split`, and a high part, the rest.  A slot is made on first use, in one
-    pass over the terms: an input for a variable, a link for each power of
-    it up to the highest used so far and for each distinct part, over all
-    the payloads, of two or more factors (see `EvalProgram`).  No slot is
-    made by recursion, so a monomial of any length or exponent compiles.
-    The terms of one low part are one row of their output, and the high
-    parts of a row's terms with the same constant are summed before that
-    constant multiplies them, so a constant costs one product per row.
-    Constants are mapped into `target` once and de-duplicated by their
-    image; terms that vanish there are dropped.
+    Each of `outputs` is a pair (payload, index), one output each: variable
+    v of the payload is input index[v] of the program, and index
+    increases, so a mapped monomial stays sorted.  Each monomial splits
+    into a low part, its factors in the inputs below `split`, and a high
+    part, the rest.  A link is made on first use, in one pass over the
+    terms: one for each power of an input up to the highest used so far,
+    and one for each distinct part, over all the payloads, of two or more
+    factors (see `EvalProgram`).  No slot is made by recursion, so a
+    monomial of any length or exponent compiles.  The terms of one low
+    part are one row of their output, and the high parts of a row's terms
+    with the same constant are summed before that constant multiplies
+    them, so a constant costs one product per row.  Constants are mapped
+    into `target` once and de-duplicated by their image; terms that vanish
+    there are dropped.
     """
-    names = set()
     const_of: dict[int, int] = {}  # integer coefficient -> const index, -1 if it vanishes
     consts: list = []
     by_image: dict = {}
     one = target.one
-    inputs: list[tuple[str, int]] = []
-    links: list[tuple[int, int, int]] = []
-    powers: dict[int, list[int]] = {}  # program variable -> the slots of x^1, x^2, ... made so far
+    links: list[tuple[int, int]] = []
+    powers = [[1 + v] for v in range(arity)]  # input v -> the slots of x^1, x^2, ... made so far
     slot_of: dict[tuple, int] = {(): 0}  # part -> its slot
-
-    def link(s, t):
-        slot = 1 + len(inputs) + len(links)
-        links.append((slot, s, t))
-        return slot
-
-    def power_slot(v, e):
-        chain = powers.get(v)
-        if chain is None:
-            chain = powers[v] = [1 + len(inputs) + len(links)]
-            inputs.append((variables[v], chain[0]))
-        while len(chain) < e:
-            chain.append(link(chain[-1], chain[0]))
-        return chain[e - 1]
 
     def part_slot(part):
         s = slot_of.get(part)
@@ -489,14 +462,21 @@ def compile_program(variables: tuple, outputs: list, target: Ring, split: int = 
                 i -= 1
             s = slot_of[part[:i]]
             for j in range(i, len(part)):
-                p = power_slot(*part[j])
-                s = slot_of[part[:j + 1]] = link(s, p) if j else p
+                v, e = part[j]
+                chain = powers[v]
+                while len(chain) < e:
+                    links.append((chain[-1], 1 + v))
+                    chain.append(arity + len(links))
+                p = chain[e - 1]
+                if j:
+                    links.append((s, p))
+                    p = arity + len(links)
+                s = slot_of[part[:j + 1]] = p
         return s
 
     cut = (split,)
     output_rows = []
     for payload, index in outputs:
-        names.update([variables[index[v]] for v, _ in set().union(*payload)])
         rows: dict[int, dict[int, list[int]]] = {}  # low slot -> const index -> high slots
         for mono, c in payload.items():
             if not isinstance(c, int):
@@ -521,7 +501,7 @@ def compile_program(variables: tuple, outputs: list, target: Ring, split: int = 
                 groups.setdefault(k, []).append(part_slot(mono[i:]))
         output_rows.append(tuple((low, tuple((consts[k], tuple(parts)) for k, parts in groups.items()))
                                  for low, groups in rows.items()))
-    return EvalProgram(target, tuple(inputs), tuple(links), tuple(output_rows), tuple(sorted(names)))
+    return EvalProgram(target, arity, tuple(links), tuple(output_rows))
 
 
 def _packed(p: dict, w: int) -> list[int]:
@@ -712,10 +692,18 @@ class PolynomialRing(Construction):
     def evaluate(self, payload: dict, values: dict, target: Ring):
         """Evaluate in `target` with `values` mapping variable names to payloads.
 
-        The payload is compiled (`compile_program`, one output, no split) on
-        every call; `PolySource.vector` keeps the programs it runs.
+        Every variable of the payload needs a value, even one that occurs
+        only in terms vanishing in `target`.  The payload is compiled
+        (`compile_program`, one output, no split) on every call and run on
+        the values in the order of the variables; `PolySource.vector` keeps
+        the programs it runs.
         """
-        return compile_program(self.variables, [(payload, range(len(self.variables)))], target).run(values)[0]
+        names = self.variables
+        missing = {names[v] for mono in payload for v, _ in mono}.difference(values)
+        if missing:
+            raise MissingVariable(f"no value for {sorted(missing)}")
+        program = compile_program(len(names), [(payload, range(len(names)))], target)
+        return program.run([values.get(name) for name in names])[0]
 
     def sample(self, rng, size=9):
         out = {}
@@ -1006,31 +994,30 @@ def compile_row(sums: dict):
 
 
 def _straight_line(program: EvalProgram, op: str, limit: int | None):
-    """The function line(values, M) that runs `program`, compiled for Z/m, on ints as generated Python.
+    """The function line(args, M) that runs `program`, compiled for Z/m, on ints as generated Python.
 
-    It fills a list of the slots: the inputs, then one statement per link,
-    then one per output, the sum of its rows, where a row is
-    s[low] * (c * (s[p] + s[q] + ...) + ...) with the constants c as int
-    literals.  Each expression carries a bound on its value, taking every
-    input below m: an input's bound is m - 1, and a sum's or a product's is
-    the sum or the product of its operands' bounds.  A product whose bound
-    reaches `limit` is reduced, (a * b & M) for op `&M` and (a * b % M) for
-    op `%M`, and then has the bound m - 1; with limit 0 every product is,
-    with None none.  The statements run in units of at most UNIT_CHARS of
-    source, all on the same list (`line.units`), and line returns the list
-    of the outputs' values.
+    It fills a list of the slots: one, the arguments in order, then one
+    statement per link, then one per output, the sum of its rows, where a
+    row is s[low] * (c * (s[p] + s[q] + ...) + ...) with the constants c as
+    int literals.  Each expression carries a bound on its value, taking
+    every argument below m: an input's bound is m - 1, and a sum's or a
+    product's is the sum or the product of its operands' bounds.  A product
+    whose bound reaches `limit` is reduced, (a * b & M) for op `&M` and
+    (a * b % M) for op `%M`, and then has the bound m - 1; with limit 0
+    every product is, with None none.  The statements run in units of at
+    most UNIT_CHARS of source, all on the same list (`line.units`), and
+    line returns the list of the outputs' values.
     """
     top = program.target.m - 1
-    inputs = program.inputs
-    size = 1 + len(inputs) + len(program.links)
+    first = 1 + program.arity
+    size = first + len(program.links)
     src, bounds = _Source(size, op, limit, top), [1] * size
-    for _, i in inputs:
-        bounds[i] = top
+    bounds[1:first] = [top] * program.arity
 
     def slot(i):
         return f"s[{i}]", bounds[i]
 
-    for i, a, b in program.links:
+    for i, (a, b) in enumerate(program.links, first):
         text, bounds[i] = src.product(slot(a), slot(b))
         src.put(i, text)
 
@@ -1045,12 +1032,10 @@ def _straight_line(program: EvalProgram, op: str, limit: int | None):
     outs = [src.store((src.total(row(low, groups) for low, groups in rows) or ("0", 0))[0])
             for rows in program.outputs]
     src.flush()
-    units, size, one = tuple(src.units), src.fresh, program.target.one
+    units, one, rest = tuple(src.units), program.target.one, (0,) * (src.fresh - first)
 
-    def line(values: dict, M: int) -> list:
-        s = [one] * size
-        for name, i in inputs:
-            s[i] = values[name]
+    def line(args, M: int) -> list:
+        s = [one, *args, *rest]
         for unit in units:
             unit(s, M)
         return [s[i] for i in outs]
@@ -1106,7 +1091,7 @@ def runs_on_ints(ring: Ring, coords) -> bool:
             and sum(map(_span, coords)) <= 2 * sum(len(x) or 1 for x in coords))
 
 
-def compile_int_program(variables: tuple, outputs: list, ring: Ring, split: int = 0) -> EvalProgram:
+def compile_int_program(arity: int, outputs: list, ring: Ring, split: int = 0) -> EvalProgram:
     """`compile_program` for the Z/m of `ring`, a ring that `runs_on_ints`, with `ints` set to run it on ints.
 
     The program is compiled for Z/m itself (`ring` or its base), so its
@@ -1117,8 +1102,9 @@ def compile_int_program(variables: tuple, outputs: list, ring: Ring, split: int 
     140 KB.  Generating costs about ten runs, so only the programs that
     `PolySource.vector` keeps are compiled here.
 
-    `ints` encodes each input as one int, runs the function and decodes
-    each output.  Over Z/m an input is its residue and an output is reduced
+    `ints` takes the `arity` arguments in order, encodes each as one int,
+    runs the function on the list of them and decodes each output.  Over
+    Z/m an input is its residue and an output is reduced
     mod m.  Reduction Z -> Z/m is a ring map, so any product may be reduced
     mod m on the way without changing an output mod m.  For m below
     SMALL_MODULUS = 2^30, a product is reduced, (a * b % M) with M = m,
@@ -1154,34 +1140,34 @@ def compile_int_program(variables: tuple, outputs: list, ring: Ring, split: int 
     """
     cls = type(ring)
     base = ring if cls is ModularRing else ring.base
-    program = compile_program(variables, outputs, base, split)
-    m, names = base.m, program.names
+    program = compile_program(arity, outputs, base, split)
+    m = base.m
     if cls is ModularRing:
         line = _straight_line(program, "%M", m * m if m < SMALL_MODULUS else None)
 
-        def ints(values):
-            return [n % m for n in line(values, m)]
+        def ints(args):
+            return [n % m for n in line(args, m)]
     elif cls is not PolynomialRing:
         line, k = _straight_line(program, "&M", 0), ring.precision
-        width = _byte_width([m - 1, *line(dict.fromkeys(names, k * (m - 1)), -1)])
+        width = _byte_width([m - 1, *line([k * (m - 1)] * arity, -1)])
         mask = (1 << 8 * width * k) - 1
 
-        def ints(values):
-            out = line({name: _to_int(values[name], width) for name in names}, mask)
+        def ints(args):
+            out = line([_to_int(x, width) for x in args], mask)
             return [tuple([c % m for c in _to_digits(n & mask, width, k)]) for n in out]
     else:
         line = _straight_line(program, "", None)
 
-        def ints(values):
-            lists = {}
-            for name in names:
-                x = values[name]
-                digits = lists[name] = [0] * _span(x)
+        def ints(args):
+            lists = []
+            for x in args:
+                digits = [0] * _span(x)
                 for mono, c in x.items():
                     digits[mono[0][1] if mono else 0] = c
-            width = _byte_width([m - 1, *line({name: sum(d) for name, d in lists.items()}, -1)])
+                lists.append(digits)
+            width = _byte_width([m - 1, *line([sum(d) for d in lists], -1)])
             out = []
-            for n in line({name: _to_int(d, width) for name, d in lists.items()}, -1):
+            for n in line([_to_int(d, width) for d in lists], -1):
                 digits = _to_digits(n, width, -(-n.bit_length() // (8 * width)))
                 out.append({((0, e),) if e else (): c for e, d in enumerate(digits) if (c := d % m)})
             return out

@@ -25,15 +25,18 @@ the polynomials computed since the previous flush, so each is written
 once.  An append interrupted by a crash leaves a final fragment without
 its newline; loading skips it and the next flush cuts it away, with a
 warning on the "wittkit" logger each time.  PolySource.vector compiles
-the family {op:m : m in T} once per target ring into one program with
-one output per key (rings.compile_program) and keeps it for later calls;
-no other code keeps a program.  Each value of a program other than one
-and its inputs is a link, the product of two earlier ones, so a run
-computes each power and each distinct part of a monomial once, for all
-its keys, and multiplies each constant once per row, after adding the
-monomials it multiplies.  A sum or product output has one row per
-monomial in the a_d, the sum over the terms with that a-part (the split
-at the first b_d); any other output is one row.
+the family {op:m : m in T} once per set S of its operands and target ring
+into one program with one output per key (rings.compile_program) and
+keeps it for later calls; no other code keeps a program.  A program takes
+its inputs by position: a_d is input S.index(d) and b_d input
+|S| + S.index(d), so a run reads the coordinates of x, then those of y,
+as they are, and no variable name is looked up after compiling.  Each
+value of a program other than one and its inputs is a link, the product
+of two earlier ones, so a run computes each power and each distinct part
+of a monomial once, for all its keys, and multiplies each constant once
+per row, after adding the monomials it multiplies.  A sum or product
+output has one row per monomial in the a_d, the sum over the terms with
+that a-part (the split at the first b_d); any other output is one row.
 
 Over exactly Z/m, series(Z/m,k), sz(Z/m) and dense one-variable Z/m[x]
 the program runs on plain ints by Kronecker substitution
@@ -181,7 +184,7 @@ def work_bound(op: str, w: int) -> int:
     return max((term_bound(op, d) ** 2 for d in divisors(w)[:-1]), default=0)
 
 
-@lru_cache(maxsize=1024)  # read by every universal-strategy operation
+@lru_cache(maxsize=1024)  # read per polynomial ring, generic vector and compiled family
 def _var_names(tag: str, ds: tuple[int, ...]) -> tuple[str, ...]:
     """The variables tag_d for d in ds: a_d name the coordinates of x, b_d those of y."""
     return tuple(f"{tag}{d}" for d in ds)
@@ -330,10 +333,11 @@ class PolySource:
         self.ceiling = ceiling
         self.cache_path = cache_path
         self._memo: dict[UnivPolyKey, RingElement] = {}
-        # (op, param, T, ring class, ring, ints) of a family `vector` reads ->
-        # its program, one output per key, compiled on first use, to run on
-        # ints if `ints`: rings compare by spec, so the class keeps a subclass
-        # from running another's program.
+        # (op, param, S, ring class, ring, ints) of a family `vector` reads ->
+        # its program on the coordinates of vectors over S, one output per
+        # key, compiled on first use, to run on ints if `ints`: S fixes both
+        # the family and the input positions, and rings compare by spec, so
+        # the class keeps a subclass from running another's program.
         self._programs: dict[tuple, EvalProgram] = {}
         self._lock = threading.Lock()
         # (key, polynomial) computed here and not yet appended to the file
@@ -366,54 +370,55 @@ class PolySource:
                y: WittVector | None = None) -> WittVector:
         """The vector over T whose coordinate at m is UnivPolyKey(op, m, param) at x (a_d) and y (b_d).
 
-        A key of weight w in x's divisor-closed set reads only a_d, b_d for d | w.
-        One lookup finds the family's program for x's ring and one run of it
-        gives every coordinate; a miss compiles the program (`_compile`).
-        The program runs on ints where `rings.runs_on_ints` holds for the
-        ring and the coordinates (`rings.compile_int_program`).  The path is
-        part of the slot and chosen before the lookup, so a miss compiles
-        only the program that runs."""
-        ring, names, coords = x.ring, _var_names("a", x.tset.members), x.coords
+        T is x's set S for sum, prod and neg and S/param for frob and delta,
+        so S fixes the family; a key of weight w reads only a_d, b_d for d | w.
+        One lookup finds the family's program for S and x's ring, and one
+        run of it on the coordinates of x, then those of y, gives every
+        coordinate; a miss compiles the program (`_compile`).  The program
+        runs on ints where `rings.runs_on_ints` holds for the ring and the
+        coordinates (`rings.compile_int_program`).  The path is part of the
+        slot and chosen before the lookup, so a miss compiles only the
+        program that runs."""
+        ring, S, coords = x.ring, x.tset, x.coords
         if y is not None:
-            names, coords = names + _var_names("b", y.tset.members), coords + y.coords
+            coords += y.coords
         ints = runs_on_ints(ring, coords)
-        slot = (op, param, T, type(ring), ring, ints)
+        slot = (op, param, S, type(ring), ring, ints)
         with self._lock:
             program = self._programs.get(slot)
         if program is None:
-            program = self._compile(op, param, T, ring, ints)
+            program = self._compile(op, param, T, S, ring, ints)
             with self._lock:
                 program = self._programs.setdefault(slot, program)
-        return WittVector(T, ring, tuple(program.run(dict(zip(names, coords)))))
+        return WittVector(T, ring, tuple(program.run(coords)))
 
-    def _compile(self, op: str, param: int, T: TruncationSet, ring: Ring, ints: bool) -> EvalProgram:
+    def _compile(self, op: str, param: int, T: TruncationSet, S: TruncationSet, ring: Ring,
+                 ints: bool) -> EvalProgram:
         """The program of the family {UnivPolyKey(op, m, param) : m in T} for `ring`, one output per key,
-        to run on ints if `ints` (`rings.compile_int_program`).
+        on the coordinates of vectors over S, to run on ints if `ints` (`rings.compile_int_program`).
 
         Every key is checked, heaviest first, before any is computed.  The
         ceiling and the budgets never change, so a family with a program is
         not checked again for its ring, and a refused one never gets a
         program: it is refused on every call.  Each polynomial is fetched
-        through `universal_poly` and its variables are mapped onto the
-        family's, the union of its keys' variables: a_d before b_d, each in
-        increasing d.  Sum and product programs split at the first b_d, so
-        they have one row per monomial in the a_d, and each constant in a
-        row multiplies the sum of its monomials in the b_d; any other
-        program is one row per output.
+        through `universal_poly`, and its variable a_d is input S.index(d)
+        of the program, b_d input |S| + S.index(d).  Sum and product
+        programs split at |S|, the first b_d, so they have one row per
+        monomial in the a_d, and each constant in a row multiplies the sum
+        of its monomials in the b_d; any other program is one row per
+        output.
         """
         keys = key_family(op, param, T)
         for key in reversed(keys):
             self.check(key)
         tags = _tags(op)
-        ds = tuple(sorted({d for key in keys for d in divisors(key.weight)}))
-        variables = tuple(name for tag in tags for name in _var_names(tag, ds))
-        place = {name: i for i, name in enumerate(variables)}
+        place = {name: i for i, name in enumerate(name for tag in tags for name in _var_names(tag, S.members))}
         outputs = []
         for key in keys:
             poly = self.universal_poly(key)
             outputs.append((poly.value, [place[name] for name in poly.ring.variables]))
-        split = len(ds) if tags == "ab" else 0
-        return (compile_int_program if ints else compile_program)(variables, outputs, ring, split)
+        split = len(S) if tags == "ab" else 0
+        return (compile_int_program if ints else compile_program)(len(place), outputs, ring, split)
 
     def check(self, key: UnivPolyKey):
         """Refuse a key above the weight ceiling, then one past the term or the work budget."""

@@ -1,5 +1,7 @@
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out.strip(), out.err.strip()
+
+
+def readme_cli_lines() -> list[str]:
+    """The lines of the README's CLI block, each continued line joined to the next."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.replace("\\\n", " ").splitlines()
+
+
+@pytest.mark.parametrize("line", readme_cli_lines(), ids=lambda line: " ".join(line.split()[1:3]))
+def test_readme_cli_lines_run(line, capsys, tmp_path, monkeypatch):
+    # the comment of a `basis teich` or `drwz dlog` line is its output; the others describe it
+    monkeypatch.setenv("WITTKIT_CACHE", str(tmp_path / "cache.txt"))
+    command, _, comment = line.partition("#")
+    name, *argv = shlex.split(command)
+    assert name == "wittkit"
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[:2] in (["basis", "teich"], ["drwz", "dlog"]):
+        assert out == comment.strip()
 
 
 def test_witt_teich(capsys):

@@ -285,3 +285,17 @@ def test_budgets_fail_fast(argv, tmp_path):
     name = "CeilingExceeded" if argv == UNIVERSAL_DIV96 else "BudgetExceeded"
     assert done.stderr.startswith(f"{name}:")
     assert not cache.exists()  # refused before any polynomial was computed
+
+
+def test_a_closed_pipe_ends_quietly(tmp_path):
+    # as `wittkit drwz table --set div24 | head -1` when head has exited: no reader is
+    # left, so the first write fails; stdout's fd is pointed at devnull, so no
+    # traceback is printed, at the write or at the flush on exit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), WITTKIT_CACHE=str(tmp_path / "cache.txt"))
+    for argv in (["drwz", "table", "--set", "div24"], ["basis", "teich", "3", "--set", "div2"]):
+        proc = subprocess.Popen([sys.executable, "-m", "wittkit.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), stderr) == (1, b"")

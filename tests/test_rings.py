@@ -430,21 +430,25 @@ def term_by_term(payload, values, target, variables=EVAL_VARS):
 
 
 def compiled(payload, target, split=0, variables=EVAL_VARS):
-    """The program of the one output `payload` on `variables`."""
-    return compile_program(variables, [(payload, range(len(variables)))], target, split)
+    """The program of the one output `payload`, its inputs the values of `variables` in order."""
+    return compile_program(len(variables), [(payload, range(len(variables)))], target, split)
+
+
+def in_order(values, variables=EVAL_VARS):
+    """The arguments of a program on `variables`: their values, in order."""
+    return [values[name] for name in variables]
 
 
 def well_formed(program):
-    """The invariants of a program's slots: each is made once, from lower slots, each product
-    of two slots at most once, and each slot exists where read."""
-    size = 1 + len(program.inputs) + len(program.links)
-    made = sorted([i for _, i in program.inputs] + [i for i, _, _ in program.links])
-    assert made == list(range(1, size))
-    assert all(s < i and t < i for i, s, t in program.links)
+    """The invariants of a program's slots: link k, slot 1 + arity + k, is an (s, t) pair of
+    lower slots, each product of two slots is made at most once, and each slot exists where read."""
+    first = 1 + program.arity
+    size = first + len(program.links)
+    assert all(len(link) == 2 for link in program.links)
+    assert all(0 <= s < i and 0 <= t < i for i, (s, t) in enumerate(program.links, first))
     # a power link (x^(e-1), x) and a part link (prefix, power of a later variable) never
     # share both operands, so a repeated pair is a part built twice
-    assert len({(s, t) for _, s, t in program.links}) == len(program.links)
-    assert {name for name, _ in program.inputs} <= set(program.names)
+    assert len(set(program.links)) == len(program.links)
     read = [s for rows in program.outputs for low, groups in rows
             for s in (low, *(p for _, parts in groups for p in parts))]
     assert all(0 <= s < size for s in read)
@@ -493,8 +497,9 @@ def test_evaluate_checks_every_variable():
     Z8 = ModularRing(8)
     # a1 occurs only in a term whose coefficient vanishes mod 8
     payload = {((0, 1),): 8, ((1, 2),): 3}
-    with pytest.raises(MissingVariable):
+    with pytest.raises(MissingVariable) as refused:
         EVAL_RING.evaluate(payload, {"a2": 1}, Z8)
+    assert str(refused.value) == "no value for ['a1']"
     assert EVAL_RING.evaluate(payload, {"a1": 5, "a2": 3}, Z8) == 3
     with pytest.raises(MissingVariable):
         EVAL_RING.evaluate({((0, 1),): 8}, {}, Z8)
@@ -527,7 +532,7 @@ SPLIT_EXAMPLE = {
 def test_split_program_matches_term_by_term(payload, target, split, rng):
     values = {name: target.sample(rng, 4) for name in EVAL_VARS}
     program = compiled(payload, target, split)
-    assert program.run(values) == [term_by_term(payload, values, target)]
+    assert program.run(in_order(values)) == [term_by_term(payload, values, target)]
     well_formed(program)
 
 
@@ -549,18 +554,21 @@ def test_long_and_deep_monomials_compile_without_recursion():
     for term, value in zip(terms, want):
         assert ring.evaluate(term, values, target) == value
     assert ring.evaluate(payload, values, target) == sum(want) % 7
-    program = compile_int_program(tuple(names), [(p, range(1200)) for p in (payload, *terms)], target)
-    assert program.run(values) == [sum(want) % 7, *want]
+    program = compile_int_program(1200, [(p, range(1200)) for p in (payload, *terms)], target)
+    assert program.run(in_order(values, names)) == [sum(want) % 7, *want]
     well_formed(program)
 
 
 def test_split_program_checks_every_variable():
     Z8 = ModularRing(8)
-    # a1 and b1 occur only in a term whose coefficient vanishes mod 8
-    program = compiled({((0, 1), (2, 1)): 8, ((1, 2), (3, 1)): 3}, Z8, 2)
-    with pytest.raises(MissingVariable):
-        program.run({"a2": 1, "b2": 1})
-    assert program.run({"a1": 5, "a2": 3, "b1": 2, "b2": 3}) == [1]
+    # a1 and b1 occur only in a term whose coefficient vanishes mod 8: the program
+    # never reads them, and evaluate still asks for them, sorted by name
+    payload = {((0, 1), (2, 1)): 8, ((1, 2), (3, 1)): 3}
+    with pytest.raises(MissingVariable) as refused:
+        EVAL_RING.evaluate(payload, {"b2": 1, "a2": 1}, Z8)
+    assert str(refused.value) == "no value for ['a1', 'b1']"
+    values = {"a1": 5, "a2": 3, "b1": 2, "b2": 3}
+    assert compiled(payload, Z8, 2).run(in_order(values)) == [1] == [EVAL_RING.evaluate(payload, values, Z8)]
 
 
 def test_binary_programs_compute_each_b_monomial_once():
@@ -572,21 +580,21 @@ def test_binary_programs_compute_each_b_monomial_once():
         # split at the first b_d, as a sum or product family program is
         split = compiled(poly.value, target, len(variables) // 2, variables)
         target.muls = 0
-        got = split.run(values)
+        got = split.run(in_order(values, variables))
         split_muls, target.muls = target.muls, 0
-        assert got == compiled(poly.value, target, 0, variables).run(values)
+        assert got == compiled(poly.value, target, 0, variables).run(in_order(values, variables))
         assert split_muls < target.muls
 
 
 def test_unary_programs_are_not_split():
     target, src, S = CountingZ8(), PolySource(), divisors_of(12)
     x = WittVector(S, target, (3,) * len(S))
-    for family, run in ((("neg", 0, S), lambda: witt_neg(x, "universal", src)),
-                        (("frob", 3, S.quotient(3)), lambda: frobenius(3, x, "universal", src)),
-                        (("delta", 2, S.quotient(2)), lambda: delta_component(2, x, "universal", src))):
-        run()
-        program = src._programs[(*family, CountingZ8, target, False)]
-        assert [[low for low, _ in rows] for rows in program.outputs] == [[0]] * len(family[2])
+    for family, run in ((("neg", 0), lambda: witt_neg(x, "universal", src)),
+                        (("frob", 3), lambda: frobenius(3, x, "universal", src)),
+                        (("delta", 2), lambda: delta_component(2, x, "universal", src))):
+        out = run()
+        program = src._programs[(*family, S, CountingZ8, target, False)]
+        assert [[low for low, _ in rows] for rows in program.outputs] == [[0]] * len(out.tset)
 
 
 def products_of(program) -> int:
@@ -645,8 +653,8 @@ def test_split_binary_programs_match_the_unsplit_ones(spec):
             split = compiled(poly.value, target, len(variables) // 2, variables)
             unsplit = compiled(poly.value, target, 0, variables)
             for _ in range(3):
-                values = {name: target.sample(rng, 4) for name in variables}
-                assert split.run(values) == unsplit.run(values)
+                args = [target.sample(rng, 4) for _ in variables]
+                assert split.run(args) == unsplit.run(args)
 
 
 def test_a_row_splits_long_sums_over_statements_and_units(monkeypatch):

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -187,8 +188,9 @@ def test_specialize(src):
     # zero constant term: the all-zero assignment evaluates to zero
     zeros = {v: RingElement(Q, Fraction(0)) for v in ("a1", "a2", "b1", "b2")}
     assert specialize(s2, zeros, Q) == RingElement(Q, Fraction(0))
-    with pytest.raises(MissingVariable):
+    with pytest.raises(MissingVariable) as refused:
         specialize(s2, {"a1": RingElement(Z, 1)}, Z)
+    assert str(refused.value) == "no value for ['a2', 'b1', 'b2']"
 
 
 FAMILY_SETS = st.one_of(
@@ -289,13 +291,12 @@ def test_int_carrier_families_evaluate_each_key_as_term_by_term(kind, S, op, dat
     else:
         ring, x, y = data.draw(int_path_operands(S, kind))
     param = data.draw(st.sampled_from(S.members[1:] or (1,))) if op in ("frob", "delta") else 0
-    T = S.quotient(param) if op in ("frob", "delta") else S
     y = y if op in ("sum", "prod") else None
     _family_agrees(INT_SOURCE, op, param, S, x, y)
     # a sparse polynomial input runs the ring's own program instead
     sparse = kind == "sparse" and bool(S.members)
     assert runs_on_ints(ring, x.coords + (y.coords if y else ())) is not sparse
-    program = INT_SOURCE._programs[op, param, T, type(ring), ring, not sparse]
+    program = INT_SOURCE._programs[op, param, S, type(ring), ring, not sparse]
     assert (program.ints is None) is sparse
     assert program.target == (ring if sparse else getattr(ring, "base", ring))
     if data is None:
@@ -338,13 +339,20 @@ def closure_cells(program) -> dict:
     return dict(zip(program.ints.__code__.co_freevars, program.ints.__closure__))
 
 
-def assert_names_what_is_missing(program, values):
-    """`program.run` refuses values missing any names and lists exactly those, in the order of `names`."""
-    names = program.names
+def assert_names_what_is_missing(poly, value, target):
+    """`evaluate` and `specialize` refuse values missing any variable of `poly`, each of which
+    occurs in it, and list exactly those, sorted by name; with every value, the two agree."""
+    names, evaluate = poly.ring.variables, partial(poly.ring.evaluate, poly.value)
+    values = dict.fromkeys(names, value)
+    got = evaluate(values, target)
+    assert specialize(poly, values, target) == RingElement(target, got)
     for drop in ([names[0]], [names[-1]], names[::2], names[1::2], names[:0:-1], names, *([n] for n in names)):
-        with pytest.raises(MissingVariable) as refused:
-            program.run({name: value for name, value in values.items() if name not in drop})
-        assert str(refused.value) == f"no value for {[name for name in names if name in drop]}"
+        given = {name: v for name, v in {**values, "c1": value}.items() if name not in drop}
+        for run in (evaluate, partial(specialize, poly)):
+            with pytest.raises(MissingVariable) as refused:
+                run(given, target)
+            assert str(refused.value) == f"no value for {sorted(drop)}"
+    return got
 
 
 @pytest.mark.parametrize("spec", ["Z/8", "series(Z/8,3)", "sz(Z/8)", "Z/8[x]"])
@@ -353,14 +361,16 @@ def test_int_programs_check_every_variable(spec):
     x = WittVector(S, ring, (ring.one,) * len(S))
     src.vector("prod", 0, S, x, x)
     kept = src._programs["prod", 0, S, type(ring), ring, True]
-    values = dict.fromkeys(kept.names, ring.one)
-    assert kept.ints is not None and kept.run(values) == list(src.vector("prod", 0, S, x, x).coords)
-    assert_names_what_is_missing(kept, {**values, "c1": ring.one})
+    got = kept.run(x.coords + x.coords)
+    assert kept.ints is not None and got == list(src.vector("prod", 0, S, x, x).coords)
+    assert assert_names_what_is_missing(src.universal_poly(UnivPolyKey("prod", 4)), ring.one, ring) == got[-1]
     # a1 occurs only in a term whose coefficient vanishes mod 8, so no statement reads it
-    program = compile_int_program(("a1", "a2"), [({((0, 1),): 8, ((1, 2),): 3}, range(2))], ring)
-    with pytest.raises(MissingVariable):
-        program.run({"a2": ring.one})
-    assert program.run({"a1": ring.one, "a2": ring.one}) == [ring.of_int(3)]
+    payload = {((0, 1),): 8, ((1, 2),): 3}
+    with pytest.raises(MissingVariable) as refused:
+        PolynomialRing(Z, ("a1", "a2")).evaluate(payload, {"a2": ring.one}, ring)
+    assert str(refused.value) == "no value for ['a1']"
+    program = compile_int_program(2, [(payload, range(2))], ring)
+    assert program.run([ring.one, ring.one]) == [ring.of_int(3)]
 
 
 @pytest.mark.parametrize("spec", ["Z", "Q", "Z/3[x]"])
@@ -371,10 +381,9 @@ def test_loop_programs_check_every_variable(spec):
     x = WittVector(S, ring, (value,) * len(S))
     src.vector("prod", 0, S, x, x)
     kept = src._programs["prod", 0, S, type(ring), ring, False]
-    values = dict.fromkeys(kept.names, value)
     want = witt_mul(x, x, "lift" if spec == "Z/3[x]" else "ghost")
-    assert kept.ints is None and kept.run(values) == list(want.coords)
-    assert_names_what_is_missing(kept, {**values, "c1": value})
+    assert kept.ints is None and kept.run(x.coords + x.coords) == list(want.coords)
+    assert assert_names_what_is_missing(src.universal_poly(UnivPolyKey("prod", 6)), value, ring) == want.coords[-1]
 
 
 def test_a_carrier_compiles_in_bounded_units():
@@ -387,12 +396,29 @@ def test_a_carrier_compiles_in_bounded_units():
         INT_SOURCE.universal_poly(key)
     tracemalloc.start()
     try:
-        program = INT_SOURCE._compile("sum", 0, S, ring, True)
+        program = INT_SOURCE._compile("sum", 0, S, S, ring, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
     assert len(closure_cells(program)["line"].cell_contents.units) > 10
+
+
+@pytest.mark.parametrize("spec, oracle", [("Z/8", "lift"), ("Z", "ghost")])
+def test_programs_are_kept_per_operand_set(spec, oracle):
+    # div4 and seg4 both have S/2 = {1, 2}, but a_4 is input 2 of a program over div4 and
+    # input 3 of one over seg4: a program kept under T would read seg4's a_3 as a_4
+    ring, src, rng = parse_ring(spec), PolySource(), random.Random(spec)
+    sets = (divisors_of(4), parse_truncation_set("seg4"))
+    for S in sets:
+        x, y = (WittVector(S, ring, tuple(ring.of_int(rng.randrange(1, 50)) for _ in S.members)) for _ in "xy")
+        for op in (frobenius, delta_component):
+            assert op(2, x, "universal", src) == op(2, x, oracle)
+        for op in (witt_add, witt_mul):
+            assert op(x, y, "universal", src) == op(x, y, oracle)
+    assert {slot[:3] for slot in src._programs} == {
+        (op, param, S) for S in sets for op, param in (("frob", 2), ("delta", 2), ("sum", 0), ("prod", 0))}
+    assert all(slot[-1] is (spec == "Z/8") for slot in src._programs)
 
 
 def test_sparse_calls_compile_only_the_rings_program():
@@ -441,10 +467,10 @@ def test_series_products_stay_at_k_digits():
     cells["line"].cell_contents = watched
     assert src.vector("prod", 0, S, x, x) == want
     bits = 8 * cells["width"].cell_contents * ring.precision
-    values = dict.fromkeys(cells["names"].cell_contents, (1 << bits) - 1)  # every digit at its largest
+    args = [(1 << bits) - 1] * 2 * len(S)  # every digit at its largest
     # the outputs sum at most 2^16 masked products each
     assert max(seen).bit_length() <= bits + 16
-    assert max(line(values, cells["mask"].cell_contents)).bit_length() <= bits + 16
+    assert max(line(args, cells["mask"].cell_contents)).bit_length() <= bits + 16
 
 
 def test_ceiling():
