@@ -89,20 +89,12 @@ def _witt_teich(a):
     return teichmuller(ring.from_json(_json(a.value)), parse_truncation_set(a.set), ring)
 
 
-class _Components(dict):
-    """The p-typical components of a vector by index, printed like a library object."""
-
-    def to_json(self) -> dict:
-        return {str(k): v.to_json() for k, v in self.items()}
-
-    def __str__(self) -> str:
-        return "\n".join(f"{k}: {v}" for k, v in sorted(self.items()))
-
-
-def _ptypical_decompose(a) -> _Components:
+def _ptypical_decompose(a) -> Output:
     x = _vector(a.x)
     idems = ptypical.idempotents(x.tset, a.prime, x.ring)
-    return _Components((k, ptypical.ptypical_projection(k, x, a.prime, e)) for k, e in idems.items())
+    comps = {k: ptypical.ptypical_projection(k, x, a.prime, e) for k, e in idems.items()}
+    return Output({str(k): v.to_json() for k, v in comps.items()},
+                  "\n".join(f"{k}: {v}" for k, v in comps.items()))
 
 
 def _ptypical_tau(a):

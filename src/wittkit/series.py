@@ -2,9 +2,14 @@
 
 gamma sends (a_n) to the product over n in S of (1 - a_n*t^n)^(-1), a
 series with constant term 1; it turns Witt addition into series
-multiplication.  For an initial-segment set {1, ..., n} the map is
-invertible from series known mod t^(n+1): the coefficients are peeled
-off one degree at a time.
+multiplication.  Dividing g by 1 - a*t^n is the recurrence
+g_i <- g_i + a*g_(i-n), run upward in place so that g_(i-n) is already
+divided.  For an initial-segment set {1, ..., n} the map is invertible
+from series known mod t^(n+1): the coefficients are peeled off one
+degree at a time, a_j being the coefficient of t^j once the lower
+factors are gone, and multiplying by 1 - a_j*t^j is
+h_i <- h_i - a_j*h_(i-j), run downward so that h_(i-j) is not yet
+multiplied.
 """
 
 from __future__ import annotations
@@ -28,19 +33,13 @@ def gamma(x: WittVector, precision: int) -> RingElement:
     """The series prod (1 - a_n t^n)^(-1) mod t^(precision+1)."""
     ring = _series_mod_next(x.ring, precision, "precision")
     base = x.ring
-    out = ring.one
+    g = list(ring.one)
     for n in x.tset.members:
         a = x.coord(n)
-        if base.is_zero(a):
-            continue
-        # geometric series: (1 - a t^n)^(-1) = sum a^k t^(nk)
-        coeffs = [base.zero] * (precision + 1)
-        power = base.one
-        for k in range(0, precision // n + 1):
-            coeffs[n * k] = power
-            power = base.mul(power, a)
-        out = ring.mul(tuple(coeffs), out)  # the sparse factor first
-    return RingElement(ring, out)
+        if not base.is_zero(a):
+            for i in range(n, precision + 1):  # g_{i-n} already divided
+                g[i] = base.add(g[i], base.mul(a, g[i - n]))
+    return RingElement(ring, tuple(g))
 
 
 def gamma_inverse(f: RingElement, length: int) -> WittVector:
@@ -57,15 +56,12 @@ def gamma_inverse(f: RingElement, length: int) -> WittVector:
     base = ring.base
     if f.value[0] != base.one:
         raise NotAUnit("gamma_inverse requires constant term 1")
-    h = work.from_coefficients(f.value)
+    h = list(work.from_coefficients(f.value))
     coords = []
     for j in range(1, length + 1):
         a_j = h[j]
         coords.append(a_j)
         if not base.is_zero(a_j):
-            # multiply h by (1 - a_j t^j)
-            factor = [base.zero] * (length + 1)
-            factor[0] = base.one
-            factor[j] = base.neg(a_j)
-            h = work.mul(tuple(factor), h)  # the sparse factor first
+            for i in range(length, j - 1, -1):  # h_{i-j} not yet multiplied
+                h[i] = base.sub(h[i], base.mul(a_j, h[i - j]))
     return WittVector(S, base, tuple(coords))

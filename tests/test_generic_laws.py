@@ -8,9 +8,11 @@ every commutative ring, for that S.  The identities are checked for the
 polynomials the kernel computes, through the `universal` strategy (the
 evaluation programs, here interpreted over a polynomial target) and the
 `ghost` strategy, which must give the same polynomials.  The Frobenius
-laws run frob families, whose target set S/n differs from S.
+laws run frob families, whose target set S/n differs from S; so do the
+Verschiebung laws, whose operand lives over S/2.
 """
 
+import itertools
 from functools import partial
 
 import pytest
@@ -19,7 +21,18 @@ from test_laws import SumMutated
 from wittkit.rings import PolynomialRing, Z
 from wittkit.truncation import divisors_of, initial_segment
 from wittkit.universal import PolySource, UnivPolyKey
-from wittkit.witt import WittVector, frobenius, witt_add, witt_mul, witt_one
+from wittkit.series import gamma
+from wittkit.witt import (
+    WittVector,
+    frobenius,
+    restrict,
+    verschiebung,
+    witt_add,
+    witt_mul,
+    witt_neg,
+    witt_one,
+    witt_zero,
+)
 
 SETS = {"div6": divisors_of(6), "seg8": initial_segment(8), "div12": divisors_of(12)}
 
@@ -83,18 +96,19 @@ def test_frobenius_laws_hold_on_the_generic_vectors(name):
     assert sides["universal"] == sides["ghost"]
 
 
-class FrobMutated(PolySource):
-    """Adds a1^2 to the polynomial of one Frobenius key: f_{2,1} = a1^2 + 2*a2 becomes 2*a1^2 + 2*a2."""
+class TermMutated(PolySource):
+    """Changes one term of one polynomial: coefficient c becomes c + delta."""
 
-    def __init__(self, key):
+    def __init__(self, key, monomial, delta):
         super().__init__()
-        self.key = key
+        self.key, self.monomial, self.delta = key, monomial, delta
 
     def universal_poly(self, key):
         poly = super().universal_poly(key)
         if key == self.key:
             ring = poly.ring
-            return type(poly)(ring, ring.add(poly.value, ring.mul(ring.var("a1"), ring.var("a1"))))
+            term = ring.mul(ring.of_int(self.delta), ring.mul(*map(ring.var, self.monomial)))
+            return type(poly)(ring, ring.add(poly.value, term))
         return poly
 
 
@@ -104,7 +118,52 @@ class FrobMutated(PolySource):
     (UnivPolyKey("frob", 1, 3), ["F2F3-is-F6"]),
 ], ids=["frob:2:1", "frob:2:2", "frob:3:1"])
 def test_a_mutated_frobenius_breaks_its_laws(key, broken):
-    # F_2 on seg8 reads frob:2:1 to frob:2:4, and F_2 F_3 reads frob:2:1 and frob:3:1 only
+    # F_2 on seg8 reads frob:2:1 to frob:2:4, and F_2 F_3 reads frob:2:1 and frob:3:1 only;
+    # a1^2 is added, so f_{2,1} = a1^2 + 2*a2 becomes 2*a1^2 + 2*a2
     a, b, _ = generic(SETS["seg8"])
-    checks = frobenius_laws(a, b, "universal", FrobMutated(key))
+    checks = frobenius_laws(a, b, "universal", TermMutated(key, ["a1", "a1"], 1))
     assert [law for law, (lhs, rhs) in checks.items() if lhs != rhs] == broken
+
+
+def verschiebung_laws(a, b, strategy, source=None):
+    """Each law's two sides: F_2 V_2 = 2, the projection formula, a + (-a) = 0 and gamma.
+
+    a is cut to S/2, still generic there.  gamma turns + into * mod t^(P+1)
+    for the largest P with {1, ..., P} in S.
+    """
+    add = partial(witt_add, strategy=strategy, source=source)
+    mul = partial(witt_mul, strategy=strategy, source=source)
+    S = a.tset
+    half = restrict(a, S.quotient(2))
+    P = next(n for n in itertools.count(1) if n not in S) - 1
+    return {
+        "F2V2-is-2": (frobenius(2, verschiebung(2, half, S), strategy, source), add(half, half)),
+        "projection-formula": (
+            verschiebung(2, mul(half, frobenius(2, b, strategy, source)), S),
+            mul(verschiebung(2, half, S), b),
+        ),
+        "add-inverse": (add(a, witt_neg(a, strategy, source)), witt_zero(S, a.ring)),
+        "gamma-multiplicative": (gamma(add(a, b), P), gamma(a, P) * gamma(b, P)),
+    }
+
+
+@pytest.mark.parametrize("name", ["div6", "seg8"])
+def test_verschiebung_laws_hold_on_the_generic_vectors(name):
+    a, b, _ = generic(SETS[name])
+    sides = {strategy: verschiebung_laws(a, b, strategy) for strategy in ("universal", "ghost")}
+    for strategy, checks in sides.items():
+        assert [law for law, (lhs, rhs) in checks.items() if lhs != rhs] == [], strategy
+    assert sides["universal"] == sides["ghost"]
+
+
+@pytest.mark.parametrize("name", ["div6", "seg8"])
+@pytest.mark.parametrize("mutant, broken", [
+    # neg:2 = -a1^2 - a2 becomes a1^2 - a2: only a + (-a) reads neg
+    (TermMutated(UnivPolyKey("neg", 2), ["a1", "a1"], 2), {"div6": ["add-inverse"], "seg8": ["add-inverse"]}),
+    # the term 4*a4*b4 of prod:4 dropped: 4 is in seg8, not in div6
+    (TermMutated(UnivPolyKey("prod", 4), ["a4", "b4"], -4), {"div6": [], "seg8": ["projection-formula"]}),
+], ids=["neg:2", "prod:4"])
+def test_a_mutated_polynomial_breaks_the_laws_that_read_it(mutant, broken, name):
+    a, b, _ = generic(SETS[name])
+    checks = verschiebung_laws(a, b, "universal", mutant)
+    assert [law for law, (lhs, rhs) in checks.items() if lhs != rhs] == broken[name]

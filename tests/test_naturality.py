@@ -5,7 +5,9 @@ W_S(f) applies f to every coordinate.  The fast paths rest on such maps
 (reduction mod m for `lift`, t -> 2^B for the int programs, truncation of
 series), so these checks are an oracle for them that compares no two
 strategies with each other.  A map is a triple (source, target, payload
-function).
+function).  The same holds for gamma and its inverse, coefficient by
+coefficient, and for the idempotents e_k and the p-typical projections,
+which exist over both ends of a map when I(S) is invertible in both.
 """
 
 import itertools
@@ -13,8 +15,10 @@ import random
 
 import pytest
 
-from wittkit.rings import ModularRing, PolynomialRing, SeriesRing, Z
-from wittkit.truncation import divisors_of
+from wittkit.ptypical import idempotents, ptypical_projection
+from wittkit.rings import ModularRing, PolynomialRing, RingElement, SeriesRing, Z
+from wittkit.series import gamma, gamma_inverse
+from wittkit.truncation import divisors_of, initial_segment
 from wittkit.witt import WittVector, delta_component, frobenius, witt_add, witt_mul, witt_neg
 
 
@@ -57,9 +61,9 @@ def test_ring_maps_commute_with_witt_operations(kind, N, m):
     assert not unequal, f"{len(unequal)} of 24 checks fail: {unequal}"
 
 
-def reduction(n: int):
-    """Z -> Z/8 for n = 0, Z/n -> Z/8 for n a multiple of 8: c -> c mod 8."""
-    return Z if n == 0 else ModularRing(n), ModularRing(8), lambda c: c % 8
+def reduction(n: int, m: int = 8):
+    """Z -> Z/m for n = 0, Z/n -> Z/m for n a multiple of m: c -> c mod m."""
+    return Z if n == 0 else ModularRing(n), ModularRing(m), lambda c: c % m
 
 
 def strategies(ring) -> list[str]:
@@ -98,3 +102,35 @@ def test_reductions_commute_under_every_strategy(n):
                 if lhs != rhs:
                     unequal.append((draw, name, s, t))
     assert not unequal, f"{len(unequal)} of {checks} checks fail: {unequal}"
+
+
+def image(v, target, f):
+    return WittVector(v.tset, target, tuple(map(f, v.coords)))
+
+
+@pytest.mark.parametrize("kind", ["Z->Z/8", "Z/9->Z/3", "Z/3[x]->Z/3"])
+def test_gamma_and_its_inverse_commute_with_ring_maps(kind):
+    rng, L = random.Random(kind), 10
+    source, target, f = {"Z->Z/8": reduction(0, 8), "Z/9->Z/3": reduction(9, 3),
+                         "Z/3[x]->Z/3": at_point(3, 2)}[kind]
+    S = initial_segment(L)
+    for _ in range(10):
+        x = WittVector(S, source, tuple(source.sample(rng) for _ in S))
+        assert [f(c) for c in gamma(x, L).value] == list(gamma(image(x, target, f), L).value)
+        series = SeriesRing(source, L + 1)
+        g = RingElement(series, (source.one,) + tuple(source.sample(rng) for _ in range(L)))
+        mapped = RingElement(SeriesRing(target, L + 1), tuple(map(f, g.value)))
+        assert image(gamma_inverse(g, L), target, f) == gamma_inverse(mapped, L)
+
+
+@pytest.mark.parametrize("n, m, N, p", [(9, 3, 24, 3), (8, 2, 12, 2)], ids=["Z/9->Z/3", "Z/8->Z/2"])
+def test_idempotents_and_projections_commute_with_reduction(n, m, N, p):
+    source, target, f = reduction(n, m)
+    rng, S = random.Random(f"{n}-{m}"), divisors_of(N)
+    es, images = idempotents(S, p, source), idempotents(S, p, target)
+    assert {k: image(e, target, f) for k, e in es.items()} == images
+    for _ in range(4):
+        x = WittVector(S, source, tuple(source.sample(rng) for _ in S))
+        for k in es:
+            assert image(ptypical_projection(k, x, p, es[k]), target, f) == ptypical_projection(
+                k, image(x, target, f), p, images[k])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wittkit.errors import BudgetExceeded, NotInvertible, NotPrime
+from wittkit.errors import BudgetExceeded, NotInvertible, NotPrime, SetMismatch
 from wittkit.ptypical import (
     idempotents,
     prime_to_p_part,
@@ -11,11 +11,16 @@ from wittkit.ptypical import (
     ptypical_projection,
     ptypical_section,
     reassemble,
-    ring_exact_div_coordinates,
     tau_iso,
 )
-from wittkit.rings import ModularRing, Q, RationalRing, Z
-from wittkit.truncation import divisors_of, initial_segment, p_typical, truncation_set
+from wittkit.rings import ModularRing, Q, RationalRing, Z, parse_ring
+from wittkit.truncation import (
+    divisors_of,
+    initial_segment,
+    p_typical,
+    parse_truncation_set,
+    truncation_set,
+)
 from wittkit.witt import (
     WittRing,
     WittVector,
@@ -73,6 +78,38 @@ def test_singleton_set():
     assert es[1] == witt_one(S1, Q)
 
 
+def _one_over_v_one(j, S, ring):
+    """(1/j)V_j[1] over S, divided inside W_S(A)."""
+    v = verschiebung(j, witt_one(S.quotient(j), ring), S)
+    return WittVector(S, ring, WittRing(ring, S).exact_div(v.coords, j))
+
+
+def product_idempotent(k, S, p, ring):
+    """e_k as (1/k)V_k[1] times (1/k)V_k[1] - (1/kl)V_kl[1] for every l > 1 in I(S).
+
+    The first factor is idempotent and fixes each of the others, as
+    (1/k)V_k[1] * (1/kl)V_kl[1] = (1/kl)V_kl[1]; every kl is a unit.
+    """
+    first = e = _one_over_v_one(k, S, ring)
+    for l in prime_to_p_part(S, p):
+        if l > 1:
+            e = witt_mul(e, witt_add(first, witt_scalar_mul(-1, _one_over_v_one(k * l, S, ring))))
+    return e
+
+
+@pytest.mark.parametrize("S,ring,p", [
+    ("div12", "Q", 2), ("div24", "Z/9", 3), ("div24", "Z/25", 5), ("seg16", "Q", 3),
+    ("div36", "Z/4", 2), ("div30", "series(Q,3)", 5), ("div12", "Q[x]", 3),
+    ("div60", "Z/49", 7), ("ptyp(2,4)", "Z", 2), ("div6", "W(div2,Z/9)", 3),
+])
+def test_idempotents_match_the_product_construction(S, ring, p):
+    S, ring = parse_truncation_set(S), parse_ring(ring)
+    es = idempotents(S, p, ring)
+    assert sorted(es) == prime_to_p_part(S, p)
+    for k, e in es.items():
+        assert e == product_idempotent(k, S, p, ring), k
+
+
 def test_not_invertible():
     with pytest.raises(NotInvertible):
         idempotents(S12, 2, Z)
@@ -87,9 +124,10 @@ def test_bugs_in_exact_div_are_not_domain_errors(monkeypatch):
     monkeypatch.setattr(RationalRing, "exact_div", broken)
     with pytest.raises(RuntimeError):
         idempotents(S12, 2, Q)
-    monkeypatch.setattr(WittRing, "exact_div", broken)
+    monkeypatch.setattr(ModularRing, "exact_div", broken)
+    S = divisors_of(24)
     with pytest.raises(RuntimeError):
-        ring_exact_div_coordinates(witt_one(S12, Q), 3)
+        ptypical_section(1, witt_one(ptypical_component_set(S, 3, 1), ModularRing(9)), S, 3)
 
 
 def test_idempotents_are_kept_per_ring_and_handed_out_fresh():
@@ -140,13 +178,25 @@ def test_projection_is_ring_iso_onto_product(p):
 
 
 def test_section_lands_in_component():
+    # section o projection = id on every component, over Q and over torsion
     rng = random.Random(4)
-    es = idempotents(S12, 2, Q)
-    for k in es:
-        y = rand_vec(ptypical_component_set(S12, 2, k), Q, rng)
-        s = ptypical_section(k, y, S12, 2, es[k])
-        assert witt_mul(s, es[k]) == s
-        assert ptypical_projection(k, s, 2, es[k]) == y
+    for S, ring, p in ((S12, Q, 2), (divisors_of(24), ModularRing(9), 3), (divisors_of(24), ModularRing(25), 5)):
+        es = idempotents(S, p, ring)
+        for k, e in es.items():
+            y = rand_vec(ptypical_component_set(S, p, k), ring, rng)
+            s = ptypical_section(k, y, S, p)
+            assert witt_mul(s, e) == s
+            assert ptypical_projection(k, s, p, e) == y
+
+
+def test_section_checks_its_index_and_units():
+    y = witt_one(ptypical_component_set(S12, 2, 1), Q)
+    with pytest.raises(SetMismatch):
+        ptypical_section(2, y, S12, 2)
+    with pytest.raises(NotInvertible):
+        ptypical_section(1, witt_one(y.tset, Z), S12, 2)
+    with pytest.raises(NotInvertible):
+        reassemble({}, S12, 2, Z)
 
 
 def test_tau_examples():
