@@ -1,15 +1,16 @@
 """The elementary number theory behind the ghost recursion.
 
 Divisors, primality, factorization, the Mobius function, Bezout
-coefficients and one square-and-multiply routine.  This is the package's
-one helper set for them; it imports only the standard library, so every
-module can use it without adding to the start-up cost.
+coefficients, the power cycle of Z/m and one square-and-multiply routine.
+This is the package's one helper set for them; it imports only the
+standard library, so every module can use it without adding to the
+start-up cost.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 
 @lru_cache(maxsize=4096)
@@ -46,6 +47,35 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
+
+
+# The largest trial divisor of `power_cycle`.  A cofactor it leaves has a
+# prime factor p > 256, so a cycle would have length at least p - 1 >= 256,
+# longer than any exponent of a universal polynomial (at most the weight,
+# and no weight passes universal.HARD_MAX_CEILING = 128).
+CYCLE_TRIAL_LIMIT = 256
+
+
+def power_cycle(m: int) -> tuple[int, int] | None:
+    """(k, lam) with x^(e+lam) = x^e for every x in Z/m and every e >= k, or None.
+
+    k is the largest exponent in the factorization of m >= 1, lam the
+    Carmichael exponent of m: modulo each prime power p^a of m, a unit has
+    order dividing lam and a multiple of p has x^e = 0 for e >= a.  None
+    when trial division by d <= CYCLE_TRIAL_LIMIT leaves a cofactor above 1.
+    """
+    if m < 1:
+        raise ValueError(f"power_cycle needs a positive integer: {m}")
+    k, lam = 0, 1
+    for p in range(2, CYCLE_TRIAL_LIMIT + 1):
+        a = 0
+        while m % p == 0:
+            m //= p
+            a += 1
+        if a:
+            order = 2 ** (a - 2) if p == 2 and a > 2 else p ** (a - 1) * (p - 1)
+            k, lam = max(k, a), lam * order // gcd(lam, order)
+    return None if m > 1 else (k, lam)
 
 
 def mobius(d: int) -> int:

@@ -27,7 +27,13 @@ ring is safe to share between threads.
 A program for Z/m, series(Z/m,k), sz(Z/m) or dense Z/m[x] runs on plain
 ints by Kronecker substitution (`compile_int_program`), as generated
 Python; the rows of structure constants of wittint and drwz are
-generated on the same units (`compile_row`).
+generated on the same units (`compile_row`).  A program whose inputs are
+residues mod m takes its exponents on the power cycle of Z/m,
+x^(e+lam) = x^e from e = k on (`Ring.power_cycle`), so no power passes
+k + lam - 1.  Only exactly Z/m has the cycle: an input over series(Z/m,k),
+sz(Z/m) or Z/m[x] is a series or a polynomial, packed into one int on the
+Kronecker path, and (1 + t)^5 = 1 + t over series(Z/4,2) where
+(1 + t)^3 = 1 + 3t, so those programs keep every exponent.
 
 The RingElement wrapper pairs a payload with its ring and overloads the
 arithmetic operators; it is the type used at API boundaries (CLI, JSON).
@@ -42,7 +48,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, inf
 from typing import Any
 
 from .errors import (
@@ -54,7 +60,7 @@ from .errors import (
     WittkitError,
     ZeroDivisor,
 )
-from .numtheory import binary_power
+from .numtheory import binary_power, power_cycle as cycle_of
 
 # The largest decimal exponent a Q coordinate may carry: "1e999999999"
 # would build 10**999999999 before anything else looks at it.
@@ -89,6 +95,9 @@ class Ring:
 
     #: multiplication by any nonzero integer is injective
     torsion_free = False
+    #: (k, lam) when x^(e+lam) = x^e for every payload x and every e >= k
+    #: (`numtheory.power_cycle`), else None
+    power_cycle = None
 
     # -- required arithmetic -------------------------------------------------
     def add(self, x, y):
@@ -276,6 +285,10 @@ class ModularRing(Ring):
             raise WittkitError(f"modulus must be >= 2: {m}")
         self.m = m
 
+    @cached_property
+    def power_cycle(self):
+        return cycle_of(self.m)
+
     def add(self, x, y):
         return (x + y) % self.m
 
@@ -383,10 +396,11 @@ class EvalProgram:
     parts.  An output's value is the sum of its rows, and `run` returns the
     list of the outputs' values.
 
-    `PolySource.vector` keeps one program per key family and ring and runs
-    it on the coordinates of its operands; `PolynomialRing.evaluate`
-    compiles a program of one output per call and runs it on the values of
-    its variables, in their order.  `run` takes the `arity` arguments in
+    Over Z/m a program has no power past the ring's power cycle
+    (`compile_program`).  `PolySource.vector` keeps one program per key
+    family and ring and runs it on the coordinates of its operands;
+    `PolynomialRing.evaluate` compiles a program of one output per call and
+    runs it on the values of its variables, in their order.  `run` takes the `arity` arguments in
     order and calls `ints` if it is set, the closure that
     `compile_int_program` gives a program that runs on plain ints, and
     otherwise interprets the program through the target's add and mul.
@@ -428,7 +442,8 @@ class EvalProgram:
         return out
 
 
-def compile_program(arity: int, outputs: list, target: Ring, split: int = 0) -> EvalProgram:
+def compile_program(arity: int, outputs: list, target: Ring, split: int = 0,
+                    domain: Ring | None = None) -> EvalProgram:
     """Compile integer-coefficient polynomial payloads into one program of `arity` inputs for `target`.
 
     Each of `outputs` is a pair (payload, index), one output each: variable
@@ -445,14 +460,41 @@ def compile_program(arity: int, outputs: list, target: Ring, split: int = 0) -> 
     them, so a constant costs one product per row.  Constants are mapped
     into `target` once and de-duplicated by their image; terms that vanish
     there are dropped.
+
+    `domain`, `target` by default, is the ring the inputs range over.  If
+    its `power_cycle` is (k, lam), every exponent e >= k + lam is taken as
+    k + (e - k) mod lam, which changes no value there, and the integer
+    coefficients of an output's terms that land on the same (low slot,
+    high slot) pair are summed before the sum is mapped into `target`;
+    a sum that vanishes there is dropped.  Only Z/m has a cycle, so only a
+    program whose inputs are residues mod m reduces; without a cycle no two
+    terms share a pair, and the program is the same as without this step.
     """
     const_of: dict[int, int] = {}  # integer coefficient -> const index, -1 if it vanishes
     consts: list = []
     by_image: dict = {}
     one = target.one
+    start, period = (target if domain is None else domain).power_cycle or (0, 0)
+    wrap = start + period if period else inf  # the exponents from here on are reduced
     links: list[tuple[int, int]] = []
     powers = [[1 + v] for v in range(arity)]  # input v -> the slots of x^1, x^2, ... made so far
     slot_of: dict[tuple, int] = {(): 0}  # part -> its slot
+
+    def const(c):
+        k = const_of.get(c)
+        if k is None:
+            image = target.of_int(c)
+            if target.is_zero(image):
+                k = -1
+            else:
+                try:
+                    k = by_image.setdefault(image, len(consts))
+                except TypeError:  # unhashable payload, e.g. a polynomial
+                    k = len(consts)
+                if k == len(consts):
+                    consts.append(None if image == one else image)
+            const_of[c] = k
+        return k
 
     def part_slot(part):
         s = slot_of.get(part)
@@ -477,28 +519,20 @@ def compile_program(arity: int, outputs: list, target: Ring, split: int = 0) -> 
     cut = (split,)
     output_rows = []
     for payload, index in outputs:
-        rows: dict[int, dict[int, list[int]]] = {}  # low slot -> const index -> high slots
+        sums: dict[tuple[int, int], int] = {}  # (low slot, high slot) -> integer coefficient
         for mono, c in payload.items():
             if not isinstance(c, int):
                 raise SpecMismatch("evaluation requires integer coefficients")
-            k = const_of.get(c)
-            if k is None:
-                image = target.of_int(c)
-                if target.is_zero(image):
-                    k = -1
-                else:
-                    try:
-                        k = by_image.setdefault(image, len(consts))
-                    except TypeError:  # unhashable payload, e.g. a polynomial
-                        k = len(consts)
-                    if k == len(consts):
-                        consts.append(None if image == one else image)
-                const_of[c] = k
-            if k >= 0:
-                mono = tuple([(index[v], e) for v, e in mono])
+            if const(c) >= 0:
+                mono = tuple([(index[v], e if e < wrap else start + (e - start) % period) for v, e in mono])
                 i = bisect_left(mono, cut)
-                groups = rows.setdefault(part_slot(mono[:i]), {})
-                groups.setdefault(k, []).append(part_slot(mono[i:]))
+                pair = (part_slot(mono[:i]), part_slot(mono[i:]))
+                sums[pair] = sums.get(pair, 0) + c
+        rows: dict[int, dict[int, list[int]]] = {}  # low slot -> const index -> high slots
+        for (low, high), c in sums.items():
+            k = const(c)
+            if k >= 0:
+                rows.setdefault(low, {}).setdefault(k, []).append(high)
         output_rows.append(tuple((low, tuple((consts[k], tuple(parts)) for k, parts in groups.items()))
                                  for low, groups in rows.items()))
     return EvalProgram(target, arity, tuple(links), tuple(output_rows))
@@ -1095,7 +1129,10 @@ def compile_int_program(arity: int, outputs: list, ring: Ring, split: int = 0) -
     """`compile_program` for the Z/m of `ring`, a ring that `runs_on_ints`, with `ints` set to run it on ints.
 
     The program is compiled for Z/m itself (`ring` or its base), so its
-    constants are the residues c mod m, and runs as one generated Python
+    constants are the residues c mod m, with `ring` as the domain of its
+    inputs, so only a program over exactly Z/m takes its exponents on the
+    power cycle of Z/m: the inputs of the other rings are packed series or
+    polynomials, not residues.  It runs as one generated Python
     function (`_straight_line`): int `+` and `*` on a list of slots, in
     units of at most UNIT_CHARS of source each, since `compile` holds about
     200 bytes per source byte and a family program over div24 is about
@@ -1140,7 +1177,7 @@ def compile_int_program(arity: int, outputs: list, ring: Ring, split: int = 0) -
     """
     cls = type(ring)
     base = ring if cls is ModularRing else ring.base
-    program = compile_program(arity, outputs, base, split)
+    program = compile_program(arity, outputs, base, split, ring)
     m = base.m
     if cls is ModularRing:
         line = _straight_line(program, "%M", m * m if m < SMALL_MODULUS else None)

@@ -3,7 +3,17 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from wittkit.numtheory import binary_power, bezout, divisors, factorize, is_prime, mobius
+from wittkit.numtheory import (
+    CYCLE_TRIAL_LIMIT,
+    binary_power,
+    bezout,
+    divisors,
+    factorize,
+    is_prime,
+    mobius,
+    power_cycle,
+)
+from wittkit.universal import HARD_MAX_CEILING
 
 
 def brute_is_prime(p):
@@ -57,3 +67,29 @@ def test_binary_power_refuses_a_negative_count():
     # its loop would never end: -1 >> 1 is -1
     with pytest.raises(ValueError):
         binary_power(str.__add__, "", "ab", -1)
+
+
+def test_power_cycle_holds_for_every_residue():
+    # every x in Z/m and every e <= k + 2*lam: x^e = x^(reduced e), the reduction
+    # that rings.compile_program applies to the exponents of a Z/m program
+    for m in range(1, 301):
+        factors = factorize(m)
+        if max(factors, default=1) > CYCLE_TRIAL_LIMIT:  # 257, 263, ..., 293
+            assert power_cycle(m) is None
+            continue
+        k, lam = power_cycle(m)
+        assert k == max(factors.values(), default=0)
+        powers = [tuple(pow(x, e, m) for x in range(m)) for e in range(k + 2 * lam + 1)]
+        for e, values in enumerate(powers):
+            reduced = e if e < k + lam else k + (e - k) % lam
+            assert values == powers[reduced], (m, e)
+
+
+def test_power_cycle_is_none_past_the_trial_divisors():
+    # 257 is prime and 526 = 2 * 263: a prime factor above 256 leaves a cycle of length 256 or more
+    assert power_cycle(257) is None
+    assert power_cycle(526) is None
+    # so no exponent of a universal polynomial reaches a cycle that was not found
+    assert CYCLE_TRIAL_LIMIT > HARD_MAX_CEILING
+    assert power_cycle(256) == (8, 64)
+    assert power_cycle(2 * 3 * 251) == (1, 250)
