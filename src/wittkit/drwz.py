@@ -25,7 +25,9 @@ even, else 0.  Indices falling outside S are dropped; products of two
 degree-1 elements vanish (degree 2 is zero).  A degree-1 coefficient is
 a residue mod its index, and the DrwElement constructor alone reduces
 it to its representative in [0, n): every map hands over its raw
-integers.
+integers.  It reduces through the residue map of the set: one generated
+function with the members as literal moduli, kept with the set and, under
+a budget, by member tuple, so a set built again finds it.
 
 The 2-torsion class dlog e([-1]) = sum_r 2^(r-1) dV_(2^r) e([1]) is the
 source of every dyadic correction term.
@@ -36,13 +38,16 @@ variants; the module-level functions delegate to a default instance,
 DEFAULT.  An instance reads its hooks at most once per set and index
 pair: its entry for (m, n) is the tuple of (position, factor) pairs of
 V_m e * dV_n e, F_m dV_n e or V_m dV_n e from the formulas above, and a
-row is one generated function, built from the entries for every n of
-its source set by wittint.RowTable (see wittint), that adds them all,
-scaled by the coefficients it is given: each map in degree 1 is one
-entry and one kernel.  The degree-0 parts go through the basis maps of
-wittint, which also refuse operands over the wrong sets.  The rows live
-in a table of the instance with a bounded budget, so one instance's
-constants never serve another.
+row is one generated function built by wittint.RowTable (see wittint)
+from the entries for every n of its source set.  The product adds the
+rows of its degree-0 part and of its two mixed parts, scaled by the
+coefficients it is given.  F_m and V_m are one graded row each per
+source set, m and target set: it takes both degrees of an element and
+returns both degrees of the image, its degree-0 terms from the entries
+of wittint and its degree-1 terms from the instance's, so each map is
+one call.  V_m refuses an operand over the wrong set before any row is
+built.  The rows live in a table of the instance with a bounded budget,
+so one instance's constants never serve another.
 
 The CLI generator table takes time about like |S|^3, so it is refused
 past TABLE_BUDGET members; a set at the budget takes about 2 s.
@@ -51,10 +56,10 @@ past TABLE_BUDGET members; a set at the budget takes about 2 s.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import add, mod, neg
+from operator import add, neg
 
 from .errors import BudgetExceeded, SetMismatch, SpecMismatch
-from .rings import json_int
+from .rings import compile_columns, json_int
 from .truncation import Immutable, TruncationSet
 from .witt import WittVector, fields_from_json
 from .wittint import (
@@ -66,15 +71,16 @@ from .wittint import (
     basis_neg,
     basis_scalar_mul,
     basis_zero,
-    frobenius_basis,
+    check_quotient,
+    frobenius_entry,
     from_coords,
     restrict_basis,
-    verschiebung_basis,
+    verschiebung_entry,
 )
 
 TABLE_BUDGET = 100
 
-_set = object.__setattr__  # the constructor's one way past the immutable __setattr__
+_set = object.__setattr__  # the one way past the immutable __setattr__ (constructor, residue map)
 
 
 def crt_bracket(m: int, n: int) -> int:
@@ -105,12 +111,11 @@ class DrwElement(Immutable):
     __slots__ = ("tset", "deg0", "deg1")
 
     def __init__(self, tset: TruncationSet, deg0: BasisWittInt, deg1):
-        members = tset.members
-        if deg0.tset is not tset or len(deg1) != len(members):
+        if deg0.tset is not tset or len(deg1) != len(tset.members):
             raise SetMismatch("graded parts must share the truncation set")
         _set(self, "tset", tset)
         _set(self, "deg0", deg0)
-        _set(self, "deg1", tuple(map(mod, deg1, members)))
+        _set(self, "deg1", (tset._residues or _residue_map(tset))(deg1)[0])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -153,6 +158,24 @@ class DrwElement(Immutable):
             "deg0": {str(n): c for n, c in zip(self.tset.members, self.deg0.coeffs) if c},
             "deg1": {str(n): c for n, c in zip(self.tset.members, self.deg1) if c},
         }
+
+
+# The residue maps by member tuple, each charged its members plus one, so a set
+# that is dropped and built again, as by each CLI call, finds its map.
+_RESIDUE_MAPS = RowTable()
+
+
+def _residue_map(S: TruncationSet):
+    """The residue map of S: d -> ((d[i] % n for the i-th member n),), as one generated function
+    with literal moduli (`compile_columns`); the entry at 1 is the literal 0.  It is kept with the
+    set, and by member tuple in _RESIDUE_MAPS under that table's budget."""
+    members = S.members
+    kept = _RESIDUE_MAPS.get(members)
+    if kept is None:
+        column = [[f"d[{i}]%{n}"] if n > 1 else () for i, n in enumerate(members)]
+        kept = _RESIDUE_MAPS.add(members, (compile_columns("d", [column]), 1 + len(members)))
+    _set(S, "_residues", kept[0])
+    return kept[0]
 
 
 def drw_from_json(data) -> DrwElement:
@@ -208,9 +231,11 @@ class DrwComplex:
     Subclasses used in mutation testing may override _crt_value or
     _curly; everything else routes through these two hooks.  The hooks
     are read once per set and (m, n) pair, by _mul_entry or
-    _frobenius_entry when the instance's RowTable builds the row of
-    (S, m) from the entries of every n in S; mul, frobenius and
-    verschiebung run the compiled rows of their _*_entry methods.
+    _frobenius_entry when the instance's RowTable builds a row from the
+    entries of every n in its source set.  mul runs the rows of (S, m)
+    of _mul_entry; frobenius and verschiebung each run one graded row of
+    (S, m, T), whose degree-0 terms are wittint's entries and whose
+    degree-1 terms are those of _frobenius_entry or _verschiebung_entry.
     """
 
     def __init__(self):
@@ -264,17 +289,18 @@ class DrwComplex:
 
     # -- Frobenius and Verschiebung -------------------------------------------
     def frobenius(self, m: int, x: DrwElement) -> DrwElement:
-        deg0 = frobenius_basis(m, x.deg0)
-        T = deg0.tset
-        raw = [0] * len(T.members)
-        self._table.linear("frob", x.tset, m, T, self._frobenius_entry, x.deg1, raw)
-        return DrwElement(T, deg0, raw)
+        S = x.tset
+        T = S.quotient(m)
+        deg0, raw = self._table.graded("frob", S, m, T, frobenius_entry, self._frobenius_entry,
+                                       x.deg0.coeffs, x.deg1)
+        return DrwElement(T, BasisWittInt(T, deg0), raw)
 
     def verschiebung(self, m: int, x: DrwElement, S: TruncationSet) -> DrwElement:
-        deg0 = verschiebung_basis(m, x.deg0, S)  # SetMismatch unless x lives over S/m
-        raw = [0] * len(S.members)
-        self._table.linear("versch", x.tset, m, S, self._verschiebung_entry, x.deg1, raw)
-        return DrwElement(S, deg0, raw)
+        T = x.tset
+        check_quotient(S, m, T)
+        deg0, raw = self._table.graded("versch", T, m, S, verschiebung_entry, self._verschiebung_entry,
+                                       x.deg0.coeffs, x.deg1)
+        return DrwElement(S, BasisWittInt(S, deg0), raw)
 
     # -- restriction and units -------------------------------------------------
     def restrict(self, T: TruncationSet, x: DrwElement) -> DrwElement:

@@ -27,13 +27,14 @@ ring is safe to share between threads.
 A program for Z/m, series(Z/m,k), sz(Z/m) or dense Z/m[x] runs on plain
 ints by Kronecker substitution (`compile_int_program`), as generated
 Python; the rows of structure constants of wittint and drwz are
-generated on the same units (`compile_row`).  A program whose inputs are
-residues mod m takes its exponents on the power cycle of Z/m,
-x^(e+lam) = x^e from e = k on (`Ring.power_cycle`), so no power passes
-k + lam - 1.  Only exactly Z/m has the cycle: an input over series(Z/m,k),
-sz(Z/m) or Z/m[x] is a series or a polynomial, packed into one int on the
-Kronecker path, and (1 + t)^5 = 1 + t over series(Z/4,2) where
-(1 + t)^3 = 1 + 3t, so those programs keep every exponent.
+generated on the same units (`compile_row`, `compile_columns`).  A
+program whose inputs are residues mod m takes its exponents on the power
+cycle of Z/m, x^(e+lam) = x^e from e = k on (`Ring.power_cycle`), so no
+power passes k + lam - 1.  Only exactly Z/m has the cycle: an input over
+series(Z/m,k), sz(Z/m) or Z/m[x] is a series or a polynomial, packed
+into one int on the Kronecker path, and (1 + t)^5 = 1 + t over
+series(Z/4,2) where (1 + t)^3 = 1 + 3t, so those programs keep every
+exponent.
 
 The RingElement wrapper pairs a payload with its ring and overloads the
 arithmetic operators; it is the type used at API boundaries (CLI, JSON).
@@ -469,6 +470,8 @@ def compile_program(arity: int, outputs: list, target: Ring, split: int = 0,
     a sum that vanishes there is dropped.  Only Z/m has a cycle, so only a
     program whose inputs are residues mod m reduces; without a cycle no two
     terms share a pair, and the program is the same as without this step.
+    A link that no row and no later kept link reads, left by such a sum,
+    is dropped at the end, and the slots after it are renumbered.
     """
     const_of: dict[int, int] = {}  # integer coefficient -> const index, -1 if it vanishes
     consts: list = []
@@ -535,6 +538,29 @@ def compile_program(arity: int, outputs: list, target: Ring, split: int = 0,
                 rows.setdefault(low, {}).setdefault(k, []).append(high)
         output_rows.append(tuple((low, tuple((consts[k], tuple(parts)) for k, parts in groups.items()))
                                  for low, groups in rows.items()))
+    # a merged sum that vanishes leaves the links of its pair unread: one backward
+    # pass finds the links that a row or a later read link reads, and the rest go
+    first = 1 + arity
+    read = [False] * (first + len(links))
+    for rows in output_rows:
+        for low, groups in rows:
+            read[low] = True
+            for _, parts in groups:
+                for s in parts:
+                    read[s] = True
+    for i in range(len(read) - 1, first - 1, -1):
+        if read[i]:
+            s, t = links[i - first]
+            read[s] = read[t] = True
+    if not all(read[first:]):
+        slot, kept = list(range(first)), []  # old slot -> new slot, the links that stay
+        for i, (s, t) in enumerate(links, first):
+            slot.append(first + len(kept))
+            if read[i]:
+                kept.append((slot[s], slot[t]))
+        links = kept
+        output_rows = [tuple((slot[low], tuple((c, tuple([slot[s] for s in parts])) for c, parts in groups))
+                             for low, groups in rows) for rows in output_rows]
     return EvalProgram(target, arity, tuple(links), tuple(output_rows))
 
 
@@ -1014,17 +1040,57 @@ def compile_row(sums: dict):
     statements on a[t], which holds the part already added.
     """
     src = _Units("c, y, a")
+    _add_lines(src, sums, "c*")
+    return src.function()
+
+
+def _add_lines(src: _Units, sums: dict, scale: str):
+    """The statements that add `scale` times the sum of sums[t] to a[t] for each t, a sum
+    longer than SPILL_CHARS over several statements."""
     for t, terms in sums.items():
         part: list[str] = []
         chars = 0
         for term in terms:
             if part and chars + len(term) > SPILL_CHARS:
-                src.line(f"a[{t}]+=c*({'+'.join(part)})")
+                src.line(f"a[{t}]+={scale}({'+'.join(part)})")
                 part, chars = [], 0
             part.append(term)
             chars += len(term) + 1
-        src.line(f"a[{t}]+=c*({'+'.join(part)})")
-    return src.function()
+        src.line(f"a[{t}]+={scale}({'+'.join(part)})")
+
+
+def compile_columns(params: str, columns: list):
+    """The function of `params` that returns one tuple per column, as generated Python.
+
+    A column is a list of lists of terms, each the source of an int
+    expression in the params, and entry i of its tuple is the sum of its
+    list i, 0 for an empty list.  When the one statement that returns the
+    tuples fits a unit of UNIT_CHARS and no sum is longer than SPILL_CHARS,
+    the function is that statement.  Otherwise units of at most UNIT_CHARS
+    (`_Units`) add the sums into one list of every entry, as `compile_row`
+    adds a row, and the function cuts the tuples from it.
+    """
+    spans, at = [], 0
+    for column in columns:
+        spans.append((at, at + len(column)))
+        at += len(column)
+    items = [terms for column in columns for terms in column]
+    texts = ["+".join(terms) or "0" for terms in items]
+    body = "return " + "".join(f"({''.join(text + ',' for text in texts[i:j])})," for i, j in spans)
+    src = _Units(params)
+    if src.chars + len(body) + 2 <= UNIT_CHARS and all(len(text) <= SPILL_CHARS for text in texts):
+        src.line(body)
+        return src.function()
+    src = _Units(f"{params}, a")
+    _add_lines(src, {i: terms for i, terms in enumerate(items) if terms}, "")
+    fill, size = src.function(), len(items)
+
+    def cut(*args):
+        a = [0] * size
+        fill(*args, a)
+        return tuple([tuple(a[i:j]) for i, j in spans])
+
+    return cut
 
 
 def _straight_line(program: EvalProgram, op: str, limit: int | None):

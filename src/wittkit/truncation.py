@@ -69,10 +69,11 @@ class TruncationSet(Immutable):
     validates the members under a lock, so threads that build the same
     new set get one object.  Copies and pickles come back as that object.
     The member set, the position map and the quotients are kept with the
-    set.  Sets are immutable: assignment raises.
+    set, and so is the residue map of the graded complex (`drwz`), set on
+    first use.  Sets are immutable: assignment raises.
     """
 
-    __slots__ = ("members", "_memberset", "_position", "_quotients", "__weakref__")
+    __slots__ = ("members", "_memberset", "_position", "_quotients", "_residues", "__weakref__")
 
     def __new__(cls, members: tuple[int, ...]):
         members = tuple(members)
@@ -101,6 +102,7 @@ class TruncationSet(Immutable):
         object.__setattr__(self, "_memberset", memberset)
         object.__setattr__(self, "_position", {n: i for i, n in enumerate(mem)})
         object.__setattr__(self, "_quotients", {})
+        object.__setattr__(self, "_residues", None)
         return self
 
     def __reduce__(self):

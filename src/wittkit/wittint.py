@@ -19,12 +19,17 @@ pairs; a row is one generated function row(c, y, a), built the first
 time it is needed from the entries of (m, n) for every n in its source
 set (`rings.compile_row`), that adds c * y_n * factor at each position
 of each entry.  Truncation sets are interned, so keys hash sets by
-identity, and the maps check operand sets with `is`.  Two kernels run
-the rows, here and in the graded complex (drwz): `bilinear` runs the
-row of (kind, S, m) for each m with x_m nonzero on y, scaled by x_m,
-and `linear` runs the row of (kind, S, m, T) from S into T once; T is
-in the key since V_2 maps S/2 = {1,2} into div4 and seg4 alike.  A row
-is charged its number of terms plus one against the table's budget.
+identity, and the maps check operand sets with `is`.  Three kernels
+run the rows: `bilinear`, here and for the products of the graded
+complex (drwz), runs the row of (kind, S, m) for each m with x_m nonzero
+on y, scaled by x_m; `linear` runs the row of (kind, S, m, T) from S
+into T once, and serves only the basis maps F_m and V_m here; `graded`
+runs the one row of (kind, S, m, T) of F_m or V_m of the graded complex,
+which takes both degrees and returns both (`rings.compile_columns`),
+its degree-0 terms from the entries here.  T is in the key since V_2
+maps S/2 = {1,2} into div4 and seg4 alike.  A row is charged its number
+of terms plus one against the table's budget, the terms of both degrees
+for a graded row.
 
 The Teichmuller representative of an integer m expands with necklace
 coefficients (1/n) * sum over d|n of mu(d)*m^(n/d).
@@ -42,7 +47,7 @@ from operator import add, neg
 
 from .errors import NotDivisible, NotSubset, SetMismatch, SpecMismatch, WittkitError
 from .numtheory import binary_power, divisors, mobius
-from .rings import Z, compile_row, json_int
+from .rings import Z, compile_columns, compile_row, json_int
 from .truncation import Immutable, TruncationSet
 from .witt import (
     GhostVector,
@@ -66,13 +71,19 @@ class RowTable:
     A row is built on first use and charged its number of terms plus one;
     the rows kept are charged at most `budget` in all, and the oldest rows
     go first, so a long-lived table that sees many sets or many indices
-    stays bounded.  The kernels keep compiled rows (`_compiled_row`).
+    stays bounded.  The kernels keep compiled rows (`_compiled_row`,
+    `_graded_row`); drwz keeps the residue maps of its sets in one too,
+    keyed by member tuple and charged their members plus one.
     """
 
     def __init__(self, budget: int = ROW_BUDGET):
         self.budget = budget
         self.entries = 0
         self._rows: OrderedDict = OrderedDict()  # key -> (row, charge)
+
+    def get(self, key) -> tuple | None:
+        """The pair (row, charge) kept under key, or None."""
+        return self._rows.get(key)
 
     def add(self, key, kept: tuple) -> tuple:
         """Keep the pair (row, charge) under key, evicting the oldest rows to stay in budget; return it."""
@@ -100,15 +111,35 @@ class RowTable:
             key = (kind, S, m, T)
             (self._rows.get(key) or self.add(key, _compiled_row(S, m, T, entry)))[0](1, xs, acc)
 
+    def graded(self, kind: str, S: TruncationSet, m: int, T: TruncationSet, entry0, entry1, ys, zs):
+        """The pair of tuples over T whose entry t sums ys[j] * f for each (t, f) of entry0(T, m, m_j)
+        and zs[j] * f for each (t, f) of entry1(T, m, m_j), m_j in S, by one row of (kind, S, m, T)."""
+        key = (kind, S, m, T)
+        return (self._rows.get(key) or self.add(key, _graded_row(S, m, T, entry0, entry1)))[0](ys, zs)
+
+
+def _terms(S: TruncationSet, m: int, T: TruncationSet, entry, var: str) -> dict:
+    """t -> the source of var[j] * f for each (t, f) of entry(T, m, m_j), m_j in S."""
+    sums: dict = {}
+    for j, n in enumerate(S.members):
+        for t, f in entry(T, m, n):
+            sums.setdefault(t, []).append(f"{var}[{j}]" if f == 1 else f"{f}*{var}[{j}]")
+    return sums
+
 
 def _compiled_row(S: TruncationSet, m: int, T: TruncationSet, entry) -> tuple:
     """The row of (S, m) and its charge: row(c, y, a) adds c * y[j] * f to a[t] for each
     (t, f) of entry(T, m, m_j), m_j in S, as one generated function (`compile_row`)."""
-    sums: dict = {}
-    for j, n in enumerate(S.members):
-        for t, f in entry(T, m, n):
-            sums.setdefault(t, []).append(f"y[{j}]" if f == 1 else f"{f}*y[{j}]")
+    sums = _terms(S, m, T, entry, "y")
     return compile_row(sums), 1 + sum(map(len, sums.values()))
+
+
+def _graded_row(S: TruncationSet, m: int, T: TruncationSet, entry0, entry1) -> tuple:
+    """The graded row of (S, m, T) and its charge, the terms of both degrees plus one: row(y, z)
+    returns the two tuples of `RowTable.graded` from one generated function (`compile_columns`)."""
+    sums = (_terms(S, m, T, entry0, "y"), _terms(S, m, T, entry1, "z"))
+    columns = [[part.get(t, ()) for t in range(len(T.members))] for part in sums]
+    return compile_columns("y, z", columns), 1 + sum(len(terms) for part in sums for terms in part.values())
 
 
 _TABLE = RowTable()
@@ -121,13 +152,13 @@ def _mul_entry(S: TruncationSet, m: int, n: int) -> tuple:
     return ((S.index(l), g),) if l in S else ()
 
 
-def _frobenius_entry(T: TruncationSet, m: int, n: int) -> tuple:
+def frobenius_entry(T: TruncationSet, m: int, n: int) -> tuple:
     """F_m V_n([1]): ((position of n/gcd(m,n) in T = S/m, gcd(m,n)),), or () if it is not in T."""
     g = gcd(m, n)
     return ((T.index(n // g), g),) if n // g in T else ()
 
 
-def _verschiebung_entry(S: TruncationSet, m: int, n: int) -> tuple:
+def verschiebung_entry(S: TruncationSet, m: int, n: int) -> tuple:
     """V_m V_n([1]) = V_mn([1]): ((position of m*n in S, 1),), for n in S/m."""
     return ((S.index(m * n), 1),)
 
@@ -246,16 +277,21 @@ def frobenius_basis(m: int, x: BasisWittInt) -> BasisWittInt:
     S = x.tset
     T = S.quotient(m)
     acc = [0] * len(T.members)
-    _TABLE.linear("frob", S, m, T, _frobenius_entry, x.coeffs, acc)
+    _TABLE.linear("frob", S, m, T, frobenius_entry, x.coeffs, acc)
     return BasisWittInt(T, tuple(acc))
+
+
+def check_quotient(S: TruncationSet, m: int, T: TruncationSet):
+    """SetMismatch unless T is S/m, the set an operand of V_m into S lives over."""
+    if S.quotient(m) is not T:
+        raise SetMismatch(f"operand lives over {T}, expected {S}/{m} = {S.quotient(m)}")
 
 
 def verschiebung_basis(m: int, x: BasisWittInt, S: TruncationSet) -> BasisWittInt:
     """V_m from basis form over S/m into S."""
-    if S.quotient(m) is not x.tset:
-        raise SetMismatch(f"operand lives over {x.tset}, expected {S}/{m} = {S.quotient(m)}")
+    check_quotient(S, m, x.tset)
     acc = [0] * len(S.members)
-    _TABLE.linear("versch", x.tset, m, S, _verschiebung_entry, x.coeffs, acc)
+    _TABLE.linear("versch", x.tset, m, S, verschiebung_entry, x.coeffs, acc)
     return BasisWittInt(S, tuple(acc))
 
 

@@ -1,7 +1,9 @@
 import copy
+import gc
 import pickle
 import random
 import tracemalloc
+import weakref
 from math import gcd, lcm
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittkit import rings
 from wittkit.drwz import (
+    DEFAULT,
     DrwComplex,
     DrwElement,
     crt_bracket,
@@ -27,7 +30,9 @@ from wittkit.drwz import (
     generator_tables,
 )
 from wittkit.errors import NotSubset, SetMismatch, SpecMismatch
+from wittkit import wittint
 from wittkit.truncation import (
+    EMPTY,
     MEMBER_BUDGET,
     divisors_of,
     initial_segment,
@@ -40,11 +45,13 @@ from wittkit.wittint import (
     BasisWittInt,
     RowTable,
     _compiled_row,
+    _graded_row,
     basis_generator,
     basis_mul,
     basis_scalar_mul,
     to_coords,
     verschiebung_basis,
+    verschiebung_entry,
 )
 
 from test_laws import CurlyKilled, WrongCrt
@@ -219,6 +226,43 @@ def test_degree_one_coefficients_reduced():
     assert raw == reduced and hash(raw) == hash(reduced)
 
 
+RESIDUE_SETS = structure_sets() | st.sampled_from([EMPTY, truncation_set([1]), initial_segment(2000)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), S=RESIDUE_SETS)
+def test_the_residue_map_reduces_every_member(data, S):
+    # raw degree-1 ints as the maps hand them over; seg2000 takes the residue map in units
+    big = st.integers(-10**40, 10**40)
+    if len(S) <= 64:
+        raw = data.draw(st.lists(big, min_size=len(S), max_size=len(S)))
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        raw = [rng.randint(-10**40, 10**40) for _ in S.members]
+    deg0 = BasisWittInt(S, tuple(raw[:1]) + (0,) * (len(S) - 1)) if S.members else BasisWittInt(S, ())
+    residues = tuple(r % n for r, n in zip(raw, S.members))
+    x = DrwElement(S, deg0, raw)
+    assert x.deg1 == residues
+    y = DrwElement(S, deg0, residues)
+    assert x == y and hash(x) == hash(y)
+    assert DrwElement(S, deg0, tuple(raw)) == x
+
+
+def test_a_set_built_again_finds_its_residue_map():
+    # a set no other test builds; once dropped, the intern table forgets it
+    members = (1, 2, 3, 4, 6, 9, 12, 18, 27, 36, 54, 108)
+    S = truncation_set(members)
+    residues = DrwElement(S, BasisWittInt(S, (0,) * 12), (5,) * 12).tset._residues
+    gone = weakref.ref(S)
+    del S
+    gc.collect()
+    assert gone() is None
+    again = truncation_set(members)
+    assert again._residues is None
+    assert DrwElement(again, BasisWittInt(again, (0,) * 12), (-1,) * 12).deg1 == tuple(n - 1 for n in members)
+    assert again._residues is residues  # found by its members, not compiled again
+
+
 def test_the_constructor_refuses_parts_over_another_set():
     # div4 and seg3 have three members each, so only the set check tells them apart
     S, T = divisors_of(4), initial_segment(3)
@@ -270,6 +314,18 @@ def test_generator_tables():
     assert tables["mul"]["V2*V3"] == "1·V6η([1])"
     assert tables["d"]["d(V2)"] == "1·dV2η([1])"
     assert "F2(dV2)" in tables["frobenius"]
+
+
+def test_a_first_table_builds_one_graded_row_per_map_index_and_target():
+    # a set no other test builds, so every row of its maps is built here
+    S = truncation_set([1, 2, 4, 5, 10, 20, 25, 50])
+    basis_rows = set(wittint._TABLE._rows)
+    generator_tables(S)
+    # the degree-0 parts of F_m and V_m run in the graded rows, not in the module table
+    assert not [key for key in wittint._TABLE._rows if key not in basis_rows and key[0] != "mul"]
+    graded = [key for key in DEFAULT._table._rows if key[0] != "mul" and S in key]
+    assert sorted(graded, key=repr) == sorted([("frob", S, m, S.quotient(m)) for m in S.members]
+                                              + [("versch", S.quotient(m), m, S) for m in S.members], key=repr)
 
 
 # --------------------------------------------------------------------------
@@ -466,6 +522,53 @@ def test_a_long_row_compiles_in_bounded_units(monkeypatch):
     assert {n: c for n, c in zip(S.members, raw) if c} == {
         30: 12, 60: 30, 120: 60, 240: 120, 480: 240, 960: 480, 1920: 960
     }
+
+
+def test_a_long_graded_row_compiles_in_bounded_units(monkeypatch):
+    # V_2 from seg1000 into seg2000: 1,000 terms in each degree
+    T, S = initial_segment(1000), initial_segment(2000)
+    sources = []
+
+    def recording(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(rings, "compile", recording, raising=False)
+    tracemalloc.start()
+    try:
+        row, charge = _graded_row(T, 2, S, verschiebung_entry, DrwComplex()._verschiebung_entry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charge == 1 + 1000 + 1000
+    assert len(sources) > 2 and max(map(len, sources)) <= rings.UNIT_CHARS
+    assert peak < 6 * 2**20
+    y, z = tuple(range(1, 1001)), tuple(range(-1, -1001, -1))
+    deg0, deg1 = row(y, z)
+    assert deg0 == tuple(n // 2 if n % 2 == 0 else 0 for n in S.members)
+    assert deg1 == tuple(-n if n % 2 == 0 else 0 for n in S.members)
+    x = DrwElement(T, BasisWittInt(T, y), z)
+    assert DrwComplex().verschiebung(2, x, S) == reference_verschiebung(2, x, S)
+
+
+def test_a_first_frobenius_reads_the_hooks_at_most_once_per_member():
+    S = initial_segment(2000)
+    ops = HookCounter()
+    x = drw_add(gen(S, 6), dgen(S, 12))
+    got = ops.frobenius(6, x)
+    assert ops.crt_calls <= len(S) and ops.curly_calls <= len(S)
+    assert got == reference_frobenius(DrwComplex(), 6, x)
+    reads = ops.crt_calls, ops.curly_calls
+    assert ops.frobenius(6, dgen(S, 10)) == reference_frobenius(DrwComplex(), 6, dgen(S, 10))
+    assert (ops.crt_calls, ops.curly_calls) == reads  # the constants are read from the row, not again
+
+
+def test_verschiebung_over_the_wrong_set_builds_no_row():
+    ops = DrwComplex()
+    with pytest.raises(SetMismatch) as refused:
+        ops.verschiebung(2, dgen(S6, 2), S6)
+    assert str(refused.value) == "operand lives over {1,2,3,6}, expected {1,2,3,6}/2 = {1,3}"
+    assert ops._table.entries == 0
 
 
 def test_the_row_table_stays_in_budget():

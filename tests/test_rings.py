@@ -24,6 +24,7 @@ from wittkit.rings import (
     Z,
     compile_int_program,
     compile_program,
+    compile_columns,
     compile_row,
     element_from_json,
     element_to_json,
@@ -441,7 +442,8 @@ def in_order(values, variables=EVAL_VARS):
 
 def well_formed(program):
     """The invariants of a program's slots: link k, slot 1 + arity + k, is an (s, t) pair of
-    lower slots, each product of two slots is made at most once, and each slot exists where read."""
+    lower slots, each product of two slots is made at most once, each slot exists where read,
+    and each link is read."""
     first = 1 + program.arity
     size = first + len(program.links)
     assert all(len(link) == 2 for link in program.links)
@@ -452,6 +454,9 @@ def well_formed(program):
     read = [s for rows in program.outputs for low, groups in rows
             for s in (low, *(p for _, parts in groups for p in parts))]
     assert all(0 <= s < size for s in read)
+    # every link is read, by a row or by a later link
+    read += [s for link in program.links for s in link]
+    assert set(range(first, size)) <= set(read)
 
 
 @settings(max_examples=60, deadline=None)
@@ -585,7 +590,21 @@ def test_merged_terms_that_vanish_are_dropped():
     # over Z/8, 3*a1^5 + 5*a1^3 is 3*a1^3 + 5*a1^3 = 8*a1^3 = 0: one pair, one sum, no row
     program = compiled({((0, 5),): 3, ((0, 3),): 5}, ModularRing(8))
     assert program.outputs == ((),)
+    assert program.links == ()  # the links of a1^3 are read by no row, so they go too
     assert program.run([3, 1, 4, 1]) == [0]
+
+
+def test_links_left_unread_by_a_vanishing_sum_are_dropped_and_renumbered():
+    # a2^3 + 3*a1^5*a2 + 5*a1^3*a2 over Z/8: the merged a1^3*a2 sum vanishes, so a1^2, a1^3
+    # and a1^3*a2 are read by nothing, and a2^2, a2^3 move down to the slots after the inputs
+    payload = {((1, 3),): 1, ((0, 5), (1, 1)): 3, ((0, 3), (1, 1)): 5}
+    program = compiled(payload, ModularRing(8))
+    well_formed(program)
+    first = 1 + program.arity
+    assert program.links == ((2, 2), (first, 2))  # input 1 is slot 2
+    assert program.outputs == (((0, ((None, (first + 1,)),)),),)
+    for values in ([3, 1, 4, 1], [0, 5, 2, 7]):
+        assert program.run(values) == [values[1] ** 3 % 8]
 
 
 @pytest.mark.parametrize("spec", ["series(Z/4,2)", "Z/4[x]"])
@@ -722,3 +741,26 @@ def test_a_row_splits_long_sums_over_statements_and_units(monkeypatch):
     assert all(line.count("+") < 100 for source in sources for line in source.splitlines())
     compile_row({})(1, y, a)  # no terms: a function that adds nothing
     assert a == [0, 20 - 2 * total, 30, 40 - 2 * total]
+
+
+def test_columns_return_their_sums_from_one_statement_or_from_units(monkeypatch):
+    sources = []
+
+    def recording(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(rings, "compile", recording, raising=False)
+    y, z = list(range(2000)), [-1, 5]
+    short = compile_columns("y, z", [[["y[1]", "3*y[2]"], []], [["z[0]"], ["2*z[1]", "y[3]"]]])
+    assert short(y, z) == ((7, 0), (-1, 13))
+    assert len(sources) == 1 and sources[0].count("\n") == 2  # the head and the one statement
+    # a sum past SPILL_CHARS goes over several statements, on a list cut into the columns
+    terms = [f"{j % 7 - 3}*y[{j}]" for j in range(2000)]
+    total = sum((j % 7 - 3) * j for j in range(2000))
+    sources.clear()
+    long = compile_columns("y, z", [[terms, ["z[1]"]], [], [[], terms[::-1], ["z[0]"]]])
+    assert long(y, z) == ((total, 5), (), (0, total, -1))
+    assert len(sources) > 5 and max(map(len, sources)) <= UNIT_CHARS
+    assert all(line.count("+") < 100 for source in sources for line in source.splitlines())
+    assert compile_columns("y", [[]])(y) == ((),)
