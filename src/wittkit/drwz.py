@@ -26,8 +26,8 @@ degree-1 elements vanish (degree 2 is zero).  A degree-1 coefficient is
 a residue mod its index, and the DrwElement constructor alone reduces
 it to its representative in [0, n): every map hands over its raw
 integers.  It reduces through the residue map of the set: one generated
-function with the members as literal moduli, kept with the set and, under
-a budget, by member tuple, so a set built again finds it.
+function with the members as literal moduli, kept with the set and by
+member tuple in a `rings.Kept` store, so a set built again finds it.
 
 The 2-torsion class dlog e([-1]) = sum_r 2^(r-1) dV_(2^r) e([1]) is the
 source of every dyadic correction term.
@@ -38,16 +38,15 @@ variants; the module-level functions delegate to a default instance,
 DEFAULT.  An instance reads its hooks at most once per set and index
 pair: its entry for (m, n) is the tuple of (position, factor) pairs of
 V_m e * dV_n e, F_m dV_n e or V_m dV_n e from the formulas above, and a
-row is one generated function built by wittint.RowTable (see wittint)
-from the entries for every n of its source set.  The product adds the
-rows of its degree-0 part and of its two mixed parts, scaled by the
-coefficients it is given.  F_m and V_m are one graded row each per
-source set, m and target set: it takes both degrees of an element and
-returns both degrees of the image, its degree-0 terms from the entries
-of wittint and its degree-1 terms from the instance's, so each map is
-one call.  V_m refuses an operand over the wrong set before any row is
-built.  The rows live in a table of the instance with a bounded budget,
-so one instance's constants never serve another.
+row is one generated function from the entries for every n of its
+source set, kept in the instance's own wittint.RowTable, so one
+instance's constants never serve another.  The product adds the rows of
+its degree-0 part and of its two mixed parts, scaled by the coefficients
+it is given.  F_m and V_m are one graded row each per source set, m and
+target set: it takes both degrees of an element and returns both
+degrees of the image, its degree-0 terms from the entries of wittint
+and its degree-1 terms from the instance's, so each map is one call.
+V_m refuses an operand over the wrong set before any row is built.
 
 The CLI generator table takes time about like |S|^3, so it is refused
 past TABLE_BUDGET members; a set at the budget takes about 2 s.
@@ -59,7 +58,7 @@ from math import gcd, lcm
 from operator import add, neg
 
 from .errors import BudgetExceeded, SetMismatch, SpecMismatch
-from .rings import compile_columns, json_int
+from .rings import Kept, compile_columns, json_int
 from .truncation import Immutable, TruncationSet
 from .witt import WittVector, fields_from_json
 from .wittint import (
@@ -160,22 +159,20 @@ class DrwElement(Immutable):
         }
 
 
-# The residue maps by member tuple, each charged its members plus one, so a set
-# that is dropped and built again, as by each CLI call, finds its map.
-_RESIDUE_MAPS = RowTable()
+_RESIDUE_MAPS = Kept()  # by member tuple, so a set dropped and built again, as by each CLI call, finds its map
 
 
 def _residue_map(S: TruncationSet):
     """The residue map of S: d -> ((d[i] % n for the i-th member n),), as one generated function
     with literal moduli (`compile_columns`); the entry at 1 is the literal 0.  It is kept with the
-    set, and by member tuple in _RESIDUE_MAPS under that table's budget."""
+    set, and in _RESIDUE_MAPS charged its members plus one."""
     members = S.members
-    kept = _RESIDUE_MAPS.get(members)
-    if kept is None:
+    residues = _RESIDUE_MAPS.get(members)
+    if residues is None:
         column = [[f"d[{i}]%{n}"] if n > 1 else () for i, n in enumerate(members)]
-        kept = _RESIDUE_MAPS.add(members, (compile_columns("d", [column]), 1 + len(members)))
-    _set(S, "_residues", kept[0])
-    return kept[0]
+        residues = _RESIDUE_MAPS.keep(members, compile_columns("d", [column]), 1 + len(members))
+    _set(S, "_residues", residues)
+    return residues
 
 
 def drw_from_json(data) -> DrwElement:
@@ -229,13 +226,10 @@ class DrwComplex:
     """Structure maps of the complex, with overridable constants.
 
     Subclasses used in mutation testing may override _crt_value or
-    _curly; everything else routes through these two hooks.  The hooks
-    are read once per set and (m, n) pair, by _mul_entry or
-    _frobenius_entry when the instance's RowTable builds a row from the
-    entries of every n in its source set.  mul runs the rows of (S, m)
-    of _mul_entry; frobenius and verschiebung each run one graded row of
-    (S, m, T), whose degree-0 terms are wittint's entries and whose
-    degree-1 terms are those of _frobenius_entry or _verschiebung_entry.
+    _curly; everything else routes through these two hooks, read once per
+    set and (m, n) pair by the entries below when the instance's RowTable
+    builds a row: mul runs the rows of _mul_entry, frobenius and
+    verschiebung one graded row each (see the module docstring).
     """
 
     def __init__(self):
@@ -291,14 +285,14 @@ class DrwComplex:
     def frobenius(self, m: int, x: DrwElement) -> DrwElement:
         S = x.tset
         T = S.quotient(m)
-        deg0, raw = self._table.graded("frob", S, m, T, frobenius_entry, self._frobenius_entry,
+        deg0, raw = self._table.graded("frob", S, m, T, (frobenius_entry, self._frobenius_entry),
                                        x.deg0.coeffs, x.deg1)
         return DrwElement(T, BasisWittInt(T, deg0), raw)
 
     def verschiebung(self, m: int, x: DrwElement, S: TruncationSet) -> DrwElement:
         T = x.tset
         check_quotient(S, m, T)
-        deg0, raw = self._table.graded("versch", T, m, S, verschiebung_entry, self._verschiebung_entry,
+        deg0, raw = self._table.graded("versch", T, m, S, (verschiebung_entry, self._verschiebung_entry),
                                        x.deg0.coeffs, x.deg1)
         return DrwElement(S, BasisWittInt(S, deg0), raw)
 

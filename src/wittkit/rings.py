@@ -27,7 +27,8 @@ ring is safe to share between threads.
 A program for Z/m, series(Z/m,k), sz(Z/m) or dense Z/m[x] runs on plain
 ints by Kronecker substitution (`compile_int_program`), as generated
 Python; the rows of structure constants of wittint and drwz are
-generated on the same units (`compile_row`, `compile_columns`).  A
+generated on the same units (`compile_row`, `compile_columns`), and
+every store of such functions is a `Kept`, one bounded policy for all.  A
 program whose inputs are residues mod m takes its exponents on the power
 cycle of Z/m, x^(e+lam) = x^e from e = k on (`Ring.power_cycle`), so no
 power passes k + lam - 1.  Only exactly Z/m has the cycle: an input over
@@ -46,6 +47,8 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left
+from collections import OrderedDict
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, repeat
@@ -983,6 +986,44 @@ def _function(source: str, names: dict | None = None):
     scope: dict = {}
     exec(compile(source, "<wittkit program>", "exec"), {"__builtins__": {}, **(names or {})}, scope)
     return scope.popitem()[1]
+
+
+ROW_BUDGET = 1 << 16  # the default budget of a Kept store, in units of its charges
+
+
+class Kept(Mapping):
+    """Generated functions by key, charged at most `budget` in all, oldest first.
+
+    `keep(key, value, charge)` evicts the oldest entries until value fits,
+    keeps it and returns it; a value charged above the budget by itself is
+    returned and not kept, so it is built again on every use.  `charges`
+    holds each key's charge and `entries` their sum.  Every store of
+    generated code is one: `wittint.RowTable`, drwz's residue maps and the
+    programs of `universal.PolySource`, which keeps under its lock.
+    """
+
+    def __init__(self, budget: int = ROW_BUDGET):
+        self.budget, self.entries, self.charges = budget, 0, {}
+        self._rows: OrderedDict = OrderedDict()  # key -> value, oldest first
+        self.get = self._rows.get  # the lookup of every call, without a Python frame
+
+    def __getitem__(self, key):
+        return self._rows[key]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def keep(self, key, value, charge: int):
+        if charge <= self.budget:
+            while self.entries + charge > self.budget:
+                self.entries -= self.charges.pop(self._rows.popitem(last=False)[0])
+            self._rows[key] = value
+            self.charges[key] = charge
+            self.entries += charge
+        return value
 
 
 class _Source(_Units):

@@ -24,19 +24,12 @@ across platforms).  The file is append-only: a flush appends the lines of
 the polynomials computed since the previous flush, so each is written
 once.  An append interrupted by a crash leaves a final fragment without
 its newline; loading skips it and the next flush cuts it away, with a
-warning on the "wittkit" logger each time.  PolySource.vector compiles
-the family {op:m : m in T} once per set S of its operands and target ring
-into one program with one output per key (rings.compile_program) and
-keeps it for later calls; no other code keeps a program.  A program takes
-its inputs by position: a_d is input S.index(d) and b_d input
-|S| + S.index(d), so a run reads the coordinates of x, then those of y,
-as they are, and no variable name is looked up after compiling.  Each
-value of a program other than one and its inputs is a link, the product
-of two earlier ones, so a run computes each power and each distinct part
-of a monomial once, for all its keys, and multiplies each constant once
-per row, after adding the monomials it multiplies.  A sum or product
-output has one row per monomial in the a_d, the sum over the terms with
-that a-part (the split at the first b_d); any other output is one row.
+warning on the "wittkit" logger each time.
+
+PolySource.vector compiles the family {op:m : m in T} once per set S of
+its operands and target ring into one program with one output per key
+(PolySource._compile, rings.EvalProgram), and keeps it in a bounded
+store (rings.Kept) that no other code shares.
 
 Over exactly Z/m, series(Z/m,k), sz(Z/m) and dense one-variable Z/m[x]
 the program runs on plain ints by Kronecker substitution
@@ -73,6 +66,7 @@ from .errors import (
 from .numtheory import divisors
 from .rings import (
     EvalProgram,
+    Kept,
     PolynomialRing,
     Ring,
     RingElement,
@@ -315,7 +309,7 @@ class PolySource:
     `vector` evaluates a whole key family with one program per family and
     target ring (its class and spec), compiled on first use from the
     polynomials `universal_poly` returns, so a subclass that overrides it
-    changes what `vector` computes.  It is the only cache of programs.
+    changes what `vector` computes.  The programs live in a bounded store.
 
     Thread-safe: a lock guards the memo, program and pending tables.  The
     cache file is append-only: every flush appends the polynomials
@@ -338,11 +332,11 @@ class PolySource:
         self.cache_path = cache_path
         self._memo: dict[UnivPolyKey, RingElement] = {}
         # (op, param, S, ring class, ring, ints) of a family `vector` reads ->
-        # its program on the coordinates of vectors over S, one output per
-        # key, compiled on first use, to run on ints if `ints`: S fixes both
+        # its program on the coordinates of vectors over S, compiled on first
+        # use, to run on ints if `ints`, and charged `_charge`: S fixes both
         # the family and the input positions, and rings compare by spec, so
         # the class keeps a subclass from running another's program.
-        self._programs: dict[tuple, EvalProgram] = {}
+        self._programs = Kept()
         self._lock = threading.Lock()
         # (key, polynomial) computed here and not yet appended to the file
         self._pending: list[tuple[UnivPolyKey, RingElement]] = []
@@ -393,7 +387,7 @@ class PolySource:
         if program is None:
             program = self._compile(op, param, T, S, ring, ints)
             with self._lock:
-                program = self._programs.setdefault(slot, program)
+                program = self._programs.get(slot) or self._programs.keep(slot, program, _charge(program))
         return WittVector(T, ring, tuple(program.run(coords)))
 
     def _compile(self, op: str, param: int, T: TruncationSet, S: TruncationSet, ring: Ring,
@@ -523,6 +517,13 @@ class PolySource:
         except NotInGhostImage as exc:
             raise IntegralityViolation(f"ghost recursion for {key}: {exc}") from exc
         return RingElement(out.ring, out.coord(key.index))
+
+
+def _charge(program: EvalProgram) -> int:
+    """A program's charge in `PolySource._programs`: its links plus the slots its rows read,
+    which predict its memory within about 4x (74-305 bytes per unit)."""
+    return len(program.links) + sum(len(parts) for rows in program.outputs for _, groups in rows
+                                    for _, parts in groups)
 
 
 @lru_cache(maxsize=512)  # immutable, like the rings of _poly_ring

@@ -119,8 +119,8 @@ def fields_from_json(data, *fields: str) -> tuple[TruncationSet, list[dict]]:
     """The truncation set and the named JSON objects of a serialized element.
 
     `data` must be a JSON object with the key 'set' (a list of integers)
-    and one JSON object under each field; a wrong shape is a SpecMismatch,
-    not a KeyError or TypeError.
+    and one JSON object under each field, whose keys are decimals of
+    members; a wrong shape is a SpecMismatch, not a KeyError or TypeError.
     """
     names = ", ".join(map(repr, fields))
     shape = f"a JSON object with keys 'set' (a list of integers) and {names} (JSON objects)"
@@ -133,7 +133,11 @@ def fields_from_json(data, *fields: str) -> tuple[TruncationSet, list[dict]]:
         or not all(isinstance(v, dict) for v in values)
     ):
         raise SpecMismatch(f"expected {shape}")
-    return truncation_set(members), values
+    tset = truncation_set(members)
+    for field, value in zip(fields, values):
+        if outside := value.keys() - set(map(str, tset.members)):
+            raise SpecMismatch(f"{field!r} has entries outside the set: {', '.join(sorted(map(repr, outside)))}")
+    return tset, values
 
 
 def _vector_from_json(data, field: str):

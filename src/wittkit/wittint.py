@@ -14,22 +14,13 @@ Frobenius, Verschiebung and restriction act on generators by
     R_T V_n([1]) = V_n([1]) if n in T else 0
 
 and extend linearly.  Each map reads its constants from rows of a table
-(see RowTable).  The entry of (m, n) is a tuple of (position, factor)
-pairs; a row is one generated function row(c, y, a), built the first
-time it is needed from the entries of (m, n) for every n in its source
-set (`rings.compile_row`), that adds c * y_n * factor at each position
-of each entry.  Truncation sets are interned, so keys hash sets by
-identity, and the maps check operand sets with `is`.  Three kernels
-run the rows: `bilinear`, here and for the products of the graded
-complex (drwz), runs the row of (kind, S, m) for each m with x_m nonzero
-on y, scaled by x_m; `linear` runs the row of (kind, S, m, T) from S
-into T once, and serves only the basis maps F_m and V_m here; `graded`
-runs the one row of (kind, S, m, T) of F_m or V_m of the graded complex,
-which takes both degrees and returns both (`rings.compile_columns`),
-its degree-0 terms from the entries here.  T is in the key since V_2
-maps S/2 = {1,2} into div4 and seg4 alike.  A row is charged its number
-of terms plus one against the table's budget, the terms of both degrees
-for a graded row.
+(see RowTable): the entry of (m, n) is a tuple of (position, factor)
+pairs, and a row is one generated function, built on first use from the
+entries of (m, n) for every n in its source set.  `bilinear` runs the
+rows of the products, here and in the graded complex (drwz), and
+`graded` those of F_m and V_m, one tuple per degree: one degree here,
+both in drwz.  Truncation sets are interned, so keys hash sets by
+identity, and the maps check operand sets with `is`.
 
 The Teichmuller representative of an integer m expands with necklace
 coefficients (1/n) * sum over d|n of mu(d)*m^(n/d).
@@ -40,14 +31,13 @@ divided Frobenius maps them using the comonad components of b.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 from operator import add, neg
 
 from .errors import NotDivisible, NotSubset, SetMismatch, SpecMismatch, WittkitError
 from .numtheory import binary_power, divisors, mobius
-from .rings import Z, compile_columns, compile_row, json_int
+from .rings import ROW_BUDGET, Kept, Z, compile_columns, compile_row, json_int
 from .truncation import Immutable, TruncationSet
 from .witt import (
     GhostVector,
@@ -60,62 +50,32 @@ from .witt import (
     restrict as witt_restrict,
 )
 
-ROW_BUDGET = 1 << 16
-
 _set = object.__setattr__  # the constructors' one way past the immutable __setattr__
 
 
-class RowTable:
-    """Rows of structure constants keyed by (kind, set, index), under a budget.
+class RowTable(Kept):
+    """Rows of structure constants keyed by (kind, set, index), and the two kernels that run them.
 
-    A row is built on first use and charged its number of terms plus one;
-    the rows kept are charged at most `budget` in all, and the oldest rows
-    go first, so a long-lived table that sees many sets or many indices
-    stays bounded.  The kernels keep compiled rows (`_compiled_row`,
-    `_graded_row`); drwz keeps the residue maps of its sets in one too,
-    keyed by member tuple and charged their members plus one.
+    A row is built on first use and charged its terms, of every degree,
+    plus one, so a long-lived table stays bounded (`rings.Kept`).
     """
-
-    def __init__(self, budget: int = ROW_BUDGET):
-        self.budget = budget
-        self.entries = 0
-        self._rows: OrderedDict = OrderedDict()  # key -> (row, charge)
-
-    def get(self, key) -> tuple | None:
-        """The pair (row, charge) kept under key, or None."""
-        return self._rows.get(key)
-
-    def add(self, key, kept: tuple) -> tuple:
-        """Keep the pair (row, charge) under key, evicting the oldest rows to stay in budget; return it."""
-        charge = kept[1]
-        if charge <= self.budget:
-            while self.entries + charge > self.budget:
-                self.entries -= self._rows.popitem(last=False)[1][1]
-            self._rows[key] = kept
-            self.entries += charge
-        return kept
 
     def bilinear(self, kind: str, S: TruncationSet, entry, xs, ys, acc):
         """For nonzero xs[i], add xs[i] * ys[j] * f at t for each (t, f) of entry(S, m_i, m_j),
         by the row of (kind, S, m_i)."""
         if any(ys):
-            rows = self._rows
+            get = self.get
             for m, c in zip(S.members, xs):
                 if c:
                     key = (kind, S, m)
-                    (rows.get(key) or self.add(key, _compiled_row(S, m, S, entry)))[0](c, ys, acc)
+                    (get(key) or self.keep(key, *_compiled_row(S, m, S, entry)))(c, ys, acc)
 
-    def linear(self, kind: str, S: TruncationSet, m: int, T: TruncationSet, entry, xs, acc):
-        """Add xs[j] * f at t for each (t, f) of entry(T, m, m_j), m_j in S, by the row of (kind, S, m, T)."""
-        if any(xs):
-            key = (kind, S, m, T)
-            (self._rows.get(key) or self.add(key, _compiled_row(S, m, T, entry)))[0](1, xs, acc)
-
-    def graded(self, kind: str, S: TruncationSet, m: int, T: TruncationSet, entry0, entry1, ys, zs):
-        """The pair of tuples over T whose entry t sums ys[j] * f for each (t, f) of entry0(T, m, m_j)
-        and zs[j] * f for each (t, f) of entry1(T, m, m_j), m_j in S, by one row of (kind, S, m, T)."""
+    def graded(self, kind: str, S: TruncationSet, m: int, T: TruncationSet, entries: tuple, *parts):
+        """One tuple over T per entry, whose entry t sums parts[k][j] * f for each (t, f) of
+        entries[k](T, m, m_j), m_j in S, by one row of (kind, S, m, T); T is in the key since
+        V_2 maps S/2 = {1,2} into div4 and seg4 alike."""
         key = (kind, S, m, T)
-        return (self._rows.get(key) or self.add(key, _graded_row(S, m, T, entry0, entry1)))[0](ys, zs)
+        return (self.get(key) or self.keep(key, *_graded_row(S, m, T, *entries)))(*parts)
 
 
 def _terms(S: TruncationSet, m: int, T: TruncationSet, entry, var: str) -> dict:
@@ -134,12 +94,14 @@ def _compiled_row(S: TruncationSet, m: int, T: TruncationSet, entry) -> tuple:
     return compile_row(sums), 1 + sum(map(len, sums.values()))
 
 
-def _graded_row(S: TruncationSet, m: int, T: TruncationSet, entry0, entry1) -> tuple:
-    """The graded row of (S, m, T) and its charge, the terms of both degrees plus one: row(y, z)
-    returns the two tuples of `RowTable.graded` from one generated function (`compile_columns`)."""
-    sums = (_terms(S, m, T, entry0, "y"), _terms(S, m, T, entry1, "z"))
+def _graded_row(S: TruncationSet, m: int, T: TruncationSet, *entries) -> tuple:
+    """The row of (S, m, T) and its charge, the terms of every entry plus one: row(y) for one
+    entry or row(y, z) for two returns the tuples of `RowTable.graded`, from one generated
+    function (`compile_columns`)."""
+    names = "yz"[:len(entries)]
+    sums = [_terms(S, m, T, entry, var) for entry, var in zip(entries, names)]
     columns = [[part.get(t, ()) for t in range(len(T.members))] for part in sums]
-    return compile_columns("y, z", columns), 1 + sum(len(terms) for part in sums for terms in part.values())
+    return compile_columns(", ".join(names), columns), 1 + sum(len(terms) for part in sums for terms in part.values())
 
 
 _TABLE = RowTable()
@@ -276,9 +238,8 @@ def frobenius_basis(m: int, x: BasisWittInt) -> BasisWittInt:
     """F_m in basis form, landing over S/m."""
     S = x.tset
     T = S.quotient(m)
-    acc = [0] * len(T.members)
-    _TABLE.linear("frob", S, m, T, frobenius_entry, x.coeffs, acc)
-    return BasisWittInt(T, tuple(acc))
+    (coeffs,) = _TABLE.graded("frob", S, m, T, (frobenius_entry,), x.coeffs)
+    return BasisWittInt(T, coeffs)
 
 
 def check_quotient(S: TruncationSet, m: int, T: TruncationSet):
@@ -290,9 +251,8 @@ def check_quotient(S: TruncationSet, m: int, T: TruncationSet):
 def verschiebung_basis(m: int, x: BasisWittInt, S: TruncationSet) -> BasisWittInt:
     """V_m from basis form over S/m into S."""
     check_quotient(S, m, x.tset)
-    acc = [0] * len(S.members)
-    _TABLE.linear("versch", x.tset, m, S, verschiebung_entry, x.coeffs, acc)
-    return BasisWittInt(S, tuple(acc))
+    (coeffs,) = _TABLE.graded("versch", x.tset, m, S, (verschiebung_entry,), x.coeffs)
+    return BasisWittInt(S, coeffs)
 
 
 def restrict_basis(T: TruncationSet, x: BasisWittInt) -> BasisWittInt:

@@ -205,11 +205,17 @@ GAMMA_BOUNDS = {
      "WittkitError", 1),
     ({}, ("witt", "teich", '[[[["x",1]],2],[[["x",1]],3]]', "--set", "{1}", "--ring", "Z[x]"),
      "SpecMismatch", 1),
+    ({}, ("witt", "ghost", '{"set":[1,2],"base":"Z","coords":{"1":1,"2":0,"3":9,"zz":1}}'), "SpecMismatch", 1),
+    ({}, ("witt", "from-ghost", '{"set":[1,2],"base":"Z","values":{"1":1,"2":1,"02":1}}'), "SpecMismatch", 1),
+    ({}, ("basis", "to", '{"set":[1,2],"coeffs":{"3":5,"1":1}}'), "SpecMismatch", 1),
+    ({}, ("drwz", "d", '{"set":[1,2],"deg0":{},"deg1":{"7":1}}'), "SpecMismatch", 1),
+    ({}, ("drwz", "d", '{"set":[1,2],"deg0":{"1":1},"deg1":{"x":1}}'), "SpecMismatch", 1),
     *(({}, argv, line.split(":")[0], 1) for argv, line in GAMMA_BOUNDS.values()),
 ], ids=["json-integer-digits", "q-text", "q-list", "q-zero-denominator", "series-empty-object",
         "series-list", "series-spec-number", "set-divabc", "set-div", "set-seg1.5",
         "ring-bracket", "ceiling-env", "comonad-target-above-set", "from-ghost-huge-remainder",
-        "trials-zero", "poly-repeated-monomial", *GAMMA_BOUNDS])
+        "trials-zero", "poly-repeated-monomial", "coords-outside-set", "ghost-values-not-decimal",
+        "coeffs-outside-set", "deg1-outside-set", "deg1-not-a-number", *GAMMA_BOUNDS])
 def test_boundary_regressions(monkeypatch, tmp_path, env, argv, name, code):
     monkeypatch.setenv("WITTKIT_CACHE", str(tmp_path / "cache.txt"))
     for key, value in env.items():

@@ -585,4 +585,4 @@ def test_the_row_table_stays_in_budget():
     for m in range(1, 2 * ROW_BUDGET // len(S)):
         assert ops.frobenius(m, x) == reference_frobenius(ops, m, x)
         assert ops._table.entries <= ROW_BUDGET
-    assert sum(charge for _, charge in ops._table._rows.values()) == ops._table.entries
+    assert sum(ops._table.charges.values()) == ops._table.entries

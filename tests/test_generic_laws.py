@@ -13,7 +13,7 @@ Verschiebung laws, whose operand lives over S/2.
 """
 
 import itertools
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 
@@ -44,12 +44,16 @@ def generic(S):
 
 
 def laws(a, b, c, strategy, source=None):
-    """Each law's two sides: associativity of + and *, and distributivity."""
+    """Each law's two sides: associativity and commutativity of + and *, the unit of *, and
+    distributivity."""
     add = partial(witt_add, strategy=strategy, source=source)
     mul = partial(witt_mul, strategy=strategy, source=source)
     return {
         "add-associative": (add(add(a, b), c), add(a, add(b, c))),
+        "add-commutative": (add(a, b), add(b, a)),
         "mul-associative": (mul(mul(a, b), c), mul(a, mul(b, c))),
+        "mul-commutative": (mul(a, b), mul(b, a)),
+        "mul-unit": (mul(a, witt_one(a.tset, a.ring)), a),
         "distributive": (mul(a, add(b, c)), add(mul(a, b), mul(a, c))),
     }
 
@@ -68,6 +72,20 @@ def test_a_mutated_sum_breaks_distributivity():
     a, b, c = generic(divisors_of(2))
     checks = laws(a, b, c, "universal", SumMutated())
     assert [law for law, (lhs, rhs) in checks.items() if lhs != rhs] == ["distributive"]
+
+
+@pytest.mark.parametrize("key, monomial, broken", [
+    (UnivPolyKey("sum", 2), ["a1", "a1", "b1"], ["add-associative", "add-commutative", "distributive"]),
+    (UnivPolyKey("prod", 2), ["a2", "b1"], ["mul-associative", "mul-commutative", "mul-unit"]),
+    (UnivPolyKey("prod", 2), ["a1", "b1"], ["mul-associative", "mul-unit"]),
+], ids=["sum:2+a1^2*b1", "prod:2+a2*b1", "prod:2+a1*b1"])
+def test_a_mutated_polynomial_breaks_commutativity_or_the_unit(key, monomial, broken):
+    # No one-term mutant on {1, 2} breaks commutativity alone: of the two- and
+    # three-factor terms added to sum:2 or prod:2, each one that breaks it also
+    # breaks associativity.
+    a, b, c = generic(divisors_of(2))
+    checks = laws(a, b, c, "universal", TermMutated(key, monomial, 1))
+    assert [law for law, (lhs, rhs) in checks.items() if lhs != rhs] == broken
 
 
 def frobenius_laws(a, b, strategy, source=None):
@@ -107,7 +125,7 @@ class TermMutated(PolySource):
         poly = super().universal_poly(key)
         if key == self.key:
             ring = poly.ring
-            term = ring.mul(ring.of_int(self.delta), ring.mul(*map(ring.var, self.monomial)))
+            term = reduce(ring.mul, map(ring.var, self.monomial), ring.of_int(self.delta))
             return type(poly)(ring, ring.add(poly.value, term))
         return poly
 

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from wittkit.ptypical import idempotents, ptypical_projection
-from wittkit.rings import ModularRing, PolynomialRing, RingElement, SeriesRing, Z
+from wittkit.rings import ModularRing, PolynomialRing, Q, RingElement, SeriesRing, Z
 from wittkit.series import gamma, gamma_inverse
 from wittkit.truncation import divisors_of, initial_segment
 from wittkit.witt import WittVector, delta_component, frobenius, witt_add, witt_mul, witt_neg
@@ -79,18 +79,25 @@ ALL_OPS = {
 }
 
 
-@pytest.mark.parametrize("n", [0, 72], ids=lambda n: "Z" if n == 0 else f"Z/{n}")
-def test_reductions_commute_under_every_strategy(n):
-    # each side runs under every strategy of its own ring: Z has universal and
-    # ghost, Z/72 and Z/8 universal and lift
-    source, target, f = reduction(n)
-    rng, S = random.Random(f"reduction-{n}"), divisors_of(12)
+# (seed, ring map, strategies of its source, strategies of its target)
+REDUCTIONS = {
+    "Z": ("reduction-0", reduction(0), ["universal", "ghost"], ["universal", "lift"]),
+    "Z/72": ("reduction-72", reduction(72), ["universal", "lift"], ["universal", "lift"]),
+    "Z->Q": ("inclusion-Q", (Z, Q, Q.of_int), ["universal", "ghost"], ["universal", "ghost"]),
+}
+
+
+@pytest.mark.parametrize("case", REDUCTIONS)
+def test_reductions_commute_under_every_strategy(case):
+    # each side runs under every strategy of its own ring, and the inclusion
+    # Z -> Q is checked the same way
+    seed, (source, target, f), *expected = REDUCTIONS[case]
+    rng, S = random.Random(seed), divisors_of(12)
 
     def image(v):
         return WittVector(v.tset, target, tuple(map(f, v.coords)))
 
-    assert (strategies(source), strategies(target)) == (
-        ["universal", "ghost" if n == 0 else "lift"], ["universal", "lift"])
+    assert [strategies(source), strategies(target)] == expected
     unequal, checks = [], 0
     for draw in range(4):
         x, y = (WittVector(S, source, tuple(source.sample(rng) for _ in S)) for _ in "xy")

@@ -22,6 +22,7 @@ from wittkit.errors import (
     NotDivisible,
 )
 from wittkit.rings import (
+    ROW_BUDGET,
     ModularRing,
     PolynomialRing,
     Q,
@@ -42,6 +43,7 @@ from wittkit.universal import (
     WORK_BUDGET,
     PolySource,
     UnivPolyKey,
+    _charge,
     _poly_ring,
     ghost_poly,
     key_family,
@@ -426,6 +428,39 @@ def test_sparse_calls_compile_only_the_rings_program():
     x = WittVector(S, ring, ({(): 1, ((0, 400),): 1},) * len(S))
     assert src.vector("prod", 0, S, x, x) == witt_mul(x, x, "lift")
     assert list(src._programs) == [("prod", 0, S, PolynomialRing, ring, False)]
+
+
+def test_the_kept_programs_stay_in_budget():
+    # witt_mul over div24 on Z/3, ..., Z/22 and Z/1000003 in one source: with no bound it
+    # kept 21 programs charged 422,450 units, and the last six rings alone took the traced
+    # peak to 19.4 MiB; under the budget the oldest go, and those six peak at 12.4 MiB
+    S, src = divisors_of(24), PolySource()
+    try:
+        for m in [*range(3, 23), 1000003]:
+            if m == 18:
+                tracemalloc.start()
+            ring = ModularRing(m)
+            x = WittVector(S, ring, tuple((7 * n + 1) % m for n in S.members))
+            assert witt_mul(x, x, "universal", src) == witt_mul(x, x, "lift")
+            assert src._programs.entries == sum(src._programs.charges.values()) <= ROW_BUDGET
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len(src._programs) < 21
+
+
+def test_the_z8_div24_families_are_kept_without_eviction():
+    # every family universal_torsion reads over Z/8 on div24: 17 programs charged
+    # 20,483 units, the product family 10,905 of them
+    ring, S, src = ModularRing(8), divisors_of(24), PolySource()
+    x = WittVector(S, ring, tuple(n % 8 for n in S.members))
+    witt_mul(x, x, "universal", src), witt_add(x, x, "universal", src), witt_neg(x, "universal", src)
+    for m in S.members[1:]:
+        frobenius(m, x, "universal", src), delta_component(m, x, "universal", src)
+    assert len(src._programs) == 3 + 2 * (len(S) - 1)  # none was evicted
+    assert src._programs.charges == {slot: _charge(program) for slot, program in src._programs.items()}
+    assert src._programs.entries == sum(src._programs.charges.values()) <= ROW_BUDGET
 
 
 @pytest.mark.parametrize("spec, m", [("Z/1000[x]", 1000), ("Z/257[x]", 257), ("series(Z/257,3)", 257),

@@ -308,4 +308,4 @@ def test_the_module_table_stays_in_budget(monkeypatch):
             z = basis_generator(T, n)
             check(verschiebung_basis(m, z, S24), reference_verschiebung_basis(m, z, S24))
     assert first not in table._rows  # the oldest rows went first
-    assert sum(charge for _, charge in table._rows.values()) == table.entries
+    assert sum(table.charges.values()) == table.entries
