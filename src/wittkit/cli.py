@@ -27,8 +27,8 @@ import sys
 from typing import Any, Callable, NamedTuple
 
 from . import drwz, laws, ptypical, series, universal, wittint
-from .errors import WittkitError
-from .rings import element_from_json, parse_ring
+from .errors import SpecMismatch, WittkitError
+from .rings import Z, element_from_json, parse_ring
 from .truncation import parse_truncation_set
 from .universal import PolySource
 from .witt import (
@@ -116,13 +116,18 @@ def _drwz_table(a) -> Output:
 
 def _laws_check(a) -> Output:
     S = parse_truncation_set(a.set)
+    if a.target is not None and a.suite != "comonad":
+        raise SpecMismatch(f"--target is the comonad suite's inner set; the {a.suite} suite has none")
+    T = parse_truncation_set(a.target) if a.target else S
+    ring = parse_ring(a.base)
     if a.suite == "wittcomplex":
+        if ring != Z:
+            raise SpecMismatch(f"the wittcomplex suite runs over Z only, not over {ring}")
         report = laws.check_witt_complex(S, trials=a.trials, seed=a.seed)
     elif a.suite == "comonad":
-        T = parse_truncation_set(a.target) if a.target else S
-        report = laws.check_comonad(S, T, parse_ring(a.base), trials=a.trials, seed=a.seed)
+        report = laws.check_comonad(S, T, ring, trials=a.trials, seed=a.seed)
     else:
-        report = laws.check_witt_ring(S, parse_ring(a.base), trials=a.trials, seed=a.seed)
+        report = laws.check_witt_ring(S, ring, trials=a.trials, seed=a.seed)
     text = laws.report_to_json_text(report) if a.format == "json" else report.summary()
     return Output(None, text, 0 if report.passed else 1)
 
@@ -222,8 +227,9 @@ VERBS = (
     Verb(("drwz", "table"), (_set(),), _drwz_table),
     Verb(("laws", "check"),
          (_arg("--suite", required=True, choices=tuple(laws.SUITES)), _set(),
-          _arg("--target", help="inner truncation set for the comonad suite"),
-          _arg("--base", default="Z"), _arg("--trials", type=int, default=200),
+          _arg("--target", help="inner truncation set, comonad suite only"),
+          _arg("--base", default="Z", help="base ring; Z only for the wittcomplex suite"),
+          _arg("--trials", type=int, default=200),
           _arg("--seed", type=int, default=7),
           _arg("--json", dest="format", action="store_const", const="json", help="--format json")),
          _laws_check),

@@ -14,6 +14,16 @@ names the identity and its inputs.  It also times each law: a law's
 Failures never raise: an exception inside a law is itself recorded as a
 counterexample, so deliberately broken implementations can be exercised.
 
+The graded complex's identities live apart from the way their inputs are
+drawn.  COMPLEX_IDENTITIES holds each one once, as a function of the
+complex `ops`, the set S and its arguments, with the kind of each
+argument (where it lives) and what its counterexample shows.
+check_witt_complex is a sampled driver: each law names identities,
+their leading arguments (indices, or elements it iterates over) and a
+number of rounds, and the other arguments are drawn from their kinds.
+Other drivers can run the same entries, as a test does on every tuple
+of generators.
+
 The suites accept the implementation as a parameter (a DrwComplex for
 the graded complex, a WittOps bundle for the comonad and ring suites),
 which is how mutation tests plug in sabotaged variants.  Without one,
@@ -27,7 +37,9 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from math import gcd, isqrt, lcm
+from itertools import chain
+from operator import itemgetter
+from math import gcd, isqrt, lcm, prod
 
 from .drwz import (
     DEFAULT,
@@ -62,6 +74,7 @@ from .wittint import (
     BasisWittInt,
     basis_generator,
     basis_mul,
+    basis_one,
     basis_zero,
     frobenius_basis,
     teich_basis,
@@ -211,10 +224,125 @@ def _random_drw(S: TruncationSet, rng: random.Random) -> DrwElement:
     return DrwElement(S, deg0, deg1)
 
 
-def _drw_generators(S: TruncationSet, ops: DrwComplex) -> list[DrwElement]:
-    gens = [drw_eta(basis_generator(S, n)) for n in S.members]
-    gens += [ops.d(drw_eta(basis_generator(S, n))) for n in S.members]
-    return gens
+def bezout_pairs(m: int, n: int) -> list[tuple[int, int]]:
+    """Two pairs (i, j) with m*i + n*j = gcd(m, n), for the F_m dV_n relation."""
+    c = gcd(m, n)
+    i, j = bezout(m, n, c)
+    return [(i, j), (i + n // c, j - m // c)]
+
+
+def kind_place(kinds: tuple[str, ...], kind: str) -> tuple[str, tuple[int, ...]]:
+    """(name, positions) of an argument of `kind` among `kinds`: it lives over
+    S/k, k the product of the arguments at `positions` (the index arguments
+    named after its slash; S itself when there is none)."""
+    name, _, over = kind.partition("/")
+    return name, tuple(next(p for p, other in enumerate(kinds) if other[0] == c) for c in over)
+
+
+def _fmdvn_three_term(ops, S, m, n, i, j, y, dlog):
+    c = gcd(m, n)
+    Sc = S.quotient(c)
+    lhs = ops.frobenius(m, ops.d(ops.verschiebung(n, y, S)))
+    fv = ops.frobenius(m // c, ops.verschiebung(n // c, y, Sc))
+    fvd = ops.frobenius(m // c, ops.verschiebung(n // c, ops.d(y), Sc))
+    rhs = drw_add(drw_add(drw_scalar_mul(i, ops.d(fv)), drw_scalar_mul(j, fvd)),
+                  drw_scalar_mul(c - 1, ops.mul(dlog, fv)))
+    return lhs, rhs
+
+
+def _fn_d_teichmuller(ops, S, n, a):
+    teich_T = teich_basis(a, S.quotient(n))
+    lhs = ops.frobenius(n, ops.d(drw_eta(teich_basis(a, S))))
+    return lhs, ops.mul(drw_eta(teich_T ** (n - 1)), ops.d(drw_eta(teich_T)))
+
+
+def _vmdvn_expansion(ops, S, m, n):
+    """V_m[1] * dV_n[1] against its expansion from (m,n] and {m,n} alone."""
+    got = ops.mul(drw_eta(basis_generator(S, m)), ops.d(drw_eta(basis_generator(S, n))))
+    raw = {}
+    l = lcm(m, n)
+    if l in S:
+        raw[l] = crt_bracket(m, n)
+    if curly(m, n):
+        r = 1
+        while (2**r) * l in S:
+            raw[(2**r) * l] = 2 ** (r - 1) * l
+            r += 1
+    return got, DrwElement(S, basis_zero(S), [raw.get(k, 0) for k in S.members])
+
+
+# Every identity of the complex suite, stated once: label -> (kinds, show, fn).
+# fn(ops, S, *args) returns (lhs, rhs), or a list of such pairs, computed by
+# the maps of the complex `ops` over S.  `kinds` gives where each argument
+# lives (an index kind's first letter names it; see kind_place):
+#   m, n  a member of S;  n⊥m  one prime to m;  i, j  a pair of bezout_pairs(m, n)
+#   a  an integer, for the class [a];  T  a quotient S/k, k in S
+#   x  an element over S;  y/n, y/mn  one over S/n, S/mn;  eta  one of degree 0
+#   b, b/n  an element of W_S(Z), W_{S/n}(Z) in the V-basis
+#   dlog, dlog/m, dlog/n  dlog[-1] over S, S/m, S/n, from ops
+# `show` lists what a counterexample names after the label, as positions in
+# (*args, lhs, rhs), so -2 and -1 are the two sides.
+# Degree 2 is built in as 0 (`drwz`), so `dd=dlog*d`, `dlog^2` and `d dlog`
+# compare zero with zero by construction until degree 2 is derived (ROADMAP
+# item 17).
+COMPLEX_IDENTITIES = {
+    "assoc": (("x", "x", "x"), (0, 1, 2),
+              lambda ops, S, x, y, z: (ops.mul(ops.mul(x, y), z), ops.mul(x, ops.mul(y, z)))),
+    "comm": (("x", "x"), (0, 1), lambda ops, S, x, y: (ops.mul(x, y), ops.mul(y, x))),
+    "distr": (("x", "x", "x"), (0, 1, 2), lambda ops, S, x, y, z: (
+        ops.mul(x, drw_add(y, z)), drw_add(ops.mul(x, y), ops.mul(x, z)))),
+    "unit": (("x",), (0,), lambda ops, S, x: (ops.mul(drw_eta(basis_one(S)), x), x)),
+    "leibniz": (("eta", "eta"), (0, 1), lambda ops, S, x, y: (
+        ops.d(ops.mul(x, y)), drw_add(ops.mul(ops.d(x), y), ops.mul(x, ops.d(y))))),
+    "dd=dlog*d": (("x", "dlog"), (0,),
+                  lambda ops, S, x, dlog: (ops.d(ops.d(x)), ops.mul(dlog, ops.d(x)))),
+    "FmFn=Fmn": (("m", "n", "x"), (0, 1, 2), lambda ops, S, m, n, x: (
+        ops.frobenius(m, ops.frobenius(n, x)), ops.frobenius(m * n, x))),
+    "VnVm=Vnm": (("n", "m", "y/mn"), (0, 1, 2), lambda ops, S, n, m, y: (
+        ops.verschiebung(n, ops.verschiebung(m, y, S.quotient(n)), S), ops.verschiebung(m * n, y, S))),
+    "FnVn=n": (("n", "y/n"), (0, 1), lambda ops, S, n, y: (
+        ops.frobenius(n, ops.verschiebung(n, y, S)), drw_scalar_mul(n, y))),
+    "F1=V1=id": (("x",), (0,), lambda ops, S, x: [
+        (ops.frobenius(1, x), x), (ops.verschiebung(1, x, S), x)]),
+    "FmVn=VnFm": (("m", "n⊥m", "y/n"), (0, 1, 2), lambda ops, S, m, n, y: (
+        ops.frobenius(m, ops.verschiebung(n, y, S)),
+        ops.verschiebung(n, ops.frobenius(m, y), S.quotient(m)))),
+    "F-eta": (("n", "b"), (0, 1), lambda ops, S, n, b: (
+        ops.frobenius(n, drw_eta(b)), drw_eta(frobenius_basis(n, b)))),
+    "V-eta": (("n", "b/n"), (0, 1), lambda ops, S, n, b: (
+        ops.verschiebung(n, drw_eta(b), S), drw_eta(verschiebung_basis(n, b, S)))),
+    "Fn ring map": (("n", "x", "x"), (0, 1, 2), lambda ops, S, n, x, y: (
+        ops.frobenius(n, ops.mul(x, y)), ops.mul(ops.frobenius(n, x), ops.frobenius(n, y)))),
+    "projection": (("n", "x", "y/n"), (0, 1, 2), lambda ops, S, n, x, y: (
+        ops.mul(x, ops.verschiebung(n, y, S)),
+        ops.verschiebung(n, ops.mul(ops.frobenius(n, x), y), S))),
+    "FndVn": (("n", "y/n", "dlog/n"), (0, 1, -2, -1), lambda ops, S, n, y, dlog: (
+        ops.frobenius(n, ops.d(ops.verschiebung(n, y, S))),
+        drw_add(ops.d(y), drw_scalar_mul(n - 1, ops.mul(dlog, y))))),
+    "Fn d[a]": (("n", "a"), (0, 1, -2, -1), _fn_d_teichmuller),
+    "dFn=nFnd": (("n", "x"), (0, 1), lambda ops, S, n, x: (
+        ops.d(ops.frobenius(n, x)), drw_scalar_mul(n, ops.frobenius(n, ops.d(x))))),
+    "Vnd=ndVn": (("n", "y/n"), (0, 1), lambda ops, S, n, y: (
+        ops.verschiebung(n, ops.d(y), S), drw_scalar_mul(n, ops.d(ops.verschiebung(n, y, S))))),
+    "FmdVn three-term": (("m", "n", "i", "j", "y/n", "dlog/m"), (0, 1, 2, 3, 4, -2, -1),
+                         _fmdvn_three_term),
+    "dlog^2": (("dlog",), (0,), lambda ops, S, dlog: (ops.mul(dlog, dlog), drw_zero(S))),
+    "d dlog": (("dlog",), (0,), lambda ops, S, dlog: (ops.d(dlog), drw_zero(S))),
+    "2 dlog": (("dlog",), (0,), lambda ops, S, dlog: (drw_scalar_mul(2, dlog), drw_zero(S))),
+    "Fn dlog": (("n", "dlog", "dlog/n"), (0,),
+                lambda ops, S, n, dlog, dlog_n: (ops.frobenius(n, dlog), dlog_n)),
+    "VmdVn expansion": (("m", "n"), (0, 1, -2, -1), _vmdvn_expansion),
+    "n dVn = 0": (("n",), (0,), lambda ops, S, n: (
+        drw_scalar_mul(n, ops.d(drw_eta(basis_generator(S, n)))), drw_zero(S))),
+    "eta multiplicative": (("b", "b"), (0, 1), lambda ops, S, a, b: (
+        ops.mul(drw_eta(a), drw_eta(b)), drw_eta(basis_mul(a, b)))),
+    "R commutes with d": (("x", "T"), (1, 0), lambda ops, S, x, T: (
+        ops.restrict(T, ops.d(x)), ops.d(ops.restrict(T, x)))),
+}
+# label -> (fn, the getter of its counterexample's context, kind_place of each argument)
+_DRIVEN = {label: (fn, itemgetter(*show) if len(show) > 1 else lambda v, p=show[0]: (v[p],),
+                   [kind_place(kinds, kind) for kind in kinds])
+           for label, (kinds, show, fn) in COMPLEX_IDENTITIES.items()}
 
 
 def check_witt_complex(
@@ -223,245 +351,101 @@ def check_witt_complex(
     seed: int = 7,
     ops: DrwComplex | None = None,
 ) -> LawReport:
-    """Axioms of the graded complex plus its derived identities over S."""
+    """Axioms of the graded complex plus its derived identities over S.
+
+    Each law runs identities of COMPLEX_IDENTITIES on arguments drawn
+    from their kinds: an element over S from a pool of `trials` random
+    elements, one over a quotient afresh.  A few laws also run on the
+    generators eta(V_n[1]) and d eta(V_n[1]).
+    """
     if len(S) > COMPLEX_BUDGET:
         raise BudgetExceeded(f"{len(S)} members exceed the wittcomplex budget {COMPLEX_BUDGET}")
     ops = ops or DEFAULT
     rng = random.Random(seed)
     runner = _Runner("wittcomplex", S, trials, seed)
     pool = [_random_drw(S, rng) for _ in range(trials)]
-    gens = _drw_generators(S, ops)
-    some = pool[: max(8, trials // 25)] + gens
     members = S.members
+    gens = [drw_eta(basis_generator(S, n)) for n in members]
+    gens += [ops.d(g) for g in gens]
+    some = pool[: max(8, trials // 25)] + gens
+    dlogs = {}  # dlog[-1] by set, taken once per run
+    draw = {
+        "x": lambda T: rng.choice(pool),
+        "y": lambda T: _random_drw(T, rng),
+        "eta": lambda T: drw_eta(rng.choice(pool).deg0),
+        "b": lambda T: _random_basis(T, rng),
+        "T": lambda T: S.quotient(rng.choice(members)),
+        "dlog": dlogs.__getitem__,
+    }
 
-    def assoc(x, y, z):
-        return ops.mul(ops.mul(x, y), z), ops.mul(x, ops.mul(y, z)), "assoc", x, y, z
+    def sampled(indices, reps, *labels):
+        """For each tuple of leading arguments in `indices`, `reps` rounds of
+        the identities `labels`, each drawing its other arguments."""
+        identities = [(label, *_DRIVEN[label]) for label in labels]
+        for idx in indices:
+            plans = []
+            for label, fn, context, places in identities:
+                rest = []
+                for name, positions in places[len(idx):]:
+                    T = S.quotient(prod([idx[p] for p in positions])) if positions else S
+                    if name == "dlog" and T not in dlogs:
+                        dlogs[T] = ops.dlog_minus_one(T)
+                    rest.append((draw[name], T))
+                plans.append((label, fn, context, rest))
+            for _ in range(reps):
+                for label, fn, context, rest in plans:
+                    args = idx + tuple([get(T) for get, T in rest]) if rest else idx
+                    sides = fn(ops, S, *args)
+                    if isinstance(sides, list):
+                        yield [(*pair, label, *context((*args, *pair))) for pair in sides]
+                    else:
+                        yield (*sides, label, *context((*args, *sides)))
 
-    def law_assoc():
-        for x, y in [(rng.choice(gens), rng.choice(gens)) for _ in range(len(gens) * 2)]:
-            yield assoc(x, y, rng.choice(pool))
-        for _ in range(trials):
-            yield assoc(rng.choice(pool), rng.choice(pool), rng.choice(pool))
-
-    def law_comm():
-        for _ in range(trials):
-            x, y = rng.choice(pool), rng.choice(pool)
-            yield ops.mul(x, y), ops.mul(y, x), "comm", x, y
-
-    def law_distr():
-        for _ in range(trials):
-            x, y, z = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-            lhs = ops.mul(x, drw_add(y, z))
-            rhs = drw_add(ops.mul(x, y), ops.mul(x, z))
-            yield lhs, rhs, "distr", x, y, z
-
-    def law_unit():
-        one = drw_eta(basis_generator(S, 1)) if members else drw_zero(S)
-        for x in pool[:20] + gens:
-            yield ops.mul(one, x), x, "unit", x
-
-    def leibniz(x, y):
-        return ops.d(ops.mul(x, y)), drw_add(ops.mul(ops.d(x), y), ops.mul(x, ops.d(y)))
-
-    def law_leibniz():
-        for _ in range(trials):
-            x, y = rng.choice(pool), rng.choice(pool)
-            x0, y0 = drw_eta(x.deg0), drw_eta(y.deg0)
-            yield *leibniz(x0, y0), "leibniz", x0, y0
-        for m in members:
-            for n in members:
-                lhs, rhs = leibniz(drw_eta(basis_generator(S, m)), drw_eta(basis_generator(S, n)))
+    def leibniz_on_generators():
+        fn = COMPLEX_IDENTITIES["leibniz"][2]
+        for m, x in zip(members, gens):
+            for n, y in zip(members, gens):
+                lhs, rhs = fn(ops, S, x, y)
                 yield lhs, rhs, "leibniz-gen", f"V{m}", f"V{n}", lhs, rhs
 
-    def law_dd():
-        dlog = ops.dlog_minus_one(S)
-        for x in some:
-            yield ops.d(ops.d(x)), ops.mul(dlog, ops.d(x)), "dd=dlog*d", x
-
-    def law_fv_group():
+    def fv_group():
         for m in members:
             for n in members:
-                for x in some[:6]:
-                    lhs = ops.frobenius(m, ops.frobenius(n, x))
-                    yield lhs, ops.frobenius(m * n, x), "FmFn=Fmn", m, n, x
-                U = S.quotient(m * n)
-                if U.members:
-                    y = _random_drw(U, rng)
-                    via = ops.verschiebung(n, ops.verschiebung(m, y, S.quotient(n)), S)
-                    yield via, ops.verschiebung(m * n, y, S), "VnVm=Vnm", n, m, y
-        for n in members:
-            T = S.quotient(n)
-            for _ in range(6):
-                y = _random_drw(T, rng)
-                lhs = ops.frobenius(n, ops.verschiebung(n, y, S))
-                yield lhs, drw_scalar_mul(n, y), "FnVn=n", n, y
-        for x in some[:6]:
-            yield [
-                (ops.frobenius(1, x), x, "F1=V1=id", x),
-                (ops.verschiebung(1, x, S), x, "F1=V1=id", x),
-            ]
+                yield from sampled([(m, n, x) for x in some[:6]], 1, "FmFn=Fmn")
+                if S.quotient(m * n).members:
+                    yield from sampled([(n, m)], 1, "VnVm=Vnm")
+        yield from sampled(singles, 6, "FnVn=n")
+        yield from sampled([(x,) for x in some[:6]], 1, "F1=V1=id")
 
-    def law_fv_coprime():
-        for m in members:
-            for n in members:
-                if gcd(m, n) != 1:
-                    continue
-                T = S.quotient(n)
-                for _ in range(4):
-                    y = _random_drw(T, rng)
-                    lhs = ops.frobenius(m, ops.verschiebung(n, y, S))
-                    rhs = ops.verschiebung(n, ops.frobenius(m, y), S.quotient(m))
-                    yield lhs, rhs, "FmVn=VnFm", m, n, y
-
-    def law_eta_fv():
-        for n in members:
-            for _ in range(4):
-                b = _random_basis(S, rng)
-                yield ops.frobenius(n, drw_eta(b)), drw_eta(frobenius_basis(n, b)), "F-eta", n, b
-                bt = _random_basis(S.quotient(n), rng)
-                lhs = ops.verschiebung(n, drw_eta(bt), S)
-                yield lhs, drw_eta(verschiebung_basis(n, bt, S)), "V-eta", n, bt
-
-    def law_frobenius_mult():
-        for n in members:
-            for _ in range(6):
-                x, y = rng.choice(pool), rng.choice(pool)
-                lhs = ops.frobenius(n, ops.mul(x, y))
-                rhs = ops.mul(ops.frobenius(n, x), ops.frobenius(n, y))
-                yield lhs, rhs, "Fn ring map", n, x, y
-
-    def law_projection():
-        for n in members:
-            T = S.quotient(n)
-            for _ in range(6):
-                x = rng.choice(pool)
-                y = _random_drw(T, rng)
-                lhs = ops.mul(x, ops.verschiebung(n, y, S))
-                rhs = ops.verschiebung(n, ops.mul(ops.frobenius(n, x), y), S)
-                yield lhs, rhs, "projection", n, x, y
-
-    def law_axiom_iv():
-        for n in members:
-            T = S.quotient(n)
-            dlog_T = ops.dlog_minus_one(T)
-            for _ in range(8):
-                y = _random_drw(T, rng)
-                lhs = ops.frobenius(n, ops.d(ops.verschiebung(n, y, S)))
-                rhs = drw_add(ops.d(y), drw_scalar_mul(n - 1, ops.mul(dlog_T, y)))
-                yield lhs, rhs, "FndVn", n, y, lhs, rhs
-
-    def law_axiom_v():
-        for n in [m for m in members if m <= 6]:
-            T = S.quotient(n)
-            for a in range(-3, 4):
-                lhs = ops.frobenius(n, ops.d(drw_eta(teich_basis(a, S))))
-                teich_T = teich_basis(a, T)
-                rhs = ops.mul(drw_eta(teich_T ** (n - 1)), ops.d(drw_eta(teich_T)))
-                yield lhs, rhs, "Fn d[a]", n, a, lhs, rhs
-
-    def law_dF_nFd():
-        for n in members:
-            for _ in range(6):
-                x = rng.choice(pool)
-                lhs = ops.d(ops.frobenius(n, x))
-                yield lhs, drw_scalar_mul(n, ops.frobenius(n, ops.d(x))), "dFn=nFnd", n, x
-
-    def law_Vd_ndV():
-        for n in members:
-            T = S.quotient(n)
-            for _ in range(6):
-                y = _random_drw(T, rng)
-                lhs = ops.verschiebung(n, ops.d(y), S)
-                yield lhs, drw_scalar_mul(n, ops.d(ops.verschiebung(n, y, S))), "Vnd=ndVn", n, y
-
-    def law_FdV_bezout():
-        for m in members:
-            for n in members:
-                c = gcd(m, n)
-                i, j = bezout(m, n, c)
-                T = S.quotient(n)
-                dlog_m = ops.dlog_minus_one(S.quotient(m))
-                for i2, j2 in [(i, j), (i + n // c, j - m // c)]:
-                    for _ in range(3):
-                        y = _random_drw(T, rng)
-                        lhs = ops.frobenius(m, ops.d(ops.verschiebung(n, y, S)))
-                        mid = ops.verschiebung(n // c, y, S.quotient(c))
-                        fv = ops.frobenius(m // c, mid)
-                        fvd = ops.frobenius(
-                            m // c, ops.verschiebung(n // c, ops.d(y), S.quotient(c))
-                        )
-                        rhs = drw_add(
-                            drw_add(drw_scalar_mul(i2, ops.d(fv)), drw_scalar_mul(j2, fvd)),
-                            drw_scalar_mul(c - 1, ops.mul(dlog_m, fv)),
-                        )
-                        yield lhs, rhs, "FmdVn three-term", m, n, i2, j2, y, lhs, rhs
-
-    def law_dlog():
-        dlog = ops.dlog_minus_one(S)
-        zero = drw_zero(S)
-        yield ops.mul(dlog, dlog), zero, "dlog^2", dlog
-        yield ops.d(dlog), zero, "d dlog", dlog
-        yield drw_scalar_mul(2, dlog), zero, "2 dlog", dlog
-        for n in members:
-            yield ops.frobenius(n, dlog), ops.dlog_minus_one(S.quotient(n)), "Fn dlog", n
-
-    def law_dgideal():
-        # products of generators must match the independent expansion
-        memset = set(members)
-        for m in members:
-            for n in members:
-                got = ops.mul(
-                    drw_eta(basis_generator(S, m)),
-                    ops.d(drw_eta(basis_generator(S, n))),
-                )
-                raw = {}
-                l = lcm(m, n)
-                if l in memset:
-                    raw[l] = crt_bracket(m, n)
-                if curly(m, n):
-                    r = 1
-                    while (2**r) * l in memset:
-                        raw[(2**r) * l] = 2 ** (r - 1) * l
-                        r += 1
-                expansion = DrwElement(S, basis_zero(S), [raw.get(k, 0) for k in members])
-                yield got, expansion, "VmdVn expansion", m, n, got, expansion
-        for n in members:
-            lhs = drw_scalar_mul(n, ops.d(drw_eta(basis_generator(S, n))))
-            yield lhs, drw_zero(S), "n dVn = 0", n
-
-    def law_eta_ring():
-        for _ in range(trials // 2):
-            a, b = _random_basis(S, rng), _random_basis(S, rng)
-            lhs = ops.mul(drw_eta(a), drw_eta(b))
-            yield lhs, drw_eta(basis_mul(a, b)), "eta multiplicative", a, b
-
-    def law_restrict_d():
-        subsets = [S.quotient(n) for n in members]
-        for _ in range(trials // 2):
-            x = rng.choice(pool)
-            T = rng.choice(subsets)
-            yield ops.restrict(T, ops.d(x)), ops.d(ops.restrict(T, x)), "R commutes with d", T, x
-
-    runner.run("graded-associativity", law_assoc)
-    runner.run("graded-commutativity", law_comm)
-    runner.run("distributivity", law_distr)
-    runner.run("unit", law_unit)
-    runner.run("axiom-i-leibniz", law_leibniz)
-    runner.run("axiom-i-dd", law_dd)
-    runner.run("axiom-ii-group", law_fv_group)
-    runner.run("axiom-ii-coprime-commute", law_fv_coprime)
-    runner.run("axiom-ii-eta", law_eta_fv)
-    runner.run("axiom-iii-frobenius-multiplicative", law_frobenius_mult)
-    runner.run("axiom-iii-projection", law_projection)
-    runner.run("axiom-iv", law_axiom_iv)
-    runner.run("axiom-v", law_axiom_v)
-    runner.run("relation-dF-nFd", law_dF_nFd)
-    runner.run("relation-Vd-ndV", law_Vd_ndV)
-    runner.run("relation-FdV-bezout", law_FdV_bezout)
-    runner.run("relation-dlog", law_dlog)
-    runner.run("ideal-generators-vanish", law_dgideal)
-    runner.run("eta-ring-map", law_eta_ring)
-    runner.run("restriction-commutes-with-d", law_restrict_d)
+    once, singles = [()], [(n,) for n in members]
+    pairs = [(m, n) for m in members for n in members]
+    runner.run("graded-associativity", lambda: chain(
+        sampled([(rng.choice(gens), rng.choice(gens)) for _ in range(len(gens) * 2)], 1, "assoc"),
+        sampled(once, trials, "assoc")))
+    runner.run("graded-commutativity", lambda: sampled(once, trials, "comm"))
+    runner.run("distributivity", lambda: sampled(once, trials, "distr"))
+    runner.run("unit", lambda: sampled([(x,) for x in pool[:20] + gens], 1, "unit"))
+    runner.run("axiom-i-leibniz", lambda: chain(sampled(once, trials, "leibniz"), leibniz_on_generators()))
+    runner.run("axiom-i-dd", lambda: sampled([(x,) for x in some], 1, "dd=dlog*d"))
+    runner.run("axiom-ii-group", fv_group)
+    runner.run("axiom-ii-coprime-commute",
+               lambda: sampled([(m, n) for m, n in pairs if gcd(m, n) == 1], 4, "FmVn=VnFm"))
+    runner.run("axiom-ii-eta", lambda: sampled(singles, 4, "F-eta", "V-eta"))
+    runner.run("axiom-iii-frobenius-multiplicative", lambda: sampled(singles, 6, "Fn ring map"))
+    runner.run("axiom-iii-projection", lambda: sampled(singles, 6, "projection"))
+    runner.run("axiom-iv", lambda: sampled(singles, 8, "FndVn"))
+    runner.run("axiom-v", lambda: sampled([(n, a) for n in members if n <= 6 for a in range(-3, 4)], 1,
+                                          "Fn d[a]"))
+    runner.run("relation-dF-nFd", lambda: sampled(singles, 6, "dFn=nFnd"))
+    runner.run("relation-Vd-ndV", lambda: sampled(singles, 6, "Vnd=ndVn"))
+    runner.run("relation-FdV-bezout", lambda: sampled(
+        [(m, n, *ij) for m, n in pairs for ij in bezout_pairs(m, n)], 3, "FmdVn three-term"))
+    runner.run("relation-dlog", lambda: chain(sampled(once, 1, "dlog^2", "d dlog", "2 dlog"),
+                                              sampled(singles, 1, "Fn dlog")))
+    runner.run("ideal-generators-vanish", lambda: chain(sampled(pairs, 1, "VmdVn expansion"),
+                                                        sampled(singles, 1, "n dVn = 0")))
+    runner.run("eta-ring-map", lambda: sampled(once, trials // 2, "eta multiplicative"))
+    runner.run("restriction-commutes-with-d", lambda: sampled(once, trials // 2, "R commutes with d"))
     return runner.done()
 
 

@@ -210,12 +210,21 @@ GAMMA_BOUNDS = {
     ({}, ("basis", "to", '{"set":[1,2],"coeffs":{"3":5,"1":1}}'), "SpecMismatch", 1),
     ({}, ("drwz", "d", '{"set":[1,2],"deg0":{},"deg1":{"7":1}}'), "SpecMismatch", 1),
     ({}, ("drwz", "d", '{"set":[1,2],"deg0":{"1":1},"deg1":{"x":1}}'), "SpecMismatch", 1),
+    ({}, ("laws", "check", "--suite", "wittcomplex", "--set", "div6", "--base", "Z/8"),
+     "SpecMismatch", 1),
+    ({}, ("laws", "check", "--suite", "wittcomplex", "--set", "div6", "--base", "Q"),
+     "SpecMismatch", 1),
+    ({}, ("laws", "check", "--suite", "wittcomplex", "--set", "div6", "--target", "div2"),
+     "SpecMismatch", 1),
+    ({}, ("laws", "check", "--suite", "wittring", "--set", "div4", "--target", "div2"),
+     "SpecMismatch", 1),
     *(({}, argv, line.split(":")[0], 1) for argv, line in GAMMA_BOUNDS.values()),
 ], ids=["json-integer-digits", "q-text", "q-list", "q-zero-denominator", "series-empty-object",
         "series-list", "series-spec-number", "set-divabc", "set-div", "set-seg1.5",
         "ring-bracket", "ceiling-env", "comonad-target-above-set", "from-ghost-huge-remainder",
         "trials-zero", "poly-repeated-monomial", "coords-outside-set", "ghost-values-not-decimal",
-        "coeffs-outside-set", "deg1-outside-set", "deg1-not-a-number", *GAMMA_BOUNDS])
+        "coeffs-outside-set", "deg1-outside-set", "deg1-not-a-number", "wittcomplex-base-z8",
+        "wittcomplex-base-q", "wittcomplex-target", "wittring-target", *GAMMA_BOUNDS])
 def test_boundary_regressions(monkeypatch, tmp_path, env, argv, name, code):
     monkeypatch.setenv("WITTKIT_CACHE", str(tmp_path / "cache.txt"))
     for key, value in env.items():

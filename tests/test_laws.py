@@ -221,3 +221,16 @@ def test_each_complex_reads_only_its_own_tables():
     assert "axiom-iv" in {r.name for r in killed.failures()}
     assert {r.name for r in wrong.failures()} & {"axiom-i-leibniz", "graded-associativity"}
     assert [r.counterexample for r in killed.results] != [r.counterexample for r in wrong.results]
+
+
+def test_the_benchmark_sets_are_pinned():
+    # div24 and seg16 at one trial, as perfbench's cli_mix runs the complex
+    # suite, under the default complex and both mutants
+    reports = [
+        check_witt_complex(parse_truncation_set(spec), trials=1, seed=7, ops=ops)
+        for spec in ("div24", "seg16")
+        for ops in (None, CurlyKilled(), WrongCrt())
+    ]
+    data = [strip_timing(r.to_json()) for r in reports]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == "7af70a958a0e46281663514954bafaf4c60ac769412f820a2946e2e0a0b800ff"
